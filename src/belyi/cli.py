@@ -231,6 +231,9 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL
+    except Exception as exc:  # noqa: BLE001 - a crash must not read as a verdict
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return INTERNAL
 
 
 def entry() -> None:

@@ -2,23 +2,36 @@
 
 Scalars are `fractions.Fraction`, polynomials are dense coefficient tuples
 over Fraction (ascending degree, no trailing zeros), and rational functions
-are stored reduced with a monic denominator.  Nothing in this module touches
-floating point, so every identity checked downstream is exact.
+are stored reduced with a monic denominator.  Fraction is the view the API
+gives; gcd and squarefree decomposition scale to primitive integer
+coefficient lists once and run over the integers.  Nothing in this module
+touches floating point, so every identity checked downstream is exact.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Union
 
 Scalar = Union[int, str, Fraction]
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(s: str) -> Fraction:
-    """Parse "p" or "p/q" into a reduced Fraction."""
-    return Fraction(s)
+    """Parse "p" or "p/q" (decimal integers, q nonzero) into a reduced
+    Fraction; anything else, including non-strings, raises ValueError."""
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not a rational \"p\" or \"p/q\": {s!r}")
+    num, _, den = s.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"zero denominator in {s!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(q: Fraction) -> str:
@@ -193,8 +206,12 @@ class Poly:
         return [format_rational(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Iterable[str]) -> "Poly":
-        return cls(tuple(parse_rational(s) for s in data))
+    def from_json(cls, data: list[str]) -> "Poly":
+        """Read an ascending list of "p" or "p/q" strings; raises ValueError
+        on anything else."""
+        if not isinstance(data, list):
+            raise ValueError(f"coefficients must be a list of strings, not {data!r}")
+        return cls([parse_rational(s) for s in data])
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -234,46 +251,123 @@ def _as_poly(p: "Poly | Scalar") -> Poly:
 def _int_primitive(p: Poly) -> list[int]:
     # scale to integer coefficients and strip the content
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     g = math.gcd(*ints)
     return [c // g for c in ints]
 
 
+def _monic_poly(u: list[int]) -> Poly:
+    # the monic rational polynomial with the roots of an integer list
+    lead = u[-1]
+    return Poly([Fraction(c, lead) for c in u])
+
+
+def _derivative(u: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(u)][1:]
+
+
+def _sub(u: list[int], v: list[int]) -> list[int]:
+    # u - v, trailing zeros stripped
+    out = [a - b for a, b in zip_longest(u, v, fillvalue=0)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _exact_quo(u: list[int], v: list[int]) -> list[int]:
+    """u / v over the integers; raises ArithmeticError unless v divides u.
+
+    By Gauss's lemma a primitive v that divides u over the rationals also
+    divides it over the integers, so every quotient Yun forms is integral.
+    """
+    dv = len(v) - 1
+    lead = v[-1]
+    r = u[:]
+    q = [0] * max(0, len(u) - dv)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + dv], lead)
+        if rem:
+            raise ArithmeticError("inexact polynomial division over the integers")
+        if c:
+            q[k] = c
+            r[k:k + dv] = [a - c * b for a, b in zip(r[k:k + dv], v)]
+    if any(r[:dv]):
+        raise ArithmeticError("inexact polynomial division over the integers")
+    return q
+
+
 def _prem(u: list[int], v: list[int]) -> list[int]:
     # pseudo-remainder of ascending integer coefficient lists, v nonzero
-    u = u[:]
     dv = len(v) - 1
     lv = v[-1]
-    while u and len(u) - 1 >= dv:
+    while len(u) > dv:
         lu = u[-1]
-        shift = len(u) - 1 - dv
-        u = [lv * c for c in u]
-        for i, c in enumerate(v):
-            u[shift + i] -= lu * c
+        u = [lv * c for c in u[:-1]]
+        shift = len(u) - dv
+        u[shift:] = [a - lu * b for a, b in zip(u[shift:], v)]
         while u and u[-1] == 0:
             u.pop()
     return u
 
 
+# a 61-bit prime: reduction modulo it bounds the degree of a gcd cheaply
+_P = (1 << 61) - 1
+
+
+def _coprime_mod_p(u: list[int], v: list[int]) -> bool:
+    """True when the gcd of u and v modulo _P is a constant.
+
+    If _P divides neither leading coefficient, the gcd over the rationals
+    keeps its degree modulo _P and divides both images there, so its degree
+    is at most that of the gcd modulo _P: a constant there proves u and v
+    coprime.  False means only "not proven".
+    """
+    if u[-1] % _P == 0 or v[-1] % _P == 0:
+        return False
+    a = [c % _P for c in u]
+    b = [c % _P for c in v]
+    while len(b) > 1:
+        # a <- a mod b over GF(_P)
+        inv = pow(b[-1], -1, _P)
+        db = len(b) - 1
+        for k in range(len(a) - 1 - db, -1, -1):
+            c = a[k + db] * inv % _P
+            if c:
+                a[k:k + db] = [(x - c * y) % _P for x, y in zip(a[k:k + db], b)]
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
+def _int_gcd(u: list[int], v: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer coefficient lists."""
+    if len(u) < len(v):
+        u, v = v, u
+    if _coprime_mod_p(u, v):
+        return [1]
+    while True:
+        r = _prem(u, v)
+        if not r:
+            g = math.gcd(*v)
+            return [c // g for c in v]
+        if len(r) == 1:
+            return [1]
+        g = math.gcd(*r)
+        u, v = v, [c // g for c in r]
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, via a primitive remainder sequence."""
+    """Monic greatest common divisor, via a primitive remainder sequence
+    over the integers, skipped when the inputs are coprime modulo a prime."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
     if a.is_zero:
         return b.monic()
     if b.is_zero:
         return a.monic()
-    u, v = _int_primitive(a), _int_primitive(b)
-    if len(u) < len(v):
-        u, v = v, u
-    while True:
-        r = _prem(u, v)
-        if not r:
-            return Poly(v).monic()
-        if len(r) == 1:
-            return Poly.one()
-        g = math.gcd(*r)
-        u, v = v, [c // g for c in r]
+    return _monic_poly(_int_gcd(_int_primitive(a), _int_primitive(b)))
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -283,28 +377,38 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     strictly increasing multiplicity, such that p = lc(p) * prod(f**m).
     Factors of degree zero are omitted; a constant input decomposes into the
     empty product.
+
+    The work is done on primitive integer coefficient lists.  A power x^m
+    is split off first, so Yun's loop runs up to the largest multiplicity of
+    a nonzero root rather than up to m.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    dp = p.derivative()
-    a0 = poly_gcd(p, dp)
-    b = p // a0
-    c = dp // a0
-    d = c - b.derivative()
-    out: list[tuple[Poly, int]] = []
-    m = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d)
-        if a.degree > 0:
-            out.append((a, m))
-        b = b // a
-        c = d // a
-        d = c - b.derivative()
+    u = _int_primitive(p)
+    m = 0
+    while u[m] == 0:
         m += 1
-    return out
+    u = u[m:]
+    factors: dict[int, list[int]] = {}  # multiplicity -> integer factor
+    if len(u) > 1:
+        du = _derivative(u)
+        a0 = _int_gcd(u, du)
+        b = _exact_quo(u, a0)
+        c = _exact_quo(du, a0)
+        d = _sub(c, _derivative(b))
+        i = 1
+        while len(b) > 1:
+            a = _int_gcd(b, d) if d else b
+            if len(a) > 1:
+                factors[i] = a
+            b = _exact_quo(b, a)
+            c = _exact_quo(d, a)
+            d = _sub(c, _derivative(b))
+            i += 1
+    if m:
+        # x^m joins the factor of multiplicity m, or stands alone
+        factors[m] = [0] + factors.get(m, [1])
+    return [(_monic_poly(factors[i]), i) for i in sorted(factors)]
 
 
 @dataclass(frozen=True)
@@ -416,8 +520,8 @@ class RatFunc:
         nv = self.num(z.finite)
         dv = self.den(z.finite)
         if dv == 0:
-            # reduced, so num and den share no root
-            assert nv != 0
+            if nv == 0:
+                raise ArithmeticError("num and den share a root: not reduced")
             return INFINITY
         return ProjectivePoint.of(nv / dv)
 
@@ -433,7 +537,14 @@ class RatFunc:
 
     @classmethod
     def from_json(cls, data: dict) -> "RatFunc":
-        return cls(Poly.from_json(data["num"]), Poly.from_json(data["den"]))
+        """Read {"num": [...], "den": [...]}; raises ValueError on a malformed
+        object or a zero denominator."""
+        if not isinstance(data, dict) or "num" not in data or "den" not in data:
+            raise ValueError(f"a rational function needs num and den, not {data!r}")
+        den = Poly.from_json(data["den"])
+        if den.is_zero:
+            raise ValueError("zero denominator")
+        return cls(Poly.from_json(data["num"]), den)
 
     def __str__(self) -> str:
         if self.den == Poly.one():

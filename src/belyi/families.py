@@ -105,7 +105,11 @@ def ramification_profile(f: "RatFunc | BelyiMap") -> RamificationProfile:
         inf.append(f.num.degree - f.den.degree)
     over_inf = tuple(sorted(inf, reverse=True))
     prof = RamificationProfile(d, over0, over1, over_inf)
-    assert all(sum(fib) == d for fib in prof.fibers)
+    for name, fib in zip(("0", "1", "inf"), prof.fibers):
+        if sum(fib) != d:
+            raise VerificationError(
+                f"ramification indices over {name} sum to {sum(fib)}, not the degree {d}"
+            )
     return prof
 
 

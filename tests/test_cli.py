@@ -138,6 +138,37 @@ def test_verify_malformed_record(capsys, tmp_path):
     assert "malformed map record" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        '{"num": ["1"], "den": ["0"]}',  # zero denominator polynomial
+        '{"num": ["1/0"], "den": ["1"]}',  # zero denominator coefficient
+        '{"num": "123", "den": ["1"]}',  # a string, not a list
+        '{"num": [0, 1.5, 2], "den": ["1"]}',  # numbers, not strings
+    ],
+    ids=["den-zero", "coeff-over-zero", "string-not-list", "json-numbers"],
+)
+def test_verify_rejects_malformed_coefficients(capsys, tmp_path, f):
+    path = tmp_path / "bad.json"
+    path.write_text('{"family": "custom", "f": %s}' % f)
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert "malformed map record" in captured.err
+    assert captured.out == ""
+
+
+def test_unexpected_exception_exits_internal(capsys, monkeypatch):
+    import belyi.cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(belyi.cli, "_cmd_dessin", crash)
+    assert main(["dessin", "3,3,5"]) == INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError('boom')\n"
+
+
 def test_verify_constant_map(capsys, tmp_path):
     path = tmp_path / "const.json"
     path.write_text('{"family":"custom","f":{"num":["2"],"den":["1"]}}')

@@ -1,5 +1,7 @@
-"""Exact arithmetic: hand-checked values first, then random-trial invariants."""
+"""Exact arithmetic: hand-checked values first, then random-trial invariants,
+then sympy as an oracle for gcd and squarefree decomposition."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -245,3 +247,122 @@ def test_poly_str_formatting():
 def test_projective_point_str():
     assert str(INFINITY) == "inf"
     assert str(ProjectivePoint.of(Fraction(-1, 2))) == "-1/2"
+
+
+def test_parse_rational_is_strict():
+    assert parse_rational("-12/8") == Fraction(-3, 2)
+    for bad in ("1/0", "0/0", "1.5", " 1", "1/-2", "+1", "1/2/3", "", "0x10", "١"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    for bad in (1, 1.5, None, ["1"]):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+def test_poly_and_ratfunc_from_json_reject_malformed_input():
+    for bad in ("123", ("1", "2"), {"0": "1"}, ["1", 2], None):
+        with pytest.raises(ValueError):
+            Poly.from_json(bad)
+    for bad in ({"num": ["1"], "den": ["0"]}, {"num": ["1"]}, ["1"], None):
+        with pytest.raises(ValueError):
+            RatFunc.from_json(bad)
+
+
+def test_evaluate_rejects_an_unreduced_function():
+    f = RatFunc(Poly.one(), X - 1)
+    f.num = X - 1  # bypass the reduction the constructor performs
+    with pytest.raises(ArithmeticError):
+        f.evaluate(1)
+
+
+# ---- oracles for the integer gcd and Yun -------------------------------------
+
+
+def test_gcd_falls_through_when_the_prime_divides_a_leading_coefficient():
+    from belyi.exact import _P
+
+    a = Poly((1, _P)) * (X - 2)  # lead _P: the modular test does not apply
+    assert poly_gcd(a, (X - 2) * (X + 3)) == X - 2
+    assert poly_gcd(Poly((1, _P)), X + 1) == Poly.one()
+    # modulo _P the shared factor _P x - 1 would vanish to a constant
+    shared = Poly((-1, _P))
+    assert poly_gcd(shared * (X + 1), shared * (X + 2)) == shared.monic()
+    assert squarefree_decomposition(a * (X - 2)) == [
+        (Poly((Fraction(1, _P), 1)), 1),
+        (X - 2, 2),
+    ]
+
+
+def test_gcd_falls_through_when_coprime_inputs_share_a_factor_mod_p():
+    from belyi.exact import _P
+
+    # x and x - _P are the same modulo _P but coprime over the rationals
+    assert poly_gcd(X, X - _P) == Poly.one()
+    assert poly_gcd(X * (X - 1), (X - _P) * (X - 1)) == X - 1
+    assert squarefree_decomposition(X * (X - _P) ** 2) == [(X, 1), (X - _P, 2)]
+
+
+def _to_sympy(sympy, p: Poly):
+    # scaled to integer coefficients, which leaves the factors unchanged
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in reversed(p.coeffs)]
+    return sympy.Poly.from_list(ints, sympy.Symbol("x"), domain=sympy.ZZ)
+
+
+def _monic_from_sympy(q) -> Poly:
+    lead = int(q.LC())
+    return Poly([Fraction(int(c), lead) for c in reversed(q.all_coeffs())])
+
+
+def _sympy_sqf(sympy, p: Poly) -> list[tuple[Poly, int]]:
+    # sympy's factors, in this package's form: monic, by increasing multiplicity
+    _, factors = _to_sympy(sympy, p).sqf_list()
+    return sorted(((_monic_from_sympy(f), m) for f, m in factors), key=lambda fm: fm[1])
+
+
+def _assert_matches_sympy(sympy, p: Poly, q: Poly) -> None:
+    dec = squarefree_decomposition(p)
+    assert dec == _sympy_sqf(sympy, p)
+    assert [m for _, m in dec] == sorted({m for _, m in dec})
+    assert all(f.lc == 1 and f.degree > 0 for f, _ in dec)
+    g = sympy.gcd(_to_sympy(sympy, p), _to_sympy(sympy, q))
+    assert poly_gcd(p, q) == _monic_from_sympy(g)
+
+
+def test_squarefree_and_gcd_match_sympy_on_generated_polynomials():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+    small = st.lists(rationals, min_size=1, max_size=4).map(Poly)
+    leads = rationals.filter(lambda c: c != 0)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(
+        small, small, small, st.integers(0, 12), st.sampled_from([X, X - 1]), leads
+    )
+    def check(a, b, c, m, root, lead):
+        # lead * root^m * a * b^2, root being x or x - 1, against a * c * root
+        p = lead * root ** m * a * b ** 2
+        q = a * c * root
+        hypothesis.assume(not p.is_zero and not q.is_zero)
+        _assert_matches_sympy(sympy, p, q)
+
+    check()
+
+
+def test_squarefree_and_gcd_match_sympy_on_every_family_fiber():
+    sympy = pytest.importorskip("sympy")
+    from belyi import single_cycle_polynomial, symmetric_single_cycle
+
+    for d in range(3, 41):
+        maps = [single_cycle_polynomial(d, k) for k in range(1, d - 1)]
+        maps += [symmetric_single_cycle(d, k) for k in range(1, (d - 1) // 2 + 1)]
+        for m in maps:
+            num, den = m.f.num, m.f.den
+            # the map's own num and den are coprime; the unreduced pair is not
+            assert poly_gcd(num, den) == Poly.one()
+            for fiber in (num, num - den, den):
+                if fiber.degree > 0:
+                    _assert_matches_sympy(sympy, fiber, fiber.derivative())

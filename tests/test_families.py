@@ -15,6 +15,7 @@ from belyi import (
     ProjectivePoint,
     RamificationProfile,
     RatFunc,
+    VerificationError,
     chebyshev_map,
     chebyshev_polynomial,
     power_map,
@@ -23,6 +24,7 @@ from belyi import (
     symmetric_single_cycle,
     verify_single_cycle,
 )
+from belyi import families
 
 X = Poly.x()
 
@@ -81,6 +83,17 @@ def test_profile_fibers_sum_to_degree():
             assert sum(fib) == prof.degree
             assert fib == tuple(sorted(fib, reverse=True))
         assert prof.total_ramification <= 2 * prof.degree - 2
+
+
+def test_profile_rejects_a_decomposition_that_loses_a_factor(monkeypatch):
+    # the fiber-sum check guards the squarefree decomposition, and survives -O
+    f = single_cycle_polynomial(7, 3).f
+    exact_sqf = families.squarefree_decomposition
+    monkeypatch.setattr(
+        families, "squarefree_decomposition", lambda g: exact_sqf(g)[:-1]
+    )
+    with pytest.raises(VerificationError, match="sum to"):
+        ramification_profile(f)
 
 
 def test_chebyshev_polynomials():

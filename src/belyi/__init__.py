@@ -20,9 +20,6 @@ from .perm import (
     CycleType,
     DegreeMismatchError,
     Permutation,
-    compose,
-    conjugate,
-    cycle_decomposition,
     is_transitive,
 )
 from .gensys import (
@@ -46,7 +43,6 @@ from .dessin import (
 )
 from .families import (
     BelyiMap,
-    CoefficientFormMismatchError,
     MapParams,
     ParameterOutOfRangeError,
     RamificationProfile,
@@ -75,9 +71,6 @@ __all__ = [
     "CycleType",
     "DegreeMismatchError",
     "Permutation",
-    "compose",
-    "conjugate",
-    "cycle_decomposition",
     "is_transitive",
     "CombinatorialType",
     "GeneratingSystem",
@@ -95,7 +88,6 @@ __all__ = [
     "gensys_from_dessin",
     "isomorphic",
     "BelyiMap",
-    "CoefficientFormMismatchError",
     "MapParams",
     "ParameterOutOfRangeError",
     "RamificationProfile",

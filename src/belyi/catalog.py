@@ -27,7 +27,6 @@ from .gensys import (
     GeneratingSystem,
     canonical_single_cycle,
     chebyshev_gensys,
-    equivalent,
     power_gensys,
     valid_types,
 )
@@ -54,9 +53,9 @@ def family_map_for_type(ct: CombinatorialType) -> BelyiMap | None:
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TriptychRecord:
-    """One catalog entry; invariants are derived at construction."""
+    """One catalog entry; invariants are derived once, at construction."""
 
     gensys: GeneratingSystem
     dessin: Dessin
@@ -68,10 +67,12 @@ class TriptychRecord:
     is_belyi: bool | None = field(init=False)
 
     def __post_init__(self):
-        self.genus = self.gensys.genus()
-        self.diameter = self.dessin.diameter_vertices()
-        self.shape = self.dessin.shape()
-        self.is_belyi = None if self.bmap is None else self.bmap.profile.is_belyi
+        # frozen: each derived field is set once, here
+        object.__setattr__(self, "genus", self.gensys.genus())
+        object.__setattr__(self, "diameter", self.dessin.diameter_vertices())
+        object.__setattr__(self, "shape", self.dessin.shape())
+        is_belyi = None if self.bmap is None else self.bmap.profile.is_belyi
+        object.__setattr__(self, "is_belyi", is_belyi)
 
     @classmethod
     def for_type(cls, ct: CombinatorialType) -> "TriptychRecord":
@@ -82,36 +83,32 @@ class TriptychRecord:
     def for_family(cls, family: str, d: int, k: int | None = None) -> "TriptychRecord":
         """Record for one named family member (CLI names: poly, symmetric,
         power, chebyshev)."""
-        if family == "poly":
-            m = single_cycle_polynomial(d, k if k is not None else 1)
+        if family in ("poly", "symmetric"):
+            build = single_cycle_polynomial if family == "poly" else symmetric_single_cycle
+            m = build(d, 1 if k is None else k)
             gs = canonical_single_cycle(m.claimed_type)
-            return cls(gs, dessin_from_gensys(gs), m.claimed_type, m)
-        if family == "symmetric":
-            m = symmetric_single_cycle(d, k if k is not None else 1)
-            gs = canonical_single_cycle(m.claimed_type)
-            return cls(gs, dessin_from_gensys(gs), m.claimed_type, m)
-        if family == "power":
-            gs = power_gensys(d)
-            return cls(gs, dessin_from_gensys(gs), None, power_map(d))
-        if family == "chebyshev":
-            gs = chebyshev_gensys(d)
-            return cls(gs, dessin_from_gensys(gs), None, chebyshev_map(d))
-        raise ValueError(f"unknown family {family!r}")
+        elif family == "power":
+            gs, m = power_gensys(d), power_map(d)
+        elif family == "chebyshev":
+            gs, m = chebyshev_gensys(d), chebyshev_map(d)
+        else:
+            raise ValueError(f"unknown family {family!r}")
+        return cls(gs, dessin_from_gensys(gs), m.claimed_type, m)
 
     def validate(self) -> None:
-        """Re-derive every representation and cross-check; raises on drift."""
+        """Cross-check the representations against each other; raises
+        VerificationError on any disagreement.
+
+        The invariants are not re-derived here: the frozen record computed
+        them from its own gensys and dessin, and from_json checks stored
+        copies.  A realized single-cycle type implies genus zero.
+        """
         if gensys_from_dessin(self.dessin) != self.gensys:
             raise VerificationError("dessin does not round-trip to its gensys")
-        if self.genus != self.gensys.genus():
-            raise VerificationError("stored genus is stale")
-        if self.diameter != self.dessin.diameter_vertices():
-            raise VerificationError("stored diameter is stale")
         if self.ctype is not None:
             ct = self.ctype
             if self.gensys.single_cycle_type() != ct:
                 raise VerificationError("gensys does not realize the stored type")
-            if self.genus != 0:
-                raise VerificationError("single-cycle record with nonzero genus")
             if self.shape is None:
                 raise VerificationError("single-cycle record is not two-hub")
             expected = (ct.d - ct.e1, ct.d - ct.e0, ct.e0 + ct.e1 - ct.d)
@@ -155,34 +152,39 @@ class TriptychRecord:
                 if not self.dessin.is_path():
                     raise VerificationError("chebyshev dessin is not a path")
 
+    def _invariants(self) -> dict:
+        return {
+            "genus": self.genus,
+            "diameter": self.diameter,
+            "shape": None if self.shape is None else self.shape.to_json(),
+            "isBelyi": self.is_belyi,
+        }
+
     def to_json(self) -> dict:
         return {
             "type": None if self.ctype is None else self.ctype.to_json(),
             "map": None if self.bmap is None else self.bmap.to_json(),
             "gensys": self.gensys.to_json(),
             "dessin": self.dessin.to_json(),
-            "invariants": {
-                "genus": self.genus,
-                "diameter": self.diameter,
-                "shape": None if self.shape is None else self.shape.to_json(),
-                "isBelyi": self.is_belyi,
-            },
+            "invariants": self._invariants(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "TriptychRecord":
+        """Read a record and check its stored invariants against the ones
+        derived from it; raises ValueError when they differ."""
         rec = cls(
             GeneratingSystem.from_json(data["gensys"]),
             Dessin.from_json(data["dessin"]),
             None if data.get("type") is None else CombinatorialType.from_json(data["type"]),
             None if data.get("map") is None else BelyiMap.from_json(data["map"]),
         )
-        inv = data.get("invariants", {})
-        stored = (inv.get("genus"), inv.get("diameter"))
-        if stored != (rec.genus, rec.diameter):
+        # compared as JSON text, so that 0.0 or false cannot pass for 0
+        stored = json.dumps(data.get("invariants"), sort_keys=True)
+        derived = json.dumps(rec._invariants(), sort_keys=True)
+        if stored != derived:
             raise ValueError(
-                f"stored invariants {stored} disagree with recomputed"
-                f" ({rec.genus}, {rec.diameter})"
+                f"stored invariants {stored} disagree with recomputed {derived}"
             )
         return rec
 
@@ -197,21 +199,11 @@ def iter_catalog(dmax: int) -> Iterator[TriptychRecord]:
             yield rec
 
 
-def write_catalog(dmax: int, out: IO[str], dedup: bool = False) -> dict[int, int]:
-    """Write the catalog as JSON Lines; returns per-degree record counts.
-
-    With dedup, records equivalent to an already-written record of the same
-    degree are dropped (distinct types are never conjugate, so at the
-    canonical representatives this drops nothing).
-    """
+def write_catalog(dmax: int, out: IO[str]) -> dict[int, int]:
+    """Write the catalog as JSON Lines; returns per-degree record counts."""
     counts: dict[int, int] = {}
-    kept: dict[int, list[GeneratingSystem]] = {}
     for rec in iter_catalog(dmax):
         d = rec.gensys.degree
-        if dedup:
-            if any(equivalent(rec.gensys, other) for other in kept.setdefault(d, [])):
-                continue
-            kept[d].append(rec.gensys)
         out.write(json.dumps(rec.to_json(), separators=(",", ":")) + "\n")
         counts[d] = counts.get(d, 0) + 1
     return counts

@@ -53,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="write the catalog up to --dmax")
     p.add_argument("--dmax", type=int, required=True, help="degree bound (3..30)")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--dedup", action="store_true",
-                   help="drop records equivalent to an earlier one")
     return parser
 
 
@@ -199,7 +197,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         return USAGE
     try:
         with open(args.out, "w") as fh:
-            counts = write_catalog(args.dmax, fh, dedup=args.dedup)
+            counts = write_catalog(args.dmax, fh)
     except OSError as exc:
         print(f"enumerate: cannot write {args.out}: {exc}", file=sys.stderr)
         return USAGE

@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .exact import parse_int
 from .gensys import GeneratingSystem, make_gensys, equivalent
 from .perm import Permutation, is_transitive
 
@@ -50,11 +51,11 @@ class DessinShape:
     @classmethod
     def from_json(cls, data: dict) -> "DessinShape":
         return cls(
-            int(data["whiteLeaves"]),
-            int(data["blackLeaves"]),
-            int(data["parallelEdges"]),
-            int(data["blackHubDegree"]),
-            int(data["whiteHubDegree"]),
+            parse_int(data["whiteLeaves"]),
+            parse_int(data["blackLeaves"]),
+            parse_int(data["parallelEdges"]),
+            parse_int(data["blackHubDegree"]),
+            parse_int(data["whiteHubDegree"]),
         )
 
 
@@ -246,7 +247,10 @@ class Dessin:
 
     @classmethod
     def from_json(cls, data: dict) -> "Dessin":
-        return cls(int(data["d"]), data["black"], data["white"])
+        black, white = (
+            [[parse_int(x) for x in c] for c in data[side]] for side in ("black", "white")
+        )
+        return cls(parse_int(data["d"]), black, white)
 
 
 def dessin_from_gensys(gs: GeneratingSystem) -> Dessin:

@@ -34,6 +34,14 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(num), int(den or 1))
 
 
+def parse_int(v: object) -> int:
+    """A JSON integer as read by json.load; bool, float, str and anything
+    else raise ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"not an integer: {v!r}")
+    return v
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical "p/q" form, or just "p" when the denominator is 1."""
     return str(Fraction(q))
@@ -54,10 +62,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
 
     @classmethod
     def one(cls) -> "Poly":
@@ -477,34 +481,11 @@ class RatFunc:
     def __hash__(self) -> int:
         return hash(("RatFunc", self.num, self.den))
 
-    def __add__(self, other: "RatFunc | Poly | Scalar") -> "RatFunc":
-        other = _as_ratfunc(other)
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: "RatFunc | Poly | Scalar") -> "RatFunc":
-        return self + (-_as_ratfunc(other))
-
-    def __rsub__(self, other: "RatFunc | Poly | Scalar") -> "RatFunc":
-        return _as_ratfunc(other) + (-self)
-
     def __mul__(self, other: "RatFunc | Poly | Scalar") -> "RatFunc":
         other = _as_ratfunc(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: "RatFunc | Poly | Scalar") -> "RatFunc":
-        other = _as_ratfunc(other)
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return RatFunc(self.num * other.den, self.den * other.num)
 
     def evaluate(self, z: "ProjectivePoint | Scalar") -> ProjectivePoint:
         """Evaluate as a map of the projective line (poles go to infinity)."""

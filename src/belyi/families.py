@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly, RatFunc, format_rational, parse_rational, squarefree_decomposition
+from .exact import (
+    Poly,
+    RatFunc,
+    format_rational,
+    parse_int,
+    parse_rational,
+    squarefree_decomposition,
+)
 from .gensys import CombinatorialType
 
 FAMILY_TAGS = (
@@ -32,10 +39,6 @@ class ParameterOutOfRangeError(ValueError):
 
 class VerificationError(RuntimeError):
     """A constructed map failed its own ramification check."""
-
-
-class CoefficientFormMismatchError(VerificationError):
-    """The two closed forms for the symmetric coefficients disagreed."""
 
 
 @dataclass(frozen=True)
@@ -185,20 +188,29 @@ class BelyiMap:
     def __repr__(self) -> str:
         return f"BelyiMap({self.family}, d={self.degree}, f={self.f})"
 
+    def _closed_form(self) -> tuple[Poly, Poly] | None:
+        """(num, den) with f = x^(d-k) * num / den, built from the family
+        parameters; None when the map has no closed form."""
+        p, k = self.params, self.k
+        if p is None or k is None or self.claimed_type is None:
+            return None
+        if len(p.a) != k + 1:
+            raise ValueError(f"params give {len(p.a)} coefficients a, need k + 1 = {k + 1}")
+        if self.family == "single-cycle-poly" and p.c is not None:
+            return Poly([p.c * p.a[k - i] for i in range(k + 1)]), Poly.one()
+        if self.family == "symmetric-single-cycle" and p.c is None:
+            den = Poly([(-1) ** i * x for i, x in enumerate(p.a)])
+            return den.reverse(), den
+        return None
+
     def factored_form(self) -> str | None:
         """Human-readable closed form for the two single-cycle families."""
-        if self.params is None or self.k is None or self.claimed_type is None:
+        form = self._closed_form()
+        if form is None:
             return None
-        d, k, a = self.claimed_type.d, self.k, self.params.a
-        if self.family == "single-cycle-poly":
-            c = self.params.c
-            inner = Poly([c * a[k - p] for p in range(k + 1)])
-            return f"x^{d - k} * ({inner})"
-        if self.family == "symmetric-single-cycle":
-            den = Poly([(-1) ** i * a[i] for i in range(k + 1)])
-            num = den.reverse()
-            return f"x^{d - k} * ({num}) / ({den})"
-        return None
+        num, den = form
+        head = f"x^{self.claimed_type.d - self.k} * ({num})"
+        return head if den == Poly.one() else f"{head} / ({den})"
 
     def to_json(self) -> dict:
         out: dict = {"family": self.family, "d": self.degree, "k": self.k}
@@ -210,21 +222,36 @@ class BelyiMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "BelyiMap":
+        """Read a map record; raises ValueError when a field is malformed or
+        the stated degree or params disagree with f."""
         f = RatFunc.from_json(data["f"])
         family = data.get("family", "custom")
         k = data.get("k")
         d = data.get("d")
-        if d is not None and int(d) != f.degree:
+        if d is not None and parse_int(d) != f.degree:
             raise ValueError(f"stated degree {d} != map degree {f.degree}")
         ct = data.get("type")
         params = data.get("params")
-        return cls(
+        m = cls(
             f,
             family,
-            None if k is None else int(k),
+            None if k is None else parse_int(k),
             None if ct is None else CombinatorialType.from_json(ct),
             None if params is None else MapParams.from_json(params),
         )
+        if m.params is not None:
+            form = m._closed_form()
+            if form is None:
+                raise ValueError(f"params given for a {family} map without a closed form")
+            # f is reduced with a monic denominator, and x^(d-k) num / den
+            # is reduced for every family member, so both sides agree
+            # once f is scaled by the leading coefficient of den
+            num, den = form
+            lead = den.lc
+            shifted = Poly((0,) * (m.claimed_type.d - m.k) + num.coeffs)
+            if not den or f.den * lead != den or f.num * lead != shifted:
+                raise ValueError("params do not describe f")
+        return m
 
 
 def verify_single_cycle(
@@ -326,25 +353,20 @@ def single_cycle_polynomial(d: int, k: int) -> BelyiMap:
     return m
 
 
-def _symmetric_coeff_product(d: int, k: int, i: int) -> int:
-    tail = math.prod(d - j for j in range(k + i + 1, 2 * k + 1))
-    head = math.prod(d - j for j in range(0, i))
-    return math.comb(k, i) * tail * head
-
-
-def _symmetric_coeff_binomial(d: int, k: int, i: int) -> int:
-    return math.factorial(k) * math.comb(d, i) * math.comb(d - k - i - 1, k - i)
+def _symmetric_coeffs(d: int, k: int) -> tuple[int, ...]:
+    """a_i = k! * binom(d, i) * binom(d-k-i-1, k-i) for 0 <= i <= k."""
+    kf = math.factorial(k)
+    return tuple(
+        kf * math.comb(d, i) * math.comb(d - k - i - 1, k - i) for i in range(k + 1)
+    )
 
 
 def symmetric_single_cycle(d: int, k: int) -> BelyiMap:
     """The self-reciprocal family x^(d-k) N(x) / D(x) of type
     (d-k, 2k+1, d-k), where D has ascending coefficients (-1)^i a_i and N is
-    the coefficient reversal of D, so that f(1/x) f(x) = 1.
+    the coefficient reversal of D, so that f(1/x) f(x) = 1, with
 
-    Both closed forms of the coefficients are computed and must agree:
-
-        a_i = binom(k, i) * prod_{k+i+1 <= j <= 2k} (d-j) * prod_{0 <= j <= i-1} (d-j)
-            = k! * binom(d, i) * binom(d-k-i-1, k-i)
+        a_i = k! * binom(d, i) * binom(d-k-i-1, k-i).
 
     The type constraint e1 = 2k + 1 <= d bounds k at (d - 1) / 2; beyond
     that the leading coefficients vanish and the formula degenerates.
@@ -353,14 +375,7 @@ def symmetric_single_cycle(d: int, k: int) -> BelyiMap:
         raise ParameterOutOfRangeError(
             f"(d, k) = ({d}, {k}) outside d >= 3, 1 <= k <= (d - 1) / 2"
         )
-    a_product = tuple(_symmetric_coeff_product(d, k, i) for i in range(k + 1))
-    a_binomial = tuple(_symmetric_coeff_binomial(d, k, i) for i in range(k + 1))
-    if a_product != a_binomial:
-        raise CoefficientFormMismatchError(
-            f"symmetric coefficient forms disagree for (d, k) = ({d}, {k}):"
-            f" {a_product} vs {a_binomial}"
-        )
-    a = tuple(Fraction(x) for x in a_product)
+    a = tuple(Fraction(x) for x in _symmetric_coeffs(d, k))
     den = Poly([(-1) ** i * a[i] for i in range(k + 1)])
     num = Poly.monomial(d - k) * den.reverse()
     m = BelyiMap(

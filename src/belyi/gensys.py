@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .exact import parse_int
 from .perm import DegreeMismatchError, Permutation, is_transitive
 
 
@@ -69,7 +70,7 @@ class CombinatorialType:
 
     @classmethod
     def from_json(cls, data: dict) -> "CombinatorialType":
-        return cls(int(data["d"]), int(data["e0"]), int(data["e1"]), int(data["eInf"]))
+        return cls(*(parse_int(data[key]) for key in ("d", "e0", "e1", "eInf")))
 
     def __str__(self) -> str:
         return f"({self.e0}, {self.e1}, {self.e_inf})"
@@ -146,7 +147,7 @@ class GeneratingSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeneratingSystem":
-        d = int(data["d"])
+        d = parse_int(data["d"])
         return cls(
             Permutation.from_json(data["sigma0"], d),
             Permutation.from_json(data["sigma1"], d),

@@ -1,7 +1,7 @@
 """Permutations of {1, ..., d} with an explicit degree.
 
-Composition is left-to-right everywhere in this package: compose(a, b) sends
-i to b(a(i)), i.e. a acts first.  Cycle decompositions are canonical: each
+Composition is left-to-right everywhere in this package: a * b sends i to
+b(a(i)), i.e. a acts first.  Cycle decompositions are canonical: each
 cycle is rotated to start at its minimum, cycles are sorted by minimum, and
 fixed points appear as 1-cycles.
 """
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Iterable, Sequence
+
+from .exact import parse_int
 
 # A cycle type is the multiset of cycle lengths (fixed points included),
 # stored as a descending tuple summing to the degree.
@@ -130,7 +132,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, cycles: Iterable[Sequence[int]], d: int | None = None) -> "Permutation":
-        cycles = [list(c) for c in cycles]
+        cycles = [[parse_int(x) for x in c] for c in cycles]
         points = [x for c in cycles for x in c]
         inferred = max(points) if points else 0
         if d is None:
@@ -141,19 +143,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, d={self.degree})"
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Left-to-right product: i -> b(a(i))."""
-    return a * b
-
-
-def conjugate(p: Permutation, t: Permutation) -> Permutation:
-    return p.conjugate(t)
-
-
-def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
-    return p.cycles()
 
 
 def is_transitive(perms: Sequence[Permutation]) -> bool:

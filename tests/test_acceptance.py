@@ -5,6 +5,7 @@ The lines bypass pytest's capture so they always show in the run output.
 Criteria 1-8 carry a time budget and fail if they exceed it.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -282,6 +283,9 @@ def test_criterion_10_determinism(capsys, tmp_path):
         assert main(["enumerate", "--dmax", "15", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+            "5f3c78eca0922fcf4b21f8508d9a22ee0796e990164950c28eb8a334d399212e"
+        )
         assert len(a.read_text().splitlines()) == 637
         assert "d=15: 117 types" in first_stdout
 

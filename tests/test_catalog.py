@@ -1,5 +1,6 @@
 """Catalog records: cross-checked bundles and the JSONL writer."""
 
+import dataclasses
 import io
 import json
 
@@ -97,15 +98,12 @@ def test_record_for_family():
         TriptychRecord.for_family("mystery", 5)
 
 
-def test_validate_catches_stale_invariants():
+def test_record_invariants_are_frozen():
     rec = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
-    rec.genus = 1
-    with pytest.raises(VerificationError):
-        rec.validate()
-    rec = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
-    rec.diameter = 9
-    with pytest.raises(VerificationError):
-        rec.validate()
+    for name, value in (("genus", 1), ("diameter", 9), ("shape", None), ("is_belyi", False)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, value)
+    assert (rec.genus, rec.diameter, rec.is_belyi) == (0, 4, True)
 
 
 def test_validate_catches_wrong_type():
@@ -139,9 +137,54 @@ def test_record_json_round_trip():
 
 
 def test_record_json_rejects_drifted_invariants():
+    good = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
+    assert TriptychRecord.from_json(good).to_json() == good
+    shape = dict(good["invariants"]["shape"], parallelEdges=2)
+    drifts = [
+        ("genus", 2),
+        ("genus", 0.0),  # equal to 0 in Python, not the integer JSON 0
+        ("diameter", 3),
+        ("shape", shape),
+        ("shape", None),
+        ("isBelyi", False),
+        ("isBelyi", 1),  # equal to True in Python, not JSON true
+    ]
+    for key, value in drifts:
+        data = json.loads(json.dumps(good))
+        data["invariants"][key] = value
+        with pytest.raises(ValueError, match="stored invariants"):
+            TriptychRecord.from_json(data)
+    data = json.loads(json.dumps(good))
+    del data["invariants"]
+    with pytest.raises(ValueError, match="stored invariants"):
+        TriptychRecord.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("gensys", "d"), 5.0),
+        (("dessin", "d"), 5.0),
+        (("type", "e0"), 3.0),
+        (("map", "k"), True),
+        (("map", "d"), "5"),
+        (("gensys", "sigma0"), [[1], [2], [3.0, 5, 4]]),
+        (("dessin", "white"), [[1, 2, 3], ["4"], [5]]),
+    ],
+    ids=[
+        "float-gensys-d",
+        "float-dessin-d",
+        "float-e0",
+        "bool-k",
+        "string-d",
+        "float-point",
+        "string-label",
+    ],
+)
+def test_record_json_rejects_non_integer_fields(path, value):
     data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
-    data["invariants"]["genus"] = 2
-    with pytest.raises(ValueError):
+    data[path[0]][path[1]] = value
+    with pytest.raises(ValueError, match="not an integer"):
         TriptychRecord.from_json(data)
 
 
@@ -169,12 +212,6 @@ def test_write_catalog_counts_and_lines():
         rec = json.loads(line)
         assert rec["invariants"]["genus"] == 0
         assert rec["invariants"]["diameter"] <= 4
-
-
-def test_write_catalog_dedup_keeps_inequivalent_types():
-    plain, dedup = io.StringIO(), io.StringIO()
-    assert write_catalog(5, plain) == write_catalog(5, dedup, dedup=True)
-    assert plain.getvalue() == dedup.getvalue()
 
 
 def test_write_catalog_deterministic():

@@ -157,6 +157,28 @@ def test_verify_rejects_malformed_coefficients(capsys, tmp_path, f):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("d", 5.7),
+        ("k", 2.9),
+        ("type.e0", 3.0),
+        ("params.c", "31"),  # the (5, 2) map has c = 30
+    ],
+    ids=["float-d", "float-k", "float-e0", "wrong-c"],
+)
+def test_verify_rejects_a_misstated_record(capsys, tmp_path, field, value):
+    data = single_cycle_polynomial(5, 2).to_json()
+    *outer, key = field.split(".")
+    (data[outer[0]] if outer else data)[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert "malformed map record" in captured.err
+    assert captured.out == ""
+
+
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     import belyi.cli
 
@@ -224,6 +246,12 @@ def test_enumerate_dmax_bounds(capsys, tmp_path):
     out_path = str(tmp_path / "x.jsonl")
     assert main(["enumerate", "--dmax", "2", "--out", out_path]) == USAGE
     assert main(["enumerate", "--dmax", "31", "--out", out_path]) == USAGE
+
+
+def test_enumerate_has_no_dedup_flag(capsys, tmp_path):
+    out_path = str(tmp_path / "x.jsonl")
+    assert main(["enumerate", "--dmax", "3", "--out", out_path, "--dedup"]) == USAGE
+    assert "unrecognized arguments: --dedup" in capsys.readouterr().err
 
 
 def test_enumerate_unwritable_path(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Map families: exact coefficients, ramification profiles, verification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import pytest
 
 from belyi import (
     BelyiMap,
-    CoefficientFormMismatchError,
     CombinatorialType,
     MapParams,
     ParameterOutOfRangeError,
@@ -192,6 +192,23 @@ def test_symmetric_family_small_example():
     assert m.claimed_type == CombinatorialType(5, 3, 5, 3)
 
 
+def _symmetric_coeff_product(d, k, i):
+    # the product form of the symmetric coefficients, kept as an oracle
+    tail = math.prod(d - j for j in range(k + i + 1, 2 * k + 1))
+    head = math.prod(d - j for j in range(0, i))
+    return math.comb(k, i) * tail * head
+
+
+def test_symmetric_coefficients_match_the_product_form():
+    for d in range(3, 61):
+        for k in range(1, (d - 1) // 2 + 1):
+            oracle = tuple(_symmetric_coeff_product(d, k, i) for i in range(k + 1))
+            assert families._symmetric_coeffs(d, k) == oracle
+    assert symmetric_single_cycle(10, 2).params.a == tuple(
+        Fraction(_symmetric_coeff_product(10, 2, i)) for i in range(3)
+    )
+
+
 def test_symmetric_family_self_reciprocal():
     one = RatFunc(Poly.one())
     for d, k in ((3, 1), (5, 2), (7, 3), (10, 2), (11, 5), (12, 1)):
@@ -261,6 +278,27 @@ def test_belyi_map_json_round_trip():
 
     with pytest.raises(ValueError):
         BelyiMap.from_json({"family": "custom", "d": 4, "f": {"num": ["0", "1"], "den": ["1"]}})
+
+
+def test_belyi_map_json_rejects_params_that_do_not_describe_f():
+    poly = single_cycle_polynomial(5, 2).to_json()  # c = 30, a = (1/5, -1/2, 1/3)
+    sym = symmetric_single_cycle(10, 2).to_json()  # a = (42, 120, 90)
+    cases = [
+        (poly, {"a": ["1/5", "-1/2", "1/3"], "c": "31"}),
+        (poly, {"a": ["1/5", "-1/2", "1/4"], "c": "30"}),
+        (poly, {"a": ["1/5", "-1/2"], "c": "30"}),
+        (poly, {"a": ["1/5", "-1/2", "1/3"]}),
+        (sym, {"a": ["42", "120", "91"]}),
+        (sym, {"a": ["42", "120", "90", "1"]}),
+        (sym, {"a": ["0", "0", "0"]}),
+        (sym, {"a": ["42", "120", "90"], "c": "1"}),
+        (dict(sym, family="custom"), sym["params"]),
+    ]
+    for good, params in cases:
+        with pytest.raises(ValueError):
+            BelyiMap.from_json(dict(good, params=params))
+    for good in (poly, sym):
+        assert BelyiMap.from_json(dict(good)).to_json() == good
 
 
 def test_belyi_map_misc():

@@ -1,6 +1,7 @@
 """Generating systems: validation, canonical triples, equivalence."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from belyi import (
     canonical_single_cycle,
     chebyshev_gensys,
     equivalent,
+    is_transitive,
     make_gensys,
     power_gensys,
     valid_types,
@@ -225,3 +227,24 @@ def test_equivalent_matches_brute_force():
         got = equivalent(a, b)
         assert got == _brute_force_equivalent(a, b)
         assert got == equivalent(b, a)  # symmetry
+
+
+def test_canonical_representatives_are_unique_up_to_degree_5():
+    # Brute force over all of S_d x S_d: every transitive single-cycle pair
+    # of a type is conjugate to the canonical triple, and the type has
+    # exactly d! such pairs (one class, trivial centralizer).  So the
+    # catalog's canonical records are pairwise inequivalent and complete.
+    for d in range(3, 6):
+        perms = [Permutation(p) for p in itertools.permutations(range(1, d + 1))]
+        single = [p for p in perms if len(p.nontrivial_cycles()) == 1]
+        canonical = {ct: canonical_single_cycle(ct) for ct in valid_types(d)}
+        found = dict.fromkeys(canonical, 0)
+        for s0, s1 in itertools.product(single, repeat=2):
+            if not is_transitive([s0, s1]):
+                continue
+            gs = make_gensys(s0, s1)
+            ct = gs.single_cycle_type()
+            if ct is not None:
+                assert equivalent(gs, canonical[ct])
+                found[ct] += 1
+        assert found == dict.fromkeys(canonical, math.factorial(d))

@@ -7,9 +7,6 @@ import pytest
 from belyi import (
     DegreeMismatchError,
     Permutation,
-    compose,
-    conjugate,
-    cycle_decomposition,
     is_transitive,
 )
 from helpers import random_permutation
@@ -19,7 +16,7 @@ def test_compose_is_left_to_right():
     # apply (3 4 5) first, then (1 2 3): the result is the 5-cycle (1 2 3 4 5)
     a = Permutation.from_cycles(5, [(3, 4, 5)])
     b = Permutation.from_cycles(5, [(1, 2, 3)])
-    assert compose(a, b) == Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
+    assert a * b == Permutation.from_cycles(5, [(1, 2, 3, 4, 5)])
     assert (a * b)(1) == 2
     assert (a * b)(3) == 4
     assert (a * b)(5) == 1
@@ -38,7 +35,7 @@ def test_compose_respects_pointwise_rule():
 def test_conjugate_relabels_cycles():
     p = Permutation.from_cycles(3, [(1, 2)])
     t = Permutation.from_cycles(3, [(1, 2, 3)])
-    assert conjugate(p, t) == Permutation.from_cycles(3, [(2, 3)])
+    assert p.conjugate(t) == Permutation.from_cycles(3, [(2, 3)])
 
 
 def test_conjugate_maps_cycles_through_t():
@@ -46,7 +43,7 @@ def test_conjugate_maps_cycles_through_t():
     for _ in range(50):
         d = rng.randint(2, 9)
         p, t = random_permutation(rng, d), random_permutation(rng, d)
-        q = conjugate(p, t)
+        q = p.conjugate(t)
         assert q.cycle_type() == p.cycle_type()
         for i in range(1, d + 1):
             # t carries i -> t(i), so q must carry t(i) -> t(p(i))
@@ -104,7 +101,7 @@ def test_cycle_decomposition_round_trip():
     for _ in range(50):
         d = rng.randint(1, 10)
         p = random_permutation(rng, d)
-        cycles = cycle_decomposition(p)
+        cycles = p.cycles()
         assert sorted(x for c in cycles for x in c) == list(range(1, d + 1))
         assert Permutation.from_cycles(d, [c for c in cycles if len(c) > 1]) == p
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Iterator
 
-from .dessin import Dessin, DessinShape, dessin_from_gensys, gensys_from_dessin
+from .dessin import Dessin, DessinShape
 from .families import (
     BelyiMap,
     VerificationError,
@@ -55,12 +55,12 @@ def family_map_for_type(ct: CombinatorialType) -> BelyiMap | None:
 
 @dataclass(frozen=True)
 class TriptychRecord:
-    """One catalog entry; invariants are derived once, at construction."""
+    """One catalog entry; its dessin and invariants are derived once, at construction."""
 
     gensys: GeneratingSystem
-    dessin: Dessin
     ctype: CombinatorialType | None = None
     bmap: BelyiMap | None = None
+    dessin: Dessin = field(init=False)
     genus: int = field(init=False)
     diameter: int = field(init=False)
     shape: DessinShape | None = field(init=False)
@@ -68,6 +68,7 @@ class TriptychRecord:
 
     def __post_init__(self):
         # frozen: each derived field is set once, here
+        object.__setattr__(self, "dessin", Dessin(self.gensys))
         object.__setattr__(self, "genus", self.gensys.genus())
         object.__setattr__(self, "diameter", self.dessin.diameter_vertices())
         object.__setattr__(self, "shape", self.dessin.shape())
@@ -76,8 +77,7 @@ class TriptychRecord:
 
     @classmethod
     def for_type(cls, ct: CombinatorialType) -> "TriptychRecord":
-        gs = canonical_single_cycle(ct)
-        return cls(gs, dessin_from_gensys(gs), ct, family_map_for_type(ct))
+        return cls(canonical_single_cycle(ct), ct, family_map_for_type(ct))
 
     @classmethod
     def for_family(cls, family: str, d: int, k: int | None = None) -> "TriptychRecord":
@@ -93,18 +93,16 @@ class TriptychRecord:
             gs, m = chebyshev_gensys(d), chebyshev_map(d)
         else:
             raise ValueError(f"unknown family {family!r}")
-        return cls(gs, dessin_from_gensys(gs), m.claimed_type, m)
+        return cls(gs, m.claimed_type, m)
 
     def validate(self) -> None:
         """Cross-check the representations against each other; raises
         VerificationError on any disagreement.
 
         The invariants are not re-derived here: the frozen record computed
-        them from its own gensys and dessin, and from_json checks stored
-        copies.  A realized single-cycle type implies genus zero.
+        them from its own gensys, and from_json checks stored copies.  A
+        realized single-cycle type implies genus zero.
         """
-        if gensys_from_dessin(self.dessin) != self.gensys:
-            raise VerificationError("dessin does not round-trip to its gensys")
         if self.ctype is not None:
             ct = self.ctype
             if self.gensys.single_cycle_type() != ct:
@@ -171,14 +169,16 @@ class TriptychRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriptychRecord":
-        """Read a record and check its stored invariants against the ones
-        derived from it; raises ValueError when they differ."""
+        """Read a record and check its stored dessin and invariants against
+        the ones derived from its gensys; raises ValueError when they differ."""
         rec = cls(
             GeneratingSystem.from_json(data["gensys"]),
-            Dessin.from_json(data["dessin"]),
             None if data.get("type") is None else CombinatorialType.from_json(data["type"]),
             None if data.get("map") is None else BelyiMap.from_json(data["map"]),
         )
+        # parsed strictly, compared, and dropped: the record keeps one triple
+        if Dessin.from_json(data["dessin"]) != rec.dessin:
+            raise ValueError("stored dessin disagrees with the one derived from gensys")
         # compared as JSON text, so that 0.0 or false cannot pass for 0
         stored = json.dumps(data.get("invariants"), sort_keys=True)
         derived = json.dumps(rec._invariants(), sort_keys=True)

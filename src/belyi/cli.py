@@ -57,11 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_indices(spec: str) -> tuple[int, int, int]:
-    parts = spec.split(",")
-    if len(parts) != 3:
+    parts = [p.strip() for p in spec.split(",")]
+    # ASCII digits only: int() alone also takes signs, underscores and
+    # non-ASCII digits
+    if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"need three comma-separated indices, got {spec!r}")
-    e0, e1, e_inf = (int(p.strip()) for p in parts)
-    return e0, e1, e_inf
+    return tuple(map(int, parts))
 
 
 def _print_record_text(rec: TriptychRecord) -> None:
@@ -122,6 +123,13 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    claimed: tuple[int, int, int] | None = None
+    if args.type is not None:
+        try:
+            claimed = _parse_indices(args.type)
+        except ValueError as exc:
+            print(f"verify: bad --type: {exc}", file=sys.stderr)
+            return USAGE
     try:
         with open(args.input) as fh:
             data = json.load(fh)
@@ -155,14 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     print(f"belyi: {'yes' if prof.is_belyi else 'no'}")
 
-    claimed: tuple[int, int, int] | None = None
-    if args.type is not None:
-        try:
-            claimed = _parse_indices(args.type)
-        except ValueError as exc:
-            print(f"verify: bad --type: {exc}", file=sys.stderr)
-            return USAGE
-    elif m.claimed_type is not None:
+    if claimed is None and m.claimed_type is not None:
         claimed = m.claimed_type.indices
 
     if claimed is None:

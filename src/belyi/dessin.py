@@ -3,9 +3,9 @@
 A dessin on d edges has one black vertex per cycle of sigma0 and one white
 vertex per cycle of sigma1 (fixed points give degree-one vertices); edge
 labels 1..d appear exactly once on each side, and the cyclic order around a
-vertex is the cycle itself.  Cyclic orders are stored rotated to start at
-their minimum label and vertices sorted by that minimum, so equal dessins
-compare equal structurally.
+vertex is the cycle itself.  A ``Dessin`` is a view of its generating
+system: its vertices are the canonical cycles of sigma0 and sigma1, so equal
+dessins are equal triples.
 
 Orientation convention: the stored cyclic order is abstract; reversing every
 cycle on both sides yields the mirror dessin, which is a different (possibly
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exact import parse_int
-from .gensys import GeneratingSystem, make_gensys, equivalent
-from .perm import Permutation, is_transitive
+from .gensys import GeneratingSystem, NotTransitiveError, equivalent, make_gensys
+from .perm import Permutation
 
 
 @dataclass(frozen=True)
@@ -59,64 +59,54 @@ class DessinShape:
         )
 
 
-def _canonical_cycles(cycles: Iterable[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for cyc in cycles:
-        cyc = [int(x) for x in cyc]
-        if not cyc:
-            raise ValueError("empty vertex cycle")
-        k = cyc.index(min(cyc))
-        out.append(tuple(cyc[k:] + cyc[:k]))
-    return tuple(sorted(out, key=lambda c: c[0]))
-
-
 class Dessin:
-    """A connected bipartite ribbon graph with labeled edges 1..d."""
+    """A connected bipartite ribbon graph with labeled edges 1..d, held as
+    its generating system; ``from_cycles`` builds one from vertex cycles."""
 
-    __slots__ = ("d", "black", "white")
+    __slots__ = ("gensys",)
 
-    def __init__(
-        self,
-        d: int,
-        black: Iterable[Sequence[int]],
-        white: Iterable[Sequence[int]],
-    ):
-        black = _canonical_cycles(black)
-        white = _canonical_cycles(white)
+    def __init__(self, gs: GeneratingSystem):
+        self.gensys = gs
+
+    @classmethod
+    def from_cycles(
+        cls, d: int, black: Iterable[Sequence[int]], white: Iterable[Sequence[int]]
+    ) -> "Dessin":
+        """The dessin with these vertex cyclic orders, in any rotation and
+        order; raises ValueError unless each side covers 1..d exactly once
+        and the graph is connected."""
+        sigmas = []
         for side, cycles in (("black", black), ("white", white)):
-            labels = sorted(x for c in cycles for x in c)
-            if labels != list(range(1, d + 1)):
+            cycles = [tuple(c) for c in cycles]
+            # with repeats and labels outside 1..d rejected, d labels cover 1..d
+            if sum(len(c) for c in cycles) != d:
                 raise ValueError(
                     f"{side} cycles must cover each label 1..{d} exactly once"
                 )
-        self.d = d
-        self.black = black
-        self.white = white
+            sigmas.append(Permutation.from_cycles(d, cycles))
         # connectivity is exactly transitivity of the edge permutations
-        if not is_transitive([self._perm(black), self._perm(white)]):
-            raise ValueError("dessin is not connected")
-
-    def _perm(self, cycles: tuple[tuple[int, ...], ...]) -> Permutation:
-        return Permutation.from_cycles(self.d, cycles)
-
-    @property
-    def sigma0(self) -> Permutation:
-        return self._perm(self.black)
+        try:
+            return cls(make_gensys(*sigmas))
+        except NotTransitiveError:
+            raise ValueError("dessin is not connected") from None
 
     @property
-    def sigma1(self) -> Permutation:
-        return self._perm(self.white)
+    def d(self) -> int:
+        return self.gensys.degree
+
+    @property
+    def black(self) -> tuple[tuple[int, ...], ...]:
+        return self.gensys.sigma0.cycles()
+
+    @property
+    def white(self) -> tuple[tuple[int, ...], ...]:
+        return self.gensys.sigma1.cycles()
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Dessin)
-            and self.d == other.d
-            and self.black == other.black
-            and self.white == other.white
-        )
+        return isinstance(other, Dessin) and self.gensys == other.gensys
 
     def __hash__(self) -> int:
-        return hash(("Dessin", self.d, self.black, self.white))
+        return hash(("Dessin", self.gensys))
 
     def __repr__(self) -> str:
         return f"Dessin(d={self.d}, black={self.black}, white={self.white})"
@@ -155,14 +145,9 @@ class Dessin:
     # ---- invariants --------------------------------------------------------
 
     def genus(self) -> int:
-        """Genus via Euler's formula V - E + F = 2 - 2g, faces counted as
-        cycles of (sigma0 * sigma1)^-1."""
-        v = len(self.black) + len(self.white)
-        f = (self.sigma0 * self.sigma1).num_cycles()
-        euler = v - self.d + f
-        if euler % 2:
-            raise RuntimeError("odd Euler characteristic")
-        return (2 - euler) // 2
+        """Genus of the surface the dessin is drawn on: that of its triple,
+        whose sigmaInf cycles are the faces."""
+        return self.gensys.genus()
 
     def diameter_vertices(self) -> int:
         """Graph diameter counted in vertices traversed.
@@ -191,15 +176,15 @@ class Dessin:
         Requires exactly one black and one white vertex of degree >= 2; all
         other vertices are leaves.
         """
-        bhubs = [i for i, c in enumerate(self.black) if len(c) >= 2]
-        whubs = [j for j, c in enumerate(self.white) if len(c) >= 2]
+        black, white = self.black, self.white
+        bhubs = [c for c in black if len(c) >= 2]
+        whubs = [c for c in white if len(c) >= 2]
         if len(bhubs) != 1 or len(whubs) != 1:
             return None
-        bhub = self.black[bhubs[0]]
-        whub = self.white[whubs[0]]
+        (bhub,), (whub,) = bhubs, whubs
         return DessinShape(
-            white_leaves=len(self.white) - 1,
-            black_leaves=len(self.black) - 1,
+            white_leaves=len(white) - 1,
+            black_leaves=len(black) - 1,
             parallel_edges=len(set(bhub) & set(whub)),
             black_hub_degree=len(bhub),
             white_hub_degree=len(whub),
@@ -247,24 +232,21 @@ class Dessin:
 
     @classmethod
     def from_json(cls, data: dict) -> "Dessin":
-        black, white = (
-            [[parse_int(x) for x in c] for c in data[side]] for side in ("black", "white")
-        )
-        return cls(parse_int(data["d"]), black, white)
+        return cls.from_cycles(parse_int(data["d"]), data["black"], data["white"])
 
 
 def dessin_from_gensys(gs: GeneratingSystem) -> Dessin:
     """The dessin whose vertex cyclic orders are the cycles of sigma0/sigma1."""
-    return Dessin(gs.degree, gs.sigma0.cycles(), gs.sigma1.cycles())
+    return Dessin(gs)
 
 
 def gensys_from_dessin(ds: Dessin) -> GeneratingSystem:
-    """Exact inverse of dessin_from_gensys (sigmaInf re-derived)."""
-    return make_gensys(ds.sigma0, ds.sigma1)
+    """Exact inverse of dessin_from_gensys."""
+    return ds.gensys
 
 
 def isomorphic(a: Dessin, b: Dessin) -> bool:
     """Dessin isomorphism, delegated to generating-system equivalence."""
     if a.d != b.d:
         return False
-    return equivalent(gensys_from_dessin(a), gensys_from_dessin(b))
+    return equivalent(a.gensys, b.gensys)

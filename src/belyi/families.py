@@ -132,6 +132,8 @@ class MapParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "MapParams":
+        if not isinstance(data, dict) or not isinstance(data.get("a"), list):
+            raise ValueError(f"params must be an object with a list a, not {data!r}")
         c = parse_rational(data["c"]) if "c" in data else None
         return cls(c, tuple(parse_rational(s) for s in data["a"]))
 

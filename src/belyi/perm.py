@@ -23,18 +23,23 @@ class DegreeMismatchError(ValueError):
 
 
 class Permutation:
-    """A bijection of {1, ..., d}, stored as its image sequence."""
+    """A bijection of {1, ..., d} of int points, stored as its image sequence."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_cycles")
 
     def __init__(self, images: Sequence[int]):
-        imgs = tuple(int(i) for i in images)
+        imgs = tuple(images)
         d = len(imgs)
         if d == 0:
             raise ValueError("degree must be at least 1")
+        # checked in C, so that products pay no per-point call
+        if set(map(type, imgs)) != {int}:
+            for x in imgs:
+                parse_int(x)
         if sorted(imgs) != list(range(1, d + 1)):
             raise ValueError(f"not a bijection of 1..{d}: {imgs}")
         self.images: tuple[int, ...] = imgs
+        self._cycles: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def identity(cls, d: int) -> "Permutation":
@@ -46,11 +51,11 @@ class Permutation:
         images = list(range(1, d + 1))
         seen: set[int] = set()
         for cyc in cycles:
-            cyc = [int(x) for x in cyc]
+            cyc = tuple(cyc)
             if not cyc:
                 raise ValueError("empty cycle")
             for x in cyc:
-                if not 1 <= x <= d:
+                if not 1 <= parse_int(x) <= d:
                     raise ValueError(f"point {x} outside 1..{d}")
                 if x in seen:
                     raise ValueError(f"point {x} repeated across cycles")
@@ -94,8 +99,11 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self.images, start=1))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Canonical disjoint cycles, fixed points included."""
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical disjoint cycles, fixed points included; computed on
+        the first call and kept."""
+        if self._cycles is not None:
+            return self._cycles
         out: list[tuple[int, ...]] = []
         seen = [False] * self.degree
         for start in range(1, self.degree + 1):
@@ -109,7 +117,8 @@ class Permutation:
                 seen[nxt - 1] = True
                 nxt = self(nxt)
             out.append(tuple(cyc))
-        return out
+        self._cycles = tuple(out)
+        return self._cycles
 
     def nontrivial_cycles(self) -> list[tuple[int, ...]]:
         return [c for c in self.cycles() if len(c) >= 2]
@@ -132,13 +141,11 @@ class Permutation:
 
     @classmethod
     def from_json(cls, cycles: Iterable[Sequence[int]], d: int | None = None) -> "Permutation":
-        cycles = [[parse_int(x) for x in c] for c in cycles]
-        points = [x for c in cycles for x in c]
-        inferred = max(points) if points else 0
         if d is None:
-            d = len(points)
-            if inferred != d:
-                raise ValueError("cycles must cover 1..d exactly once")
+            # from_cycles rejects repeats and points outside 1..d, so with d
+            # the number of points given, the cycles must cover 1..d
+            cycles = list(cycles)
+            d = sum(len(c) for c in cycles)
         return cls.from_cycles(d, cycles)
 
     def __repr__(self) -> str:

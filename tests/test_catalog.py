@@ -8,10 +8,13 @@ import pytest
 
 from belyi import (
     CombinatorialType,
+    Permutation,
     TriptychRecord,
     VerificationError,
+    dessin_from_gensys,
     family_map_for_type,
     iter_catalog,
+    make_gensys,
     single_cycle_polynomial,
     valid_types,
     write_catalog,
@@ -72,6 +75,7 @@ def test_record_for_type():
     assert (rec.shape.white_leaves, rec.shape.black_leaves) == (2, 2)
     assert rec.is_belyi is True
     assert rec.bmap is not None and rec.bmap.family == "single-cycle-poly"
+    assert rec.dessin.gensys is rec.gensys  # one triple per record
 
 
 def test_record_for_family():
@@ -108,7 +112,7 @@ def test_record_invariants_are_frozen():
 
 def test_validate_catches_wrong_type():
     good = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
-    rec = TriptychRecord(good.gensys, good.dessin, CombinatorialType(5, 4, 4, 3))
+    rec = TriptychRecord(good.gensys, CombinatorialType(5, 4, 4, 3))
     with pytest.raises(VerificationError):
         rec.validate()
 
@@ -116,7 +120,7 @@ def test_validate_catches_wrong_type():
 def test_validate_catches_map_type_mismatch():
     good = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
     wrong_map = single_cycle_polynomial(5, 1)  # type (4, 2, 5)
-    rec = TriptychRecord(good.gensys, good.dessin, good.ctype, wrong_map)
+    rec = TriptychRecord(good.gensys, good.ctype, wrong_map)
     with pytest.raises(VerificationError):
         rec.validate()
 
@@ -158,6 +162,22 @@ def test_record_json_rejects_drifted_invariants():
     del data["invariants"]
     with pytest.raises(ValueError, match="stored invariants"):
         TriptychRecord.from_json(data)
+
+
+def test_record_json_rejects_a_drifted_dessin():
+    good = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
+    # a relabeled copy of the same dessin: every invariant still agrees
+    t = Permutation.from_cycles(5, [(1, 2)])
+    relabeled = make_gensys(good.gensys.sigma0.conjugate(t), good.gensys.sigma1.conjugate(t))
+    for other in (
+        TriptychRecord.for_type(CombinatorialType(5, 4, 2, 5)).dessin,  # another type
+        dessin_from_gensys(relabeled),
+    ):
+        data = good.to_json()
+        data["dessin"] = other.to_json()
+        assert data["dessin"]["d"] == 5
+        with pytest.raises(ValueError, match="stored dessin"):
+            TriptychRecord.from_json(data)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from belyi import single_cycle_polynomial
+from belyi import single_cycle_polynomial, symmetric_single_cycle
 from belyi.cli import FAIL, INTERNAL, PASS, USAGE, main
 
 POLY_5_2_TEXT = """\
@@ -179,6 +179,23 @@ def test_verify_rejects_a_misstated_record(capsys, tmp_path, field, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "params", [{"a": "35"}, ["3", "5"]], ids=["string-a", "params-not-object"]
+)
+def test_verify_rejects_params_of_the_wrong_shape(capsys, tmp_path, params):
+    # the (5, 1) symmetric map has a = ("3", "5"): a string "35" iterated
+    # character by character would read as the right params
+    data = symmetric_single_cycle(5, 1).to_json()
+    assert data["params"] == {"a": ["3", "5"]}
+    data["params"] = params
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert "params must be an object with a list a" in captured.err
+    assert captured.out == ""
+
+
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     import belyi.cli
 
@@ -200,7 +217,24 @@ def test_verify_constant_map(capsys, tmp_path):
 
 def test_verify_bad_type_argument(capsys, good_map):
     assert main(["verify", good_map, "--type", "3,3"]) == USAGE
-    assert "bad --type" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "bad --type" in captured.err
+    assert captured.out == ""  # rejected before any profile is printed
+
+
+@pytest.mark.parametrize(
+    "spec", ["1_0,5,6", "+3,3,5", "\u0663,3,5"], ids=["underscore", "sign", "arabic-digit"]
+)
+def test_indices_must_be_ascii_digits(capsys, good_map, spec):
+    # int() accepts each of these: 1_0 reads as 10, \u0663 as 3
+    assert main(["dessin", spec]) == USAGE
+    captured = capsys.readouterr()
+    assert "need three comma-separated indices" in captured.err
+    assert captured.out == ""
+    assert main(["verify", good_map, "--type", spec]) == USAGE
+    captured = capsys.readouterr()
+    assert "bad --type" in captured.err
+    assert captured.out == ""
 
 
 def test_dessin_dot(capsys):

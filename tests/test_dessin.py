@@ -20,20 +20,61 @@ from helpers import random_gensys, random_permutation, random_single_cycle_pair
 
 
 def test_canonical_storage():
-    ds = Dessin(3, [(2, 3), (1,)], [(3, 1, 2)])
+    ds = Dessin.from_cycles(3, [(2, 3), (1,)], [(3, 1, 2)])
     assert ds.black == ((1,), (2, 3))
     assert ds.white == ((1, 2, 3),)
     # a rotated-cycle presentation of the same dessin compares equal
-    assert ds == Dessin(3, [(1,), (3, 2)], [(2, 3, 1)])
+    assert ds == Dessin.from_cycles(3, [(1,), (3, 2)], [(2, 3, 1)])
 
 
 def test_label_coverage_validation():
-    with pytest.raises(ValueError):
-        Dessin(3, [(1, 2)], [(1, 2, 3)])  # label 3 missing on black side
-    with pytest.raises(ValueError):
-        Dessin(3, [(1, 2), (2, 3)], [(1, 2, 3)])  # label 2 repeated
-    with pytest.raises(ValueError):
-        Dessin(2, [(1,), (2,)], [(1,), (2,)])  # disconnected
+    with pytest.raises(ValueError, match="black cycles must cover"):
+        Dessin.from_cycles(3, [(1, 2)], [(1, 2, 3)])  # label 3 missing on black side
+    with pytest.raises(ValueError, match="black cycles must cover"):
+        Dessin.from_cycles(3, [(1, 2), (2, 3)], [(1, 2, 3)])  # label 2 repeated
+    with pytest.raises(ValueError, match="repeated"):
+        Dessin.from_cycles(3, [(1, 2), (2,)], [(1, 2, 3)])  # 2 repeated, 3 missing
+    with pytest.raises(ValueError, match="not connected"):
+        Dessin.from_cycles(2, [(1,), (2,)], [(1,), (2,)])  # disconnected
+
+
+def _rotate_and_sort(cycles):
+    """Canonical form by hand: each cycle rotated to start at its minimum,
+    cycles sorted by that minimum."""
+    out = []
+    for c in cycles:
+        k = c.index(min(c))
+        out.append(tuple(c[k:] + c[:k]))
+    return tuple(sorted(out))
+
+
+def test_from_cycles_accepts_any_rotation_and_order():
+    rng = random.Random(405)
+    for _ in range(60):
+        gs = random_gensys(rng)
+        ds = dessin_from_gensys(gs)
+        sides = []
+        for cycles in (ds.black, ds.white):
+            scrambled = []
+            for c in cycles:
+                k = rng.randrange(len(c))
+                scrambled.append(list(c[k:] + c[:k]))
+            rng.shuffle(scrambled)
+            sides.append(scrambled)
+        got = Dessin.from_cycles(gs.degree, *sides)
+        assert got == ds
+        assert got.black == _rotate_and_sort(sides[0])
+        assert got.white == _rotate_and_sort(sides[1])
+
+
+def test_dessin_is_a_view_of_its_triple():
+    gs = canonical_single_cycle(CombinatorialType(5, 3, 3, 5))
+    ds = dessin_from_gensys(gs)
+    assert ds.gensys is gs
+    assert gensys_from_dessin(ds) is gs
+    assert ds.black is gs.sigma0.cycles()
+    assert ds.white is gs.sigma1.cycles()
+    assert ds == Dessin(gs) and hash(ds) == hash(Dessin(gs))
 
 
 def test_round_trip_with_gensys():
@@ -149,12 +190,12 @@ def test_two_hub_diameter_bound():
 
 def test_parallel_edges_collapse_in_diameter():
     # two vertices joined by three parallel edges: diameter is still 2
-    ds = Dessin(3, [(1, 2, 3)], [(1, 3, 2)])
+    ds = Dessin.from_cycles(3, [(1, 2, 3)], [(1, 3, 2)])
     assert ds.diameter_vertices() == 2
     # opposite cyclic orders glue to the planar theta graph
     assert ds.genus() == 0
     # equal cyclic orders force a torus embedding
-    ds2 = Dessin(3, [(1, 2, 3)], [(1, 2, 3)])
+    ds2 = Dessin.from_cycles(3, [(1, 2, 3)], [(1, 2, 3)])
     assert ds2.diameter_vertices() == 2
     assert ds2.genus() == 1
 
@@ -165,7 +206,7 @@ def test_isomorphic_relabeling():
         gs = random_gensys(rng, dmax=8)
         ds = dessin_from_gensys(gs)
         t = random_permutation(rng, gs.degree)
-        relabeled = Dessin(
+        relabeled = Dessin.from_cycles(
             gs.degree,
             [tuple(t(x) for x in c) for c in ds.black],
             [tuple(t(x) for x in c) for c in ds.white],
@@ -193,7 +234,7 @@ def test_json_round_trip():
 
 
 def test_dot_output_is_stable():
-    ds = Dessin(3, [(1, 2), (3,)], [(1,), (2, 3)])
+    ds = Dessin.from_cycles(3, [(1, 2), (3,)], [(1,), (2, 3)])
     expected = (
         "graph dessin {\n"
         '  node [shape=circle, fixedsize=true, width=0.25];\n'

@@ -89,11 +89,29 @@ def test_degree_mismatch():
 
 def test_cycles_are_canonical():
     p = Permutation.from_cycles(5, [(4, 5, 3)])
-    assert p.cycles() == [(1,), (2,), (3, 4, 5)]
+    assert p.cycles() == ((1,), (2,), (3, 4, 5))
+    assert p.cycles() is p.cycles()  # computed once, then kept
     assert p.cycle_string() == "(1)(2)(3 4 5)"
     assert p.nontrivial_cycles() == [(3, 4, 5)]
     assert p.cycle_type() == (3, 1, 1)
     assert p.num_cycles() == 3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Permutation([1.0, 2.7, 3]),
+        lambda: Permutation([True, 2]),
+        lambda: Permutation.from_cycles(3, [(1.9, 2.2)]),
+        lambda: Permutation.from_cycles(3, [("1", "2")]),
+        lambda: Permutation.from_json([[1], [2.0]]),
+    ],
+    ids=["float-image", "bool-image", "float-point", "string-point", "json-float"],
+)
+def test_non_integer_points_are_rejected(build):
+    # int() would truncate these to a valid permutation
+    with pytest.raises(ValueError, match="not an integer"):
+        build()
 
 
 def test_cycle_decomposition_round_trip():

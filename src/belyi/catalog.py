@@ -70,8 +70,12 @@ class TriptychRecord:
         # frozen: each derived field is set once, here
         object.__setattr__(self, "dessin", Dessin(self.gensys))
         object.__setattr__(self, "genus", self.gensys.genus())
-        object.__setattr__(self, "diameter", self.dessin.diameter_vertices())
-        object.__setattr__(self, "shape", self.dessin.shape())
+        shape = self.dessin.shape()
+        object.__setattr__(self, "shape", shape)
+        diameter = (
+            self.dessin.diameter_vertices() if shape is None else shape.diameter_vertices
+        )
+        object.__setattr__(self, "diameter", diameter)
         is_belyi = None if self.bmap is None else self.bmap.profile.is_belyi
         object.__setattr__(self, "is_belyi", is_belyi)
 

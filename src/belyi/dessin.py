@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .exact import parse_int
 from .gensys import GeneratingSystem, NotTransitiveError, equivalent, make_gensys
-from .perm import Permutation
+from .perm import Permutation, _cycle_tuples
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,17 @@ class DessinShape:
             raise ValueError("white leaves + parallel edges != black hub degree")
         if self.black_leaves + self.parallel_edges != self.white_hub_degree:
             raise ValueError("black leaves + parallel edges != white hub degree")
+
+    @property
+    def diameter_vertices(self) -> int:
+        """Vertex diameter of the double star.
+
+        Each leaf hangs off the hub of the other colour, and the two hubs
+        are adjacent (the dessin is connected), so a longest shortest path
+        runs leaf, hub, hub, leaf, with either leaf absent when that colour
+        has none.
+        """
+        return 2 + (self.white_leaves > 0) + (self.black_leaves > 0)
 
     def to_json(self) -> dict:
         return {
@@ -77,7 +88,7 @@ class Dessin:
         and the graph is connected."""
         sigmas = []
         for side, cycles in (("black", black), ("white", white)):
-            cycles = [tuple(c) for c in cycles]
+            cycles = _cycle_tuples(cycles)
             # with repeats and labels outside 1..d rejected, d labels cover 1..d
             if sum(len(c) for c in cycles) != d:
                 raise ValueError(
@@ -154,8 +165,16 @@ class Dessin:
 
         A shortest path through k edges visits k + 1 vertices, so a single
         isolated vertex would have diameter 1 and two adjacent vertices
-        have diameter 2.
+        have diameter 2.  A two-hub dessin reads it off its shape; any
+        other dessin runs a breadth-first search from every vertex.
         """
+        shape = self.shape()
+        if shape is not None:
+            return shape.diameter_vertices
+        return self._bfs_diameter_vertices()
+
+    def _bfs_diameter_vertices(self) -> int:
+        # all-pairs breadth-first search over the simple graph
         adj = self._adjacency()
         best = 0
         for start in adj:

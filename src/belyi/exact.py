@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Iterable, Union
 
 Scalar = Union[int, str, Fraction]
@@ -382,9 +382,11 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     Factors of degree zero are omitted; a constant input decomposes into the
     empty product.
 
-    The work is done on primitive integer coefficient lists.  A power x^m
-    is split off first, so Yun's loop runs up to the largest multiplicity of
-    a nonzero root rather than up to m.
+    The work is done on primitive integer coefficient lists.  Powers x^m
+    and (x - 1)^m1 are split off first, by a shift and by exact synthetic
+    division while the coefficients sum to zero, so Yun's loop only sees
+    roots other than 0 and 1.  On a fiber of a map normalized at 0 and 1
+    that rest is often squarefree, which the mod-p test proves at once.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree decomposition")
@@ -393,6 +395,11 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     while u[m] == 0:
         m += 1
     u = u[m:]
+    m1 = 0
+    while len(u) > 1 and sum(u) == 0:
+        # u(1) = 0: u / (x - 1), whose coefficients are the tail sums of u
+        u = list(accumulate(reversed(u[1:])))[::-1]
+        m1 += 1
     factors: dict[int, list[int]] = {}  # multiplicity -> integer factor
     if len(u) > 1:
         du = _derivative(u)
@@ -409,6 +416,10 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
             c = _exact_quo(d, a)
             d = _sub(c, _derivative(b))
             i += 1
+    if m1:
+        # (x - 1)^m1 joins the factor of multiplicity m1, or stands alone
+        f = factors.get(m1, [1])
+        factors[m1] = _sub([0] + f, f)
     if m:
         # x^m joins the factor of multiplicity m, or stands alone
         factors[m] = [0] + factors.get(m, [1])

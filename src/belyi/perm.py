@@ -22,6 +22,15 @@ class DegreeMismatchError(ValueError):
     """Operands act on point sets of different sizes."""
 
 
+def _cycle_tuples(cycles: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each cycle as a tuple; raises ValueError unless ``cycles`` is an
+    iterable of iterables, such as a JSON list of lists."""
+    try:
+        return [tuple(c) for c in cycles]
+    except TypeError:
+        raise ValueError(f"cycles must be a list of lists, not {cycles!r}") from None
+
+
 class Permutation:
     """A bijection of {1, ..., d} of int points, stored as its image sequence."""
 
@@ -50,8 +59,7 @@ class Permutation:
         """Build from disjoint cycles; unmentioned points stay fixed."""
         images = list(range(1, d + 1))
         seen: set[int] = set()
-        for cyc in cycles:
-            cyc = tuple(cyc)
+        for cyc in _cycle_tuples(cycles):
             if not cyc:
                 raise ValueError("empty cycle")
             for x in cyc:
@@ -144,7 +152,7 @@ class Permutation:
         if d is None:
             # from_cycles rejects repeats and points outside 1..d, so with d
             # the number of points given, the cycles must cover 1..d
-            cycles = list(cycles)
+            cycles = _cycle_tuples(cycles)
             d = sum(len(c) for c in cycles)
         return cls.from_cycles(d, cycles)
 

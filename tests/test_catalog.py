@@ -208,6 +208,15 @@ def test_record_json_rejects_non_integer_fields(path, value):
         TriptychRecord.from_json(data)
 
 
+@pytest.mark.parametrize("path", [("gensys", "sigma0"), ("dessin", "black")])
+@pytest.mark.parametrize("value", [5, [5], None], ids=["int", "list-of-int", "null"])
+def test_record_json_rejects_cycles_that_are_not_a_list_of_lists(path, value):
+    data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
+    data[path[0]][path[1]] = value
+    with pytest.raises(ValueError, match="list of lists"):
+        TriptychRecord.from_json(data)
+
+
 def test_iter_catalog_order_and_size():
     recs = list(iter_catalog(5))
     assert len(recs) == 3 + 7 + 12

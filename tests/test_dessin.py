@@ -36,6 +36,11 @@ def test_label_coverage_validation():
         Dessin.from_cycles(3, [(1, 2), (2,)], [(1, 2, 3)])  # 2 repeated, 3 missing
     with pytest.raises(ValueError, match="not connected"):
         Dessin.from_cycles(2, [(1,), (2,)], [(1,), (2,)])  # disconnected
+    for bad in (5, [5], None):
+        with pytest.raises(ValueError, match="list of lists"):
+            Dessin.from_cycles(3, bad, [(1, 2, 3)])
+        with pytest.raises(ValueError, match="list of lists"):
+            Dessin.from_cycles(3, [(1, 2, 3)], bad)
 
 
 def _rotate_and_sort(cycles):
@@ -198,6 +203,54 @@ def test_parallel_edges_collapse_in_diameter():
     ds2 = Dessin.from_cycles(3, [(1, 2, 3)], [(1, 2, 3)])
     assert ds2.diameter_vertices() == 2
     assert ds2.genus() == 1
+
+
+def _spy_on_bfs(monkeypatch) -> list:
+    # records each dessin whose diameter comes from the breadth-first search
+    calls = []
+    bfs = Dessin._bfs_diameter_vertices
+
+    def spy(self):
+        calls.append(self)
+        return bfs(self)
+
+    monkeypatch.setattr(Dessin, "_bfs_diameter_vertices", spy)
+    return calls
+
+
+def test_two_hub_diameter_formula_matches_the_search(monkeypatch):
+    dessins = [
+        dessin_from_gensys(canonical_single_cycle(ct))
+        for d in range(3, 31)
+        for ct in valid_types(d)
+    ]
+    # criterion 5's random pairs, higher genus included
+    rng = random.Random(20260816)
+    dessins += [dessin_from_gensys(random_single_cycle_pair(rng)) for _ in range(1000)]
+    seen = set()
+    for ds in dessins:
+        shape = ds.shape()
+        assert shape is not None
+        assert shape.diameter_vertices == ds._bfs_diameter_vertices()
+        seen.add(shape.diameter_vertices)
+    assert seen == {2, 3, 4}
+    calls = _spy_on_bfs(monkeypatch)
+    for ds in dessins:
+        assert ds.diameter_vertices() == ds.shape().diameter_vertices
+    assert calls == []  # the formula, never the search, on two-hub dessins
+
+
+def test_dessins_without_two_hubs_use_the_search(monkeypatch):
+    calls = _spy_on_bfs(monkeypatch)
+    star = dessin_from_gensys(power_gensys(7))
+    path = dessin_from_gensys(chebyshev_gensys(6))
+    # black hubs (1 2) and (3 4) around one white hub, with a white leaf on
+    # each: the longest path runs leaf, hub, hub, hub, leaf
+    two_black_hubs = Dessin.from_cycles(5, [(1, 2), (3, 4), (5,)], [(1, 3, 5), (2,), (4,)])
+    for ds, diameter in ((star, 3), (path, 7), (two_black_hubs, 5)):
+        assert ds.shape() is None
+        assert ds.diameter_vertices() == diameter
+    assert calls == [star, path, two_black_hubs]
 
 
 def test_isomorphic_relabeling():

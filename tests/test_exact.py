@@ -365,3 +365,64 @@ def test_squarefree_and_gcd_match_sympy_on_every_family_fiber():
             for fiber in (num, num - den, den):
                 if fiber.degree > 0:
                     _assert_matches_sympy(sympy, fiber, fiber.derivative())
+
+
+# ---- the (x - 1)^m split ahead of Yun -----------------------------------------
+
+HALF = Fraction(1, 2)
+# R's roots -1, 2 and 1/2 sit near 0 and 1 but are neither: R is not split
+R_NEAR = (X + 1) * (X - 2) ** 2 * (X - HALF) ** 3
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        # a = b: x and x - 1 share one factor
+        (X**2 * (X - 1) ** 2 * (X + 3), [(X + 3, 1), (X * (X - 1), 2)]),
+        # b equals the multiplicity of a factor of R
+        (X * (X - 1) ** 2 * (X + 1) ** 2, [(X, 1), ((X - 1) * (X + 1), 2)]),
+        (
+            X**3 * (X - 1) * R_NEAR,
+            [((X - 1) * (X + 1), 1), (X - 2, 2), (X * (X - HALF), 3)],
+        ),
+        # Fraction coefficients and a non-monic lead
+        (
+            Fraction(-7, 3) * X * (X - 1) ** 4 * (X - Fraction(2, 5)),
+            [(X * (X - Fraction(2, 5)), 1), (X - 1, 4)],
+        ),
+        # a pure power of x - 1, leaving nothing for Yun
+        ((X - 1) ** 6, [(X - 1, 6)]),
+        (Fraction(5, 2) * (X - 1), [(X - 1, 1)]),
+    ],
+    ids=["a-equals-b", "b-shared", "roots-near-0-and-1", "fractions", "pure", "linear"],
+)
+def test_squarefree_splits_off_x_minus_1(p, expected):
+    assert squarefree_decomposition(p) == expected
+    sympy = pytest.importorskip("sympy")
+    assert squarefree_decomposition(p) == _sympy_sqf(sympy, p)
+
+
+def test_squarefree_with_x_and_x_minus_1_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    small = st.lists(rationals, min_size=1, max_size=3).map(Poly)
+    near = st.sampled_from([X + 1, X - 2, 2 * X - 1])
+    exponents = st.integers(0, 5)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(
+        exponents, exponents, small, exponents, near, exponents,
+        rationals.filter(lambda c: c != 0),
+    )
+    def check(a, b, r, j, s, k, lead):
+        # lead * x^a * (x - 1)^b * r^j * s^k, s a root at -1, 2 or 1/2
+        p = lead * X**a * (X - 1) ** b * r**j * s**k
+        hypothesis.assume(not p.is_zero)
+        dec = squarefree_decomposition(p)
+        assert dec == _sympy_sqf(sympy, p)
+        assert [m for _, m in dec] == sorted({m for _, m in dec})
+
+    check()

@@ -114,6 +114,17 @@ def test_non_integer_points_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("cycles", [5, [5], None, [[1], 2]], ids=["int", "list-of-int", "null", "mixed"])
+def test_cycles_that_are_not_a_list_of_lists_are_rejected(cycles):
+    for build in (
+        lambda: Permutation.from_json(cycles),
+        lambda: Permutation.from_json(cycles, d=2),
+        lambda: Permutation.from_cycles(2, cycles),
+    ):
+        with pytest.raises(ValueError, match="list of lists"):
+            build()
+
+
 def test_cycle_decomposition_round_trip():
     rng = random.Random(204)
     for _ in range(50):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterator
 
 from .dessin import Dessin, DessinShape
+from .exact import json_field
 from .families import (
     BelyiMap,
     VerificationError,
@@ -176,12 +177,12 @@ class TriptychRecord:
         """Read a record and check its stored dessin and invariants against
         the ones derived from its gensys; raises ValueError when they differ."""
         rec = cls(
-            GeneratingSystem.from_json(data["gensys"]),
+            GeneratingSystem.from_json(json_field(data, "gensys", "record")),
             None if data.get("type") is None else CombinatorialType.from_json(data["type"]),
             None if data.get("map") is None else BelyiMap.from_json(data["map"]),
         )
         # parsed strictly, compared, and dropped: the record keeps one triple
-        if Dessin.from_json(data["dessin"]) != rec.dessin:
+        if Dessin.from_json(json_field(data, "dessin", "record")) != rec.dessin:
             raise ValueError("stored dessin disagrees with the one derived from gensys")
         # compared as JSON text, so that 0.0 or false cannot pass for 0
         stored = json.dumps(data.get("invariants"), sort_keys=True)

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exact import parse_int
+from .exact import json_field, parse_int
 from .gensys import GeneratingSystem, NotTransitiveError, equivalent, make_gensys
 from .perm import Permutation, _cycle_tuples
 
@@ -58,16 +58,6 @@ class DessinShape:
             "blackHubDegree": self.black_hub_degree,
             "whiteHubDegree": self.white_hub_degree,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DessinShape":
-        return cls(
-            parse_int(data["whiteLeaves"]),
-            parse_int(data["blackLeaves"]),
-            parse_int(data["parallelEdges"]),
-            parse_int(data["blackHubDegree"]),
-            parse_int(data["whiteHubDegree"]),
-        )
 
 
 class Dessin:
@@ -251,7 +241,8 @@ class Dessin:
 
     @classmethod
     def from_json(cls, data: dict) -> "Dessin":
-        return cls.from_cycles(parse_int(data["d"]), data["black"], data["white"])
+        d, black, white = (json_field(data, key, "dessin") for key in ("d", "black", "white"))
+        return cls.from_cycles(parse_int(d), black, white)
 
 
 def dessin_from_gensys(gs: GeneratingSystem) -> Dessin:

@@ -42,6 +42,16 @@ def parse_int(v: object) -> int:
     return v
 
 
+def json_field(data: object, key: str, what: str) -> object:
+    """``data[key]`` where ``data`` is the JSON object named ``what``; a
+    value that is not an object, or one without ``key``, raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, not {data!r}")
+    if key not in data:
+        raise ValueError(f"{what} has no {key!r} field")
+    return data[key]
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical "p/q" form, or just "p" when the denominator is 1."""
     return str(Fraction(q))

@@ -18,6 +18,7 @@ from .exact import (
     Poly,
     RatFunc,
     format_rational,
+    json_field,
     parse_int,
     parse_rational,
     squarefree_decomposition,
@@ -226,7 +227,7 @@ class BelyiMap:
     def from_json(cls, data: dict) -> "BelyiMap":
         """Read a map record; raises ValueError when a field is malformed or
         the stated degree or params disagree with f."""
-        f = RatFunc.from_json(data["f"])
+        f = RatFunc.from_json(json_field(data, "f", "map"))
         family = data.get("family", "custom")
         k = data.get("k")
         d = data.get("d")

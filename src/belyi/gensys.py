@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import parse_int
+from .exact import json_field, parse_int
 from .perm import DegreeMismatchError, Permutation, is_transitive
 
 
@@ -70,7 +70,9 @@ class CombinatorialType:
 
     @classmethod
     def from_json(cls, data: dict) -> "CombinatorialType":
-        return cls(*(parse_int(data[key]) for key in ("d", "e0", "e1", "eInf")))
+        return cls(
+            *(parse_int(json_field(data, key, "type")) for key in ("d", "e0", "e1", "eInf"))
+        )
 
     def __str__(self) -> str:
         return f"({self.e0}, {self.e1}, {self.e_inf})"
@@ -99,7 +101,9 @@ class GeneratingSystem:
         d = self.sigma0.degree
         if self.sigma1.degree != d or self.sigma_inf.degree != d:
             raise DegreeMismatchError("triple degrees differ")
-        if not (self.sigma0 * self.sigma1 * self.sigma_inf).is_identity:
+        # (sigma0 * sigma1 * sigmaInf)(i) = sigmaInf(sigma1(sigma0(i))), on the images
+        a, b, c = self.sigma0.images, self.sigma1.images, self.sigma_inf.images
+        if any(c[b[x - 1] - 1] != i for i, x in enumerate(a, 1)):
             raise ValueError("sigma0 * sigma1 * sigmaInf is not the identity")
         if not is_transitive([self.sigma0, self.sigma1]):
             raise NotTransitiveError(
@@ -147,11 +151,12 @@ class GeneratingSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeneratingSystem":
-        d = parse_int(data["d"])
+        d = parse_int(json_field(data, "d", "gensys"))
         return cls(
-            Permutation.from_json(data["sigma0"], d),
-            Permutation.from_json(data["sigma1"], d),
-            Permutation.from_json(data["sigmaInf"], d),
+            *(
+                Permutation.from_json(json_field(data, key, "gensys"), d)
+                for key in ("sigma0", "sigma1", "sigmaInf")
+            )
         )
 
 

@@ -8,7 +8,7 @@ fixed points appear as 1-cycles.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .exact import parse_int
@@ -57,19 +57,32 @@ class Permutation:
     @classmethod
     def from_cycles(cls, d: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         """Build from disjoint cycles; unmentioned points stay fixed."""
+        cycles = _cycle_tuples(cycles)
+        pts = list(chain.from_iterable(cycles))
+        # whole-list checks in C, the type check first so that set() sees
+        # only ints; the per-point loop runs only to name the fault
+        if cycles and not (
+            all(cycles)
+            and set(map(type, pts)) == {int}
+            and len(set(pts)) == len(pts)
+            and 1 <= min(pts)
+            and max(pts) <= d
+        ):
+            seen: set[int] = set()
+            for cyc in cycles:
+                if not cyc:
+                    raise ValueError("empty cycle")
+                for x in cyc:
+                    if not 1 <= parse_int(x) <= d:
+                        raise ValueError(f"point {x} outside 1..{d}")
+                    if x in seen:
+                        raise ValueError(f"point {x} repeated across cycles")
+                    seen.add(x)
         images = list(range(1, d + 1))
-        seen: set[int] = set()
-        for cyc in _cycle_tuples(cycles):
-            if not cyc:
-                raise ValueError("empty cycle")
-            for x in cyc:
-                if not 1 <= parse_int(x) <= d:
-                    raise ValueError(f"point {x} outside 1..{d}")
-                if x in seen:
-                    raise ValueError(f"point {x} repeated across cycles")
-                seen.add(x)
-            for i, x in enumerate(cyc):
-                images[x - 1] = cyc[(i + 1) % len(cyc)]
+        for cyc in cycles:
+            if len(cyc) > 1:  # a 1-cycle is already a fixed point
+                for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+                    images[x - 1] = y
         return cls(images)
 
     @property
@@ -112,18 +125,18 @@ class Permutation:
         the first call and kept."""
         if self._cycles is not None:
             return self._cycles
+        imgs = self.images
         out: list[tuple[int, ...]] = []
-        seen = [False] * self.degree
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
+        seen = [False] * (len(imgs) + 1)
+        for start in range(1, len(imgs) + 1):
+            if seen[start]:
                 continue
             cyc = [start]
-            seen[start - 1] = True
-            nxt = self(start)
+            nxt = imgs[start - 1]
             while nxt != start:
                 cyc.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self(nxt)
+                seen[nxt] = True
+                nxt = imgs[nxt - 1]
             out.append(tuple(cyc))
         self._cycles = tuple(out)
         return self._cycles
@@ -163,22 +176,25 @@ class Permutation:
 def is_transitive(perms: Sequence[Permutation]) -> bool:
     """Whether the generated group has a single orbit on 1..d.
 
-    Breadth-first orbit closure of the point 1 under the generators and
-    their inverses.
+    Forward closure of the point 1 under the generators' images; g^-1 is a
+    power of g on a finite set, so no inverses are needed.
     """
     if not perms:
         raise ValueError("need at least one generator")
     d = perms[0].degree
     if any(p.degree != d for p in perms):
         raise DegreeMismatchError("generators act on different point sets")
-    gens = list(perms) + [p.inverse() for p in perms]
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        x = queue.popleft()
+    gens = [p.images for p in perms]
+    seen = [False] * (d + 1)
+    seen[1] = True
+    stack = [1]
+    reached = 1
+    while stack:
+        x = stack.pop() - 1
         for g in gens:
-            y = g(x)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == d
+            y = g[x]
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+                reached += 1
+    return reached == d

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 from belyi import GeneratingSystem, Permutation, Poly, is_transitive, make_gensys
@@ -12,6 +13,22 @@ def random_permutation(rng: random.Random, d: int) -> Permutation:
     imgs = list(range(1, d + 1))
     rng.shuffle(imgs)
     return Permutation(imgs)
+
+
+def closure_is_transitive(perms: list[Permutation]) -> bool:
+    """Oracle for ``is_transitive``: breadth-first closure of the point 1
+    under the generators and their inverses."""
+    gens = list(perms) + [p.inverse() for p in perms]
+    seen = {1}
+    queue = deque([1])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = g(x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == perms[0].degree
 
 
 def random_poly(rng: random.Random, max_degree: int = 6, span: int = 9) -> Poly:

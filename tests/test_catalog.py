@@ -217,6 +217,56 @@ def test_record_json_rejects_cycles_that_are_not_a_list_of_lists(path, value):
         TriptychRecord.from_json(data)
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("gensys",), _DROP, "record has no 'gensys' field"),
+        (("dessin",), _DROP, "record has no 'dessin' field"),
+        (("gensys", "sigma1"), _DROP, "gensys has no 'sigma1' field"),
+        (("dessin", "white"), _DROP, "dessin has no 'white' field"),
+        (("type", "e1"), _DROP, "type has no 'e1' field"),
+        (("map", "f"), _DROP, "map has no 'f' field"),
+        (("gensys",), 5, "gensys must be an object"),
+        (("dessin",), None, "dessin must be an object"),
+        (("type",), [1], "type must be an object"),
+        (("map",), 5, "map must be an object"),
+    ],
+    ids=[
+        "no-gensys",
+        "no-dessin",
+        "no-sigma1",
+        "no-white",
+        "no-e1",
+        "no-f",
+        "int-gensys",
+        "null-dessin",
+        "list-type",
+        "int-map",
+    ],
+)
+def test_record_json_rejects_missing_fields_and_non_objects(path, value, message):
+    # KeyError or TypeError here would escape callers that catch ValueError
+    data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(ValueError, match=message):
+        TriptychRecord.from_json(data)
+
+
+def test_record_json_rejects_a_record_that_is_not_an_object():
+    data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
+    with pytest.raises(ValueError, match="record must be an object"):
+        TriptychRecord.from_json([data])
+
+
 def test_iter_catalog_order_and_size():
     recs = list(iter_catalog(5))
     assert len(recs) == 3 + 7 + 12

@@ -81,6 +81,18 @@ def test_gensys_validation():
         GeneratingSystem(s0, Permutation.identity(4), Permutation.identity(4))
 
 
+def test_gensys_rejects_sigma_inf_off_by_one_transposition():
+    rng = random.Random(302)
+    for _ in range(60):
+        gs = random_gensys(rng)
+        d = gs.degree
+        assert GeneratingSystem(*gs.triple) == gs
+        i, j = rng.sample(range(1, d + 1), 2)
+        bad = gs.sigma_inf * Permutation.from_cycles(d, [(i, j)])
+        with pytest.raises(ValueError, match="is not the identity"):
+            GeneratingSystem(gs.sigma0, gs.sigma1, bad)
+
+
 def test_make_gensys_derives_inverse_product():
     rng = random.Random(301)
     for _ in range(40):

@@ -1,5 +1,6 @@
 """Permutations: composition order is left-to-right throughout."""
 
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from belyi import (
     Permutation,
     is_transitive,
 )
-from helpers import random_permutation
+from helpers import closure_is_transitive, random_permutation
 
 
 def test_compose_is_left_to_right():
@@ -72,12 +73,28 @@ def test_identity_and_validation():
 
 
 def test_from_cycles_validation():
-    with pytest.raises(ValueError):
+    # one fault per case, so that each message is the one the fault gives
+    with pytest.raises(ValueError, match=r"^point 2 repeated across cycles$"):
         Permutation.from_cycles(3, [(1, 2), (2, 3)])  # overlap
-    with pytest.raises(ValueError):
-        Permutation.from_cycles(3, [(1, 4)])  # out of range
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^point 1 repeated across cycles$"):
         Permutation.from_cycles(3, [(1, 1)])  # repeat within cycle
+    with pytest.raises(ValueError, match=r"^point 4 outside 1\.\.3$"):
+        Permutation.from_cycles(3, [(1, 4)])  # d + 1
+    with pytest.raises(ValueError, match=r"^point 0 outside 1\.\.3$"):
+        Permutation.from_cycles(3, [(2,), (0, 1)])
+    with pytest.raises(ValueError, match=r"^not an integer: '2'$"):
+        Permutation.from_cycles(3, [(1, "2")])
+    with pytest.raises(ValueError, match=r"^not an integer: \[2\]$"):
+        Permutation.from_cycles(3, [(1, [2])])  # unhashable
+    with pytest.raises(ValueError, match=r"^empty cycle$"):
+        Permutation.from_cycles(3, [(1, 2), ()])
+    # with several faults, the first point in reading order is named
+    with pytest.raises(ValueError, match=r"^point 5 outside 1\.\.3$"):
+        Permutation.from_cycles(3, [(5, 2), (2, 0)])
+    with pytest.raises(ValueError, match=r"^point 2 repeated across cycles$"):
+        Permutation.from_cycles(3, [(1, 2), (2, 9), ()])
+    # an empty list of cycles is the identity
+    assert Permutation.from_cycles(3, []) == Permutation.identity(3)
 
 
 def test_degree_mismatch():
@@ -156,6 +173,27 @@ def test_transitivity():
         is_transitive([])
     with pytest.raises(DegreeMismatchError):
         is_transitive([a, b])
+
+
+def test_transitivity_matches_the_inverse_closure_oracle():
+    # every pair of S_d x S_d for d <= 5
+    for d in range(1, 6):
+        group = [Permutation(p) for p in itertools.permutations(range(1, d + 1))]
+        for a, b in itertools.product(group, repeat=2):
+            assert is_transitive([a, b]) == closure_is_transitive([a, b])
+    # three random single cycles on random supports: both outcomes occur
+    rng = random.Random(207)
+    outcomes = []
+    for _ in range(200):
+        d = rng.randint(1, 40)
+        gens = [
+            Permutation.from_cycles(d, [rng.sample(range(1, d + 1), rng.randint(1, d))])
+            for _ in range(3)
+        ]
+        got = is_transitive(gens)
+        assert got == closure_is_transitive(gens)
+        outcomes.append(got)
+    assert 40 <= sum(outcomes) <= 160
 
 
 def test_json_round_trip():

@@ -8,7 +8,6 @@ fixed points appear as 1-cycles.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .exact import parse_int
@@ -57,32 +56,19 @@ class Permutation:
     @classmethod
     def from_cycles(cls, d: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         """Build from disjoint cycles; unmentioned points stay fixed."""
-        cycles = _cycle_tuples(cycles)
-        pts = list(chain.from_iterable(cycles))
-        # whole-list checks in C, the type check first so that set() sees
-        # only ints; the per-point loop runs only to name the fault
-        if cycles and not (
-            all(cycles)
-            and set(map(type, pts)) == {int}
-            and len(set(pts)) == len(pts)
-            and 1 <= min(pts)
-            and max(pts) <= d
-        ):
-            seen: set[int] = set()
-            for cyc in cycles:
-                if not cyc:
-                    raise ValueError("empty cycle")
-                for x in cyc:
-                    if not 1 <= parse_int(x) <= d:
-                        raise ValueError(f"point {x} outside 1..{d}")
-                    if x in seen:
-                        raise ValueError(f"point {x} repeated across cycles")
-                    seen.add(x)
         images = list(range(1, d + 1))
-        for cyc in cycles:
-            if len(cyc) > 1:  # a 1-cycle is already a fixed point
-                for x, y in zip(cyc, cyc[1:] + cyc[:1]):
-                    images[x - 1] = y
+        seen: set[int] = set()
+        for cyc in _cycle_tuples(cycles):
+            if not cyc:
+                raise ValueError("empty cycle")
+            for x in cyc:
+                if not 1 <= parse_int(x) <= d:
+                    raise ValueError(f"point {x} outside 1..{d}")
+                if x in seen:
+                    raise ValueError(f"point {x} repeated across cycles")
+                seen.add(x)
+            for i, x in enumerate(cyc):
+                images[x - 1] = cyc[(i + 1) % len(cyc)]
         return cls(images)
 
     @property

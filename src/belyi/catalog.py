@@ -4,6 +4,12 @@ A record bundles the three representations of one single-cycle class with
 its invariants, validating that they agree before anything is written.  The
 catalog writer enumerates every combinatorial type up to a degree bound and
 attaches closed-form maps where one of the two families covers the type.
+
+The dessin needs no check of its own: a transitive triple whose sigma0 and
+sigma1 are single e0- and e1-cycles draws a double star with d - e1 white
+leaves, d - e0 black leaves and e0 + e1 - d parallel edges (a label fixed
+by both sigmas would be an orbit of its own), and a double star has vertex
+diameter at most 4.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from typing import IO, Iterator
 from .dessin import Dessin, DessinShape
 from .exact import json_field
 from .families import (
+    FAMILIES,
     BelyiMap,
     VerificationError,
     chebyshev_map,
@@ -31,13 +38,6 @@ from .gensys import (
     power_gensys,
     valid_types,
 )
-
-CLI_FAMILIES = {
-    "poly": "single-cycle-poly",
-    "symmetric": "symmetric-single-cycle",
-    "power": "power",
-    "chebyshev": "chebyshev",
-}
 
 
 def family_map_for_type(ct: CombinatorialType) -> BelyiMap | None:
@@ -86,18 +86,17 @@ class TriptychRecord:
 
     @classmethod
     def for_family(cls, family: str, d: int, k: int | None = None) -> "TriptychRecord":
-        """Record for one named family member (CLI names: poly, symmetric,
-        power, chebyshev)."""
-        if family in ("poly", "symmetric"):
+        """Record for one member of a named family (a key of FAMILIES)."""
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if FAMILIES[family].takes_k:
             build = single_cycle_polynomial if family == "poly" else symmetric_single_cycle
             m = build(d, 1 if k is None else k)
             gs = canonical_single_cycle(m.claimed_type)
         elif family == "power":
             gs, m = power_gensys(d), power_map(d)
-        elif family == "chebyshev":
-            gs, m = chebyshev_gensys(d), chebyshev_map(d)
         else:
-            raise ValueError(f"unknown family {family!r}")
+            gs, m = chebyshev_gensys(d), chebyshev_map(d)
         return cls(gs, m.claimed_type, m)
 
     def validate(self) -> None:
@@ -105,27 +104,18 @@ class TriptychRecord:
         VerificationError on any disagreement.
 
         The invariants are not re-derived here: the frozen record computed
-        them from its own gensys, and from_json checks stored copies.  A
-        realized single-cycle type implies genus zero.
+        them from its own gensys, and from_json checks stored copies.  Once
+        the gensys realizes the stored type, the rest follows from the
+        triple: the type implies genus zero, and a transitive triple of
+        single e0-, e1- and eInf-cycles puts every label in the black hub
+        or the white hub, so the dessin is a double star with d - e1 white
+        leaves, d - e0 black leaves, e0 + e1 - d parallel edges and vertex
+        diameter at most 4.  None of these is checked again.
         """
         if self.ctype is not None:
             ct = self.ctype
             if self.gensys.single_cycle_type() != ct:
                 raise VerificationError("gensys does not realize the stored type")
-            if self.shape is None:
-                raise VerificationError("single-cycle record is not two-hub")
-            expected = (ct.d - ct.e1, ct.d - ct.e0, ct.e0 + ct.e1 - ct.d)
-            got = (
-                self.shape.white_leaves,
-                self.shape.black_leaves,
-                self.shape.parallel_edges,
-            )
-            if got != expected:
-                raise VerificationError(
-                    f"shape counts {got} differ from type counts {expected}"
-                )
-            if self.diameter > 4:
-                raise VerificationError("single-cycle dessin with diameter > 4")
             if self.bmap is not None:
                 ok, diag = verify_single_cycle(self.bmap, ct)
                 if not ok:
@@ -174,13 +164,15 @@ class TriptychRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriptychRecord":
-        """Read a record and check its stored dessin and invariants against
-        the ones derived from its gensys; raises ValueError when they differ."""
-        rec = cls(
-            GeneratingSystem.from_json(json_field(data, "gensys", "record")),
-            None if data.get("type") is None else CombinatorialType.from_json(data["type"]),
-            None if data.get("map") is None else BelyiMap.from_json(data["map"]),
-        )
+        """Read a record and check its map's type against its own, and its
+        stored dessin and invariants against the ones derived from its
+        gensys; raises ValueError when they differ."""
+        gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
+        ct = None if data.get("type") is None else CombinatorialType.from_json(data["type"])
+        m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
+        if m is not None and m.claimed_type is not None and m.claimed_type != ct:
+            raise ValueError(f"map type {m.claimed_type} differs from record type {ct}")
+        rec = cls(gs, ct, m)
         # parsed strictly, compared, and dropped: the record keeps one triple
         if Dessin.from_json(json_field(data, "dessin", "record")) != rec.dessin:
             raise ValueError("stored dessin disagrees with the one derived from gensys")

@@ -16,9 +16,10 @@ import argparse
 import json
 import sys
 
-from .catalog import CLI_FAMILIES, TriptychRecord, write_catalog
+from .catalog import TriptychRecord, write_catalog
 from .dessin import dessin_from_gensys
 from .families import (
+    FAMILIES,
     BelyiMap,
     ParameterOutOfRangeError,
     VerificationError,
@@ -37,9 +38,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build one family member")
-    p.add_argument("family", choices=sorted(CLI_FAMILIES))
+    p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("--d", type=int, required=True, help="degree")
-    p.add_argument("--k", type=int, help="family parameter (poly, symmetric)")
+    with_k = ", ".join(name for name, f in FAMILIES.items() if f.takes_k)
+    p.add_argument("--k", type=int, help=f"family parameter ({with_k})")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
     p = sub.add_parser("verify", help="verify a map JSON file")
@@ -65,34 +67,27 @@ def _parse_indices(spec: str) -> tuple[int, int, int]:
     return tuple(map(int, parts))
 
 
-def _print_record_text(rec: TriptychRecord) -> None:
-    names = {
-        "single-cycle-poly": "single-cycle polynomial",
-        "symmetric-single-cycle": "symmetric single-cycle",
-        "power": "power map",
-        "chebyshev": "chebyshev",
-    }
+def _print_record_text(rec: TriptychRecord, family: str) -> None:
+    """Print the record of a member of the named family (its map is set)."""
     m = rec.bmap
-    if m is not None:
-        k = f" (k = {m.k})" if m.k is not None else ""
-        print(f"family: {names.get(m.family, m.family)}")
-        print(f"degree: {m.degree}{k}")
+    k = f" (k = {m.k})" if m.k is not None else ""
+    print(f"family: {FAMILIES[family].name}")
+    print(f"degree: {m.degree}{k}")
     if rec.ctype is not None:
         print(f"type: {rec.ctype}")
-    if m is not None and m.params is not None:
+    if m.params is not None:
         if m.params.c is not None:
             print(f"c = {m.params.c}")
         print("a = (" + ", ".join(str(x) for x in m.params.a) + ")")
-    if m is not None:
-        print(f"f = {m.f}")
-        factored = m.factored_form()
-        if factored is not None:
-            print(f"  = {factored}")
-        prof = m.profile
-        print(f"profile over 0: {list(prof.over0)}")
-        print(f"profile over 1: {list(prof.over1)}")
-        print(f"profile over inf: {list(prof.over_inf)}")
-        print(f"belyi: {'yes' if prof.is_belyi else 'no'}")
+    print(f"f = {m.f}")
+    factored = m.factored_form()
+    if factored is not None:
+        print(f"  = {factored}")
+    prof = m.profile
+    print(f"profile over 0: {list(prof.over0)}")
+    print(f"profile over 1: {list(prof.over1)}")
+    print(f"profile over inf: {list(prof.over_inf)}")
+    print(f"belyi: {'yes' if prof.is_belyi else 'no'}")
     gs = rec.gensys
     print(f"sigma0   = {gs.sigma0.cycle_string()}")
     print(f"sigma1   = {gs.sigma1.cycle_string()}")
@@ -108,7 +103,7 @@ def _print_record_text(rec: TriptychRecord) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.family in ("poly", "symmetric") and args.k is None:
+    if FAMILIES[args.family].takes_k and args.k is None:
         print("construct: --k is required for this family", file=sys.stderr)
         return USAGE
     rec = TriptychRecord.for_family(args.family, args.d, args.k)
@@ -118,7 +113,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.format == "dot":
         print(rec.dessin.to_dot(), end="")
     else:
-        _print_record_text(rec)
+        _print_record_text(rec, args.family)
     return PASS
 
 
@@ -145,7 +140,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return USAGE
     try:
         m = BelyiMap.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"verify: malformed map record: {exc}", file=sys.stderr)
         return USAGE
 

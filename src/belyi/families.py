@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (
     Poly,
@@ -25,13 +26,21 @@ from .exact import (
 )
 from .gensys import CombinatorialType
 
-FAMILY_TAGS = (
-    "power",
-    "chebyshev",
-    "single-cycle-poly",
-    "symmetric-single-cycle",
-    "custom",
-)
+
+class Family(NamedTuple):
+    tag: str  # the map's family field in JSON
+    name: str  # as printed by `belyi construct`
+    takes_k: bool
+
+
+# CLI name -> family; the only list of the named families
+FAMILIES = {
+    "poly": Family("single-cycle-poly", "single-cycle polynomial", True),
+    "symmetric": Family("symmetric-single-cycle", "symmetric single-cycle", True),
+    "power": Family("power", "power map", False),
+    "chebyshev": Family("chebyshev", "chebyshev", False),
+}
+FAMILY_TAGS = tuple(f.tag for f in FAMILIES.values()) + ("custom",)
 
 
 class ParameterOutOfRangeError(ValueError):
@@ -99,16 +108,13 @@ def ramification_profile(f: "RatFunc | BelyiMap") -> RamificationProfile:
     if f.is_constant:
         raise ValueError("constant map has no ramification profile")
     d = f.degree
-    over0 = _fiber_indices(f.num, d)
-    over1 = _fiber_indices(f.num - f.den, d)
-    inf: list[int] = []
-    if f.den.degree > 0:
-        for factor, mult in squarefree_decomposition(f.den):
-            inf.extend([mult] * factor.degree)
-    if f.num.degree > f.den.degree:
-        inf.append(f.num.degree - f.den.degree)
-    over_inf = tuple(sorted(inf, reverse=True))
-    prof = RamificationProfile(d, over0, over1, over_inf)
+    prof = RamificationProfile(
+        d,
+        _fiber_indices(f.num, d),
+        _fiber_indices(f.num - f.den, d),
+        # d - deg D is the pole order of f at infinity
+        _fiber_indices(f.den, d),
+    )
     for name, fib in zip(("0", "1", "inf"), prof.fibers):
         if sum(fib) != d:
             raise VerificationError(
@@ -137,6 +143,24 @@ class MapParams:
             raise ValueError(f"params must be an object with a list a, not {data!r}")
         c = parse_rational(data["c"]) if "c" in data else None
         return cls(c, tuple(parse_rational(s) for s in data["a"]))
+
+
+def _closed_form(
+    family: str, k: int | None, params: MapParams
+) -> tuple[Poly, Poly] | None:
+    """(num, den) with f = x^(d-k) * num / den, built from the params of a
+    single-cycle family member; None for a map without a closed form."""
+    if k is None:
+        return None
+    a = params.a
+    if len(a) != k + 1:
+        raise ValueError(f"params give {len(a)} coefficients a, need k + 1 = {k + 1}")
+    if family == "single-cycle-poly" and params.c is not None:
+        return Poly([params.c * x for x in reversed(a)]), Poly.one()
+    if family == "symmetric-single-cycle" and params.c is None:
+        den = Poly([(-1) ** i * x for i, x in enumerate(a)])
+        return den.reverse(), den
+    return None
 
 
 class BelyiMap:
@@ -191,24 +215,11 @@ class BelyiMap:
     def __repr__(self) -> str:
         return f"BelyiMap({self.family}, d={self.degree}, f={self.f})"
 
-    def _closed_form(self) -> tuple[Poly, Poly] | None:
-        """(num, den) with f = x^(d-k) * num / den, built from the family
-        parameters; None when the map has no closed form."""
-        p, k = self.params, self.k
-        if p is None or k is None or self.claimed_type is None:
-            return None
-        if len(p.a) != k + 1:
-            raise ValueError(f"params give {len(p.a)} coefficients a, need k + 1 = {k + 1}")
-        if self.family == "single-cycle-poly" and p.c is not None:
-            return Poly([p.c * p.a[k - i] for i in range(k + 1)]), Poly.one()
-        if self.family == "symmetric-single-cycle" and p.c is None:
-            den = Poly([(-1) ** i * x for i, x in enumerate(p.a)])
-            return den.reverse(), den
-        return None
-
     def factored_form(self) -> str | None:
         """Human-readable closed form for the two single-cycle families."""
-        form = self._closed_form()
+        if self.params is None or self.claimed_type is None:
+            return None
+        form = _closed_form(self.family, self.k, self.params)
         if form is None:
             return None
         num, den = form
@@ -243,9 +254,12 @@ class BelyiMap:
             None if params is None else MapParams.from_json(params),
         )
         if m.params is not None:
-            form = m._closed_form()
+            form = None if m.claimed_type is None else _closed_form(family, m.k, m.params)
             if form is None:
                 raise ValueError(f"params given for a {family} map without a closed form")
+            # before the shift below, whose length follows the stated d
+            if m.claimed_type.d != f.degree:
+                raise ValueError(f"type degree {m.claimed_type.d} != map degree {f.degree}")
             # f is reduced with a monic denominator, and x^(d-k) num / den
             # is reduced for every family member, so both sides agree
             # once f is scaled by the leading coefficient of den
@@ -325,6 +339,20 @@ def chebyshev_map(d: int) -> BelyiMap:
     return m
 
 
+def _family_member(
+    family: str, ct: CombinatorialType, k: int, params: MapParams
+) -> BelyiMap:
+    """The map x^(d-k) num / den of a single-cycle family's params; raises
+    VerificationError unless it has its claimed type ct."""
+    num, den = _closed_form(family, k, params)
+    shifted = Poly((0,) * (ct.d - k) + num.coeffs)
+    m = BelyiMap(RatFunc(shifted, den), family, k, ct, params)
+    ok, diag = verify_single_cycle(m, ct)
+    if not ok:
+        raise VerificationError(f"{family} map (d, k) = ({ct.d}, {k}): {diag}")
+    return m
+
+
 def single_cycle_polynomial(d: int, k: int) -> BelyiMap:
     """The polynomial family c x^(d-k) (a0 x^k + ... + a_{k-1} x + a_k) with
 
@@ -342,18 +370,8 @@ def single_cycle_polynomial(d: int, k: int) -> BelyiMap:
         Fraction((-1) ** (k - i) * math.comb(k, i), d - i) for i in range(k + 1)
     )
     c = Fraction(math.prod(range(d - k, d + 1)), math.factorial(k))
-    inner = Poly([a[k - p] for p in range(k + 1)])
-    m = BelyiMap(
-        RatFunc(Poly.monomial(d - k, c) * inner),
-        family="single-cycle-poly",
-        k=k,
-        claimed_type=CombinatorialType(d, d - k, k + 1, d),
-        params=MapParams(c, a),
-    )
-    ok, diag = verify_single_cycle(m, m.claimed_type)
-    if not ok:
-        raise VerificationError(f"single_cycle_polynomial({d}, {k}): {diag}")
-    return m
+    ct = CombinatorialType(d, d - k, k + 1, d)
+    return _family_member("single-cycle-poly", ct, k, MapParams(c, a))
 
 
 def _symmetric_coeffs(d: int, k: int) -> tuple[int, ...]:
@@ -379,16 +397,5 @@ def symmetric_single_cycle(d: int, k: int) -> BelyiMap:
             f"(d, k) = ({d}, {k}) outside d >= 3, 1 <= k <= (d - 1) / 2"
         )
     a = tuple(Fraction(x) for x in _symmetric_coeffs(d, k))
-    den = Poly([(-1) ** i * a[i] for i in range(k + 1)])
-    num = Poly.monomial(d - k) * den.reverse()
-    m = BelyiMap(
-        RatFunc(num, den),
-        family="symmetric-single-cycle",
-        k=k,
-        claimed_type=CombinatorialType(d, d - k, 2 * k + 1, d - k),
-        params=MapParams(None, a),
-    )
-    ok, diag = verify_single_cycle(m, m.claimed_type)
-    if not ok:
-        raise VerificationError(f"symmetric_single_cycle({d}, {k}): {diag}")
-    return m
+    ct = CombinatorialType(d, d - k, 2 * k + 1, d - k)
+    return _family_member("symmetric-single-cycle", ct, k, MapParams(None, a))

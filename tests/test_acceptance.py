@@ -247,6 +247,9 @@ def test_criterion_08_enumeration(capsys):
         assert counts == expected
         assert sum(counts.values()) == 4872
         assert len(buf.getvalue().splitlines()) == 4872
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "0947dabc5bf8c90da595ded403ec7864d5856462de020127d4a16f288084e158"
+        )
 
 
 def test_criterion_09_negative_controls(capsys, tmp_path):

@@ -261,6 +261,19 @@ def test_record_json_rejects_missing_fields_and_non_objects(path, value, message
         TriptychRecord.from_json(data)
 
 
+def test_record_json_rejects_a_map_of_another_type():
+    # the map is of (3, 4, 6) whatever its record says; validate() reads the
+    # record's type only, so the misstated one would round-trip unseen
+    data = TriptychRecord.for_type(CombinatorialType.from_indices(3, 4, 6)).to_json()
+    data["map"]["type"] = CombinatorialType.from_indices(4, 3, 6).to_json()
+    with pytest.raises(ValueError, match=r"map type \(4, 3, 6\) differs from record type \(3, 4, 6\)"):
+        TriptychRecord.from_json(data)
+    # a map without a type of its own stays allowed (params need one)
+    data["map"]["type"] = None
+    del data["map"]["params"]
+    TriptychRecord.from_json(data).validate()
+
+
 def test_record_json_rejects_a_record_that_is_not_an_object():
     data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
     with pytest.raises(ValueError, match="record must be an object"):

@@ -1,12 +1,15 @@
 """CLI: frozen text output, exit codes, and the module entry point."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from belyi import single_cycle_polynomial, symmetric_single_cycle
+from belyi import chebyshev_map, power_map, single_cycle_polynomial, symmetric_single_cycle
 from belyi.cli import FAIL, INTERNAL, PASS, USAGE, main
 
 POLY_5_2_TEXT = """\
@@ -58,12 +61,14 @@ def test_construct_symmetric_text(capsys):
 def test_construct_power_and_chebyshev(capsys):
     assert main(["construct", "power", "--d", "4"]) == PASS
     out = capsys.readouterr().out
+    assert "family: power map" in out
     assert "f = x^4" in out
     assert "sigma1   = ()" in out
     assert "diameter: 3" in out
 
     assert main(["construct", "chebyshev", "--d", "4"]) == PASS
     out = capsys.readouterr().out
+    assert "family: chebyshev" in out
     assert "f = 4x^4 - 4x^2 + 1" in out
     assert "profile over 0: [2, 2]" in out
     assert "diameter: 5" in out
@@ -194,6 +199,74 @@ def test_verify_rejects_params_of_the_wrong_shape(capsys, tmp_path, params):
     captured = capsys.readouterr()
     assert "params must be an object with a list a" in captured.err
     assert captured.out == ""
+
+
+def _json_paths(value, path=()):
+    """Every path to a value inside a JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _json_paths(item, path + (i,))
+
+
+def test_verify_fuzzed_map_records_exit_with_a_verdict_or_usage(tmp_path):
+    # each record is a good one with one to three values replaced by other
+    # JSON or deleted; whatever the result, it must be read as a verdict or
+    # as a malformed record, never as a crash
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    good = [
+        m.to_json()
+        for m in (
+            single_cycle_polynomial(5, 2),
+            symmetric_single_cycle(6, 2),
+            power_map(4),
+            chebyshev_map(5),
+        )
+    ]
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats()
+        | st.text(max_size=4)
+        | st.sampled_from(["0", "-1", "2/3", "1/0", "single-cycle-poly", "custom"])
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+    path = tmp_path / "fuzzed.json"
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(good), st.data())
+    def check(record, data):
+        record = copy.deepcopy(record)
+        for _ in range(data.draw(st.integers(1, 3))):
+            where = data.draw(st.sampled_from(list(_json_paths(record))))
+            if not where:
+                record = data.draw(values)
+                continue
+            parent = record
+            for key in where[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = data.draw(values)
+        path.write_text(json.dumps(record))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path)])
+        assert code in (PASS, FAIL, USAGE), err.getvalue()
+        assert "internal error" not in err.getvalue()
+
+    check()
 
 
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):

@@ -158,6 +158,13 @@ def test_polynomial_family_domain():
     )
 
 
+def test_family_constructors_refuse_a_map_that_fails_its_type(monkeypatch):
+    monkeypatch.setattr(families, "verify_single_cycle", lambda m, ct: (False, "e0 mismatch"))
+    for build in (single_cycle_polynomial, symmetric_single_cycle):
+        with pytest.raises(VerificationError, match=r"map \(d, k\) = \(7, 2\): e0 mismatch"):
+            build(7, 2)
+
+
 def test_polynomial_family_sweep():
     for d in range(3, 13):
         for k in range(1, d - 1):
@@ -299,6 +306,11 @@ def test_belyi_map_json_rejects_params_that_do_not_describe_f():
             BelyiMap.from_json(dict(good, params=params))
     for good in (poly, sym):
         assert BelyiMap.from_json(dict(good)).to_json() == good
+    # a type of another degree is refused before x^(d-k) is built, whose
+    # length would follow the stated d
+    far = {"d": 10**6, "e0": 10**6 - 2, "e1": 3, "eInf": 10**6}
+    with pytest.raises(ValueError, match="type degree 1000000 != map degree 5"):
+        BelyiMap.from_json(dict(poly, type=far))
 
 
 def test_belyi_map_misc():

@@ -9,6 +9,7 @@ import pytest
 from belyi import (
     CombinatorialType,
     DegreeMismatchError,
+    Dessin,
     GeneratingSystem,
     InvalidTypeError,
     NotTransitiveError,
@@ -246,6 +247,8 @@ def test_canonical_representatives_are_unique_up_to_degree_5():
     # of a type is conjugate to the canonical triple, and the type has
     # exactly d! such pairs (one class, trivial centralizer).  So the
     # catalog's canonical records are pairwise inequivalent and complete.
+    # Each pair also draws the double star its type predicts, the lemma
+    # behind TriptychRecord.validate checking no shape or diameter.
     for d in range(3, 6):
         perms = [Permutation(p) for p in itertools.permutations(range(1, d + 1))]
         single = [p for p in perms if len(p.nontrivial_cycles()) == 1]
@@ -259,4 +262,9 @@ def test_canonical_representatives_are_unique_up_to_degree_5():
             if ct is not None:
                 assert equivalent(gs, canonical[ct])
                 found[ct] += 1
+                ds = Dessin(gs)
+                shape = ds.shape()
+                counts = (shape.white_leaves, shape.black_leaves, shape.parallel_edges)
+                assert counts == (d - ct.e1, d - ct.e0, ct.e0 + ct.e1 - d)
+                assert ds._bfs_diameter_vertices() == shape.diameter_vertices <= 4
         assert found == dict.fromkeys(canonical, math.factorial(d))

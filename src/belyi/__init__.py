@@ -7,9 +7,7 @@ the two closed-form families, an exactly verified rational map.
 """
 
 from .exact import (
-    INFINITY,
     Poly,
-    ProjectivePoint,
     RatFunc,
     format_rational,
     parse_rational,
@@ -60,9 +58,7 @@ from .catalog import TriptychRecord, family_map_for_type, iter_catalog, write_ca
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITY",
     "Poly",
-    "ProjectivePoint",
     "RatFunc",
     "format_rational",
     "parse_rational",

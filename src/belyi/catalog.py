@@ -5,11 +5,10 @@ its invariants, validating that they agree before anything is written.  The
 catalog writer enumerates every combinatorial type up to a degree bound and
 attaches closed-form maps where one of the two families covers the type.
 
-The dessin needs no check of its own: a transitive triple whose sigma0 and
-sigma1 are single e0- and e1-cycles draws a double star with d - e1 white
-leaves, d - e0 black leaves and e0 + e1 - d parallel edges (a label fixed
-by both sigmas would be an orbit of its own), and a double star has vertex
-diameter at most 4.
+Every record is checked the same way: a map's ramification profile over 0,
+1 and inf must be the cycle types of its triple (Riemann's existence
+theorem), and a typed record's triple must realize its type.  The dessin
+needs no check of its own: it is a view of the triple.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .families import (
     power_map,
     single_cycle_polynomial,
     symmetric_single_cycle,
-    verify_single_cycle,
 )
 from .gensys import (
     CombinatorialType,
@@ -104,46 +102,40 @@ class TriptychRecord:
         VerificationError on any disagreement.
 
         The invariants are not re-derived here: the frozen record computed
-        them from its own gensys, and from_json checks stored copies.  Once
-        the gensys realizes the stored type, the rest follows from the
-        triple: the type implies genus zero, and a transitive triple of
-        single e0-, e1- and eInf-cycles puts every label in the black hub
-        or the white hub, so the dessin is a double star with d - e1 white
-        leaves, d - e0 black leaves, e0 + e1 - d parallel edges and vertex
-        diameter at most 4.  None of these is checked again.
+        them from its own gensys, and from_json checks stored copies.  Two
+        checks remain.  A typed record's gensys must realize its type.  A
+        map's ramification profile over 0, 1 and inf must equal the cycle
+        types of sigma0, sigma1 and sigmaInf, which is what Riemann's
+        existence theorem makes of a map and its monodromy.  That one
+        equality loses nothing:
+
+        - typed records: once the triple realizes the type, each fiber is
+          (e, 1, ..., 1), so the map has a single ramification point of
+          the claimed index over each of 0, 1 and inf;
+        - power records: cycle types (d), (1^d), (d) make the dessin a star;
+        - Chebyshev records: a transitive triple with cycle types in {1, 2}
+          over 0 and 1 and sigmaInf a d-cycle makes the dessin a path;
+        - Belyi: the three fibers of a degree-d map carry at most 2d - 2
+          ramification, and a transitive triple with product 1 carries
+          2d - 2 + 2g, so equality forces genus 0 and no other critical
+          value.
+
+        On a typed record the dessin follows from the triple too: a
+        transitive triple of single e0-, e1- and eInf-cycles puts every
+        label in the black hub or the white hub, so the dessin is a double
+        star with d - e1 white leaves, d - e0 black leaves, e0 + e1 - d
+        parallel edges and vertex diameter at most 4.
         """
-        if self.ctype is not None:
-            ct = self.ctype
-            if self.gensys.single_cycle_type() != ct:
-                raise VerificationError("gensys does not realize the stored type")
-            if self.bmap is not None:
-                ok, diag = verify_single_cycle(self.bmap, ct)
-                if not ok:
-                    raise VerificationError(f"map fails its type: {diag}")
-        elif self.bmap is not None:
-            prof = self.bmap.profile
-            d = self.bmap.degree
-            if self.bmap.family == "power":
-                if prof.fibers != ((d,), tuple([1] * d), (d,)):
-                    raise VerificationError("power map has the wrong profile")
-                if not self.dessin.is_star():
-                    raise VerificationError("power dessin is not a star")
-            if self.bmap.family == "chebyshev":
-                types = sorted(
-                    (tuple(sorted(f, reverse=True)) for f in prof.fibers[:2])
+        if self.ctype is not None and self.gensys.single_cycle_type() != self.ctype:
+            raise VerificationError("gensys does not realize the stored type")
+        if self.bmap is not None:
+            fibers = self.bmap.profile.fibers
+            cycle_types = tuple(s.cycle_type() for s in self.gensys.triple)
+            if fibers != cycle_types:
+                raise VerificationError(
+                    f"map profile {fibers} differs from the cycle types"
+                    f" {cycle_types} of its triple"
                 )
-                sigmas = sorted(
-                    (
-                        self.gensys.sigma0.cycle_type(),
-                        self.gensys.sigma1.cycle_type(),
-                    )
-                )
-                if types != sigmas or prof.over_inf != (d,):
-                    raise VerificationError(
-                        "chebyshev profile does not match its triple"
-                    )
-                if not self.dessin.is_path():
-                    raise VerificationError("chebyshev dessin is not a path")
 
     def _invariants(self) -> dict:
         return {

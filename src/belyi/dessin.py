@@ -136,13 +136,6 @@ class Dessin:
             adj[v].add(u)
         return adj
 
-    def degrees(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(black vertex degrees, white vertex degrees) in storage order."""
-        return (
-            tuple(len(c) for c in self.black),
-            tuple(len(c) for c in self.white),
-        )
-
     # ---- invariants --------------------------------------------------------
 
     def genus(self) -> int:
@@ -198,18 +191,6 @@ class Dessin:
             black_hub_degree=len(bhub),
             white_hub_degree=len(whub),
         )
-
-    def is_path(self) -> bool:
-        """True when the underlying simple graph is a path on d+1 vertices."""
-        bdeg, wdeg = self.degrees()
-        v = len(bdeg) + len(wdeg)
-        return v == self.d + 1 and max(bdeg + wdeg) <= 2
-
-    def is_star(self) -> bool:
-        """True when a single hub carries every edge, each to its own leaf."""
-        bdeg, wdeg = self.degrees()
-        v = len(bdeg) + len(wdeg)
-        return v == self.d + 1 and max(bdeg + wdeg) == self.d
 
     # ---- serialization -----------------------------------------------------
 

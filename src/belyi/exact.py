@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from typing import Iterable, Union
@@ -436,30 +435,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return [(_monic_poly(factors[i]), i) for i in sorted(factors)]
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of the projective line over the rationals.
-
-    Either a finite rational value or the point at infinity (finite=None).
-    """
-
-    finite: Fraction | None = None
-
-    @classmethod
-    def of(cls, v: Scalar) -> "ProjectivePoint":
-        return cls(Fraction(v))
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.finite is None
-
-    def __str__(self) -> str:
-        return "inf" if self.finite is None else format_rational(self.finite)
-
-
-INFINITY = ProjectivePoint(None)
-
-
 class RatFunc:
     """Rational function num/den, reduced, with monic denominator."""
 
@@ -507,32 +482,6 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def evaluate(self, z: "ProjectivePoint | Scalar") -> ProjectivePoint:
-        """Evaluate as a map of the projective line (poles go to infinity)."""
-        if not isinstance(z, ProjectivePoint):
-            z = ProjectivePoint.of(z)
-        if z.is_infinity:
-            dn, dd = self.num.degree, self.den.degree
-            if dn > dd:
-                return INFINITY
-            if dn < dd:
-                return ProjectivePoint.of(0)
-            return ProjectivePoint.of(self.num.lc / self.den.lc)
-        nv = self.num(z.finite)
-        dv = self.den(z.finite)
-        if dv == 0:
-            if nv == 0:
-                raise ArithmeticError("num and den share a root: not reduced")
-            return INFINITY
-        return ProjectivePoint.of(nv / dv)
-
-    __call__ = evaluate
-
-    def substitute_reciprocal(self) -> "RatFunc":
-        """The composite f(1/x), reduced."""
-        k = max(self.num.degree, self.den.degree, 0)
-        return RatFunc(self.num.reverse(k), self.den.reverse(k))
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -151,13 +151,18 @@ class GeneratingSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "GeneratingSystem":
+        """Read a triple; its degree comes from the points its cycles give,
+        and a stated ``d`` that differs raises ValueError."""
         d = parse_int(json_field(data, "d", "gensys"))
-        return cls(
+        gs = cls(
             *(
-                Permutation.from_json(json_field(data, key, "gensys"), d)
+                Permutation.from_json(json_field(data, key, "gensys"))
                 for key in ("sigma0", "sigma1", "sigmaInf")
             )
         )
+        if gs.degree != d:
+            raise ValueError(f"gensys states d = {d} but its cycles cover 1..{gs.degree}")
+        return gs
 
 
 def make_gensys(sigma0: Permutation, sigma1: Permutation) -> GeneratingSystem:
@@ -180,14 +185,16 @@ def power_gensys(d: int) -> GeneratingSystem:
 def chebyshev_gensys(d: int) -> GeneratingSystem:
     """The path triple: adjacent transpositions interleaved on 1..d.
 
-    sigma0 pairs (2 3)(4 5)..., sigma1 pairs (1 2)(3 4)...; the chains stop
+    sigma0 pairs (1 2)(3 4)..., sigma1 pairs (2 3)(4 5)...; the chains stop
     where parity forces them to, which is exactly the assignment that makes
-    sigmaInf a full d-cycle (asserted).
+    sigmaInf a full d-cycle (asserted).  This is the monodromy of
+    (T_d + 1)/2 itself: for even d its fiber over 0 is d/2 double points,
+    as sigma0 is d/2 transpositions.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
-    s0 = Permutation.from_cycles(d, [(i, i + 1) for i in range(2, d, 2)])
-    s1 = Permutation.from_cycles(d, [(i, i + 1) for i in range(1, d, 2)])
+    s0 = Permutation.from_cycles(d, [(i, i + 1) for i in range(1, d, 2)])
+    s1 = Permutation.from_cycles(d, [(i, i + 1) for i in range(2, d, 2)])
     gs = make_gensys(s0, s1)
     nt = gs.sigma_inf.nontrivial_cycles()
     if len(nt) != 1 or len(nt[0]) != d:

@@ -147,13 +147,12 @@ class Permutation:
         return [list(c) for c in self.cycles()]
 
     @classmethod
-    def from_json(cls, cycles: Iterable[Sequence[int]], d: int | None = None) -> "Permutation":
-        if d is None:
-            # from_cycles rejects repeats and points outside 1..d, so with d
-            # the number of points given, the cycles must cover 1..d
-            cycles = _cycle_tuples(cycles)
-            d = sum(len(c) for c in cycles)
-        return cls.from_cycles(d, cycles)
+    def from_json(cls, cycles: Iterable[Sequence[int]]) -> "Permutation":
+        """The permutation of these cycles, whose degree is the number of
+        points given: from_cycles rejects repeats and points outside 1..d,
+        so the cycles must cover 1..d, fixed points included."""
+        cycles = _cycle_tuples(cycles)
+        return cls.from_cycles(sum(len(c) for c in cycles), cycles)
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, d={self.degree})"

@@ -1,12 +1,68 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and the projective evaluation of rational
+functions, shared across the test modules."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
-from belyi import GeneratingSystem, Permutation, Poly, is_transitive, make_gensys
+from belyi import (
+    GeneratingSystem,
+    Permutation,
+    Poly,
+    RatFunc,
+    format_rational,
+    is_transitive,
+    make_gensys,
+)
+
+
+@dataclass(frozen=True)
+class ProjectivePoint:
+    """A point of the projective line over the rationals.
+
+    Either a finite rational value or the point at infinity (finite=None).
+    """
+
+    finite: Fraction | None = None
+
+    @classmethod
+    def of(cls, v: int | Fraction) -> "ProjectivePoint":
+        return cls(Fraction(v))
+
+    def __str__(self) -> str:
+        return "inf" if self.finite is None else format_rational(self.finite)
+
+
+INFINITY = ProjectivePoint(None)
+
+
+def evaluate(f: RatFunc, z: ProjectivePoint | int | Fraction) -> ProjectivePoint:
+    """f(z) as a map of the projective line (poles go to infinity)."""
+    if not isinstance(z, ProjectivePoint):
+        z = ProjectivePoint.of(z)
+    if z.finite is None:
+        dn, dd = f.num.degree, f.den.degree
+        if dn > dd:
+            return INFINITY
+        if dn < dd:
+            return ProjectivePoint.of(0)
+        return ProjectivePoint.of(f.num.lc / f.den.lc)
+    nv = f.num(z.finite)
+    dv = f.den(z.finite)
+    if dv == 0:
+        if nv == 0:
+            raise ArithmeticError("num and den share a root: not reduced")
+        return INFINITY
+    return ProjectivePoint.of(nv / dv)
+
+
+def substitute_reciprocal(f: RatFunc) -> RatFunc:
+    """The composite f(1/x), reduced."""
+    k = max(f.num.degree, f.den.degree, 0)
+    return RatFunc(f.num.reverse(k), f.den.reverse(k))
 
 
 def random_permutation(rng: random.Random, d: int) -> Permutation:

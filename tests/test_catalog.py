@@ -3,18 +3,25 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from belyi import (
+    BelyiMap,
     CombinatorialType,
     Permutation,
+    Poly,
+    RatFunc,
     TriptychRecord,
     VerificationError,
+    chebyshev_gensys,
+    chebyshev_map,
     dessin_from_gensys,
     family_map_for_type,
     iter_catalog,
     make_gensys,
+    power_gensys,
     single_cycle_polynomial,
     valid_types,
     write_catalog,
@@ -79,27 +86,45 @@ def test_record_for_type():
 
 
 def test_record_for_family():
-    rec = TriptychRecord.for_family("poly", 5, 2)
-    rec.validate()
-    assert rec.ctype == CombinatorialType(5, 3, 3, 5)
+    poly = TriptychRecord.for_family("poly", 5, 2)
+    assert poly.ctype == CombinatorialType(5, 3, 3, 5)
 
-    rec = TriptychRecord.for_family("symmetric", 10, 2)
-    rec.validate()
-    assert rec.ctype == CombinatorialType(10, 8, 5, 8)
+    symmetric = TriptychRecord.for_family("symmetric", 10, 2)
+    assert symmetric.ctype == CombinatorialType(10, 8, 5, 8)
 
-    rec = TriptychRecord.for_family("power", 7)
-    rec.validate()
-    assert rec.ctype is None
-    assert rec.dessin.is_star()
-    assert rec.diameter == 3
+    power = TriptychRecord.for_family("power", 7)
+    assert power.ctype is None
+    assert (power.shape, power.diameter) == (None, 3)  # a star
 
-    rec = TriptychRecord.for_family("chebyshev", 6)
-    rec.validate()
-    assert rec.dessin.is_path()
-    assert rec.diameter == 7
+    chebyshev = TriptychRecord.for_family("chebyshev", 6)
+    assert (chebyshev.shape, chebyshev.diameter) == (None, 7)  # a path
+
+    for rec in (poly, symmetric, power, chebyshev):
+        rec.validate()
+        data = json.loads(json.dumps(rec.to_json()))
+        back = TriptychRecord.from_json(data)
+        back.validate()
+        assert back.to_json() == data
 
     with pytest.raises(ValueError):
         TriptychRecord.for_family("mystery", 5)
+
+
+def test_validate_rejects_the_swapped_chebyshev_triple():
+    # sorted, these fibers and cycle types agree, but over 0 the map has
+    # three double points and the swapped sigma0 two transpositions
+    gs = chebyshev_gensys(6)
+    swapped = make_gensys(gs.sigma1, gs.sigma0)
+    with pytest.raises(VerificationError, match="cycle types"):
+        TriptychRecord(swapped, None, chebyshev_map(6)).validate()
+
+
+def test_validate_rejects_a_map_that_is_not_belyi():
+    # x^3 - 3x has a critical value at -2, so no triple is its monodromy
+    not_belyi = BelyiMap(RatFunc(Poly((0, -3, 0, 1))))
+    assert not not_belyi.profile.is_belyi
+    with pytest.raises(VerificationError, match="cycle types"):
+        TriptychRecord(power_gensys(3), None, not_belyi).validate()
 
 
 def test_record_invariants_are_frozen():
@@ -272,6 +297,21 @@ def test_record_json_rejects_a_map_of_another_type():
     data["map"]["type"] = None
     del data["map"]["params"]
     TriptychRecord.from_json(data).validate()
+
+
+def test_record_json_reads_the_degree_from_the_cycles():
+    # the stated d is compared with the points given, never allocated
+    data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
+    for d in (4, 6, 10**5):
+        data["gensys"]["d"] = d
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"gensys states d = {d} but its cycles cover 1..5"):
+                TriptychRecord.from_json(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_record_json_rejects_a_record_that_is_not_an_object():

@@ -71,6 +71,7 @@ def test_construct_power_and_chebyshev(capsys):
     assert "family: chebyshev" in out
     assert "f = 4x^4 - 4x^2 + 1" in out
     assert "profile over 0: [2, 2]" in out
+    assert "sigma0   = (1 2)(3 4)" in out
     assert "diameter: 5" in out
 
 

@@ -104,9 +104,10 @@ def test_genus_matches_gensys():
 def test_degrees_are_cycle_lengths():
     gs = canonical_single_cycle(CombinatorialType(5, 3, 3, 5))
     ds = dessin_from_gensys(gs)
-    bdeg, wdeg = ds.degrees()
-    assert sorted(bdeg, reverse=True) == [3, 1, 1]
-    assert sorted(wdeg, reverse=True) == [3, 1, 1]
+    bdeg = [len(c) for c in ds.black]
+    wdeg = [len(c) for c in ds.white]
+    assert sorted(bdeg, reverse=True) == [3, 1, 1] == list(gs.sigma0.cycle_type())
+    assert sorted(wdeg, reverse=True) == [3, 1, 1] == list(gs.sigma1.cycle_type())
     assert sum(bdeg) == ds.d
     assert sum(wdeg) == ds.d
 
@@ -160,21 +161,21 @@ def test_shape_invariant_validation():
 
 
 def test_star_dessin():
+    # one black hub carries every edge, each to its own white leaf
     ds = dessin_from_gensys(power_gensys(7))
-    assert ds.is_star()
-    assert not ds.is_path()
     assert ds.diameter_vertices() == 3
     assert ds.genus() == 0
-    bdeg, wdeg = ds.degrees()
-    assert bdeg == (7,)
-    assert wdeg == (1,) * 7
+    assert [len(c) for c in ds.black] == [7]
+    assert [len(c) for c in ds.white] == [1] * 7
 
 
 def test_path_dessin():
     for d in range(3, 10):
         ds = dessin_from_gensys(chebyshev_gensys(d))
-        assert ds.is_path()
-        assert not ds.is_star()
+        # d + 1 vertices of degree at most 2, connected: a path
+        degrees = [len(c) for c in ds.black + ds.white]
+        assert len(degrees) == d + 1
+        assert max(degrees) == 2
         # a path on d edges visits d + 1 vertices end to end
         assert ds.diameter_vertices() == d + 1
 

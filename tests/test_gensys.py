@@ -130,8 +130,8 @@ def test_power_gensys():
 
 def test_chebyshev_gensys_degree_six():
     gs = chebyshev_gensys(6)
-    assert gs.sigma0 == Permutation.from_cycles(6, [(2, 3), (4, 5)])
-    assert gs.sigma1 == Permutation.from_cycles(6, [(1, 2), (3, 4), (5, 6)])
+    assert gs.sigma0 == Permutation.from_cycles(6, [(1, 2), (3, 4), (5, 6)])
+    assert gs.sigma1 == Permutation.from_cycles(6, [(2, 3), (4, 5)])
     assert gs.sigma_inf.cycle_type() == (6,)
     assert gs.genus() == 0
 
@@ -145,7 +145,7 @@ def test_chebyshev_gensys_full_cycle_all_degrees():
         n0 = len(gs.sigma0.nontrivial_cycles())
         n1 = len(gs.sigma1.nontrivial_cycles())
         assert n0 + n1 == d - 1
-        assert n1 - n0 in (0, 1)
+        assert n0 - n1 in (0, 1)
     with pytest.raises(ValueError):
         chebyshev_gensys(2)
 

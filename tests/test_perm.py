@@ -135,7 +135,6 @@ def test_non_integer_points_are_rejected(build):
 def test_cycles_that_are_not_a_list_of_lists_are_rejected(cycles):
     for build in (
         lambda: Permutation.from_json(cycles),
-        lambda: Permutation.from_json(cycles, d=2),
         lambda: Permutation.from_cycles(2, cycles),
     ):
         with pytest.raises(ValueError, match="list of lists"):
@@ -200,14 +199,12 @@ def test_json_round_trip():
     p = Permutation.from_cycles(5, [(3, 4, 5)])
     assert p.to_json() == [[1], [2], [3, 4, 5]]
     assert Permutation.from_json(p.to_json()) == p
-    assert Permutation.from_json([[1], [2]], d=2) == Permutation.identity(2)
-    # degree can be inferred from coverage
+    assert Permutation.from_json([[1], [2]]) == Permutation.identity(2)
+    # the degree is the number of points given
     assert Permutation.from_json([[2, 1], [3]]).degree == 3
-    # with d omitted, the cycles must cover 1..d exactly
+    # so the cycles must cover 1..d exactly, fixed points included
     with pytest.raises(ValueError):
         Permutation.from_json([[1, 3]])
-    # with d explicit, unmentioned points stay fixed
-    assert Permutation.from_json([[1, 3]], d=3) == Permutation.from_cycles(3, [(1, 3)])
 
 
 def test_json_round_trip_random():
@@ -215,4 +212,4 @@ def test_json_round_trip_random():
     for _ in range(40):
         d = rng.randint(1, 10)
         p = random_permutation(rng, d)
-        assert Permutation.from_json(p.to_json(), d=d) == p
+        assert Permutation.from_json(p.to_json()) == p

@@ -1,14 +1,11 @@
 """Triptych records: type + map + generating system + dessin, kept in sync.
 
-A record bundles the three representations of one single-cycle class with
-its invariants, validating that they agree before anything is written.  The
-catalog writer enumerates every combinatorial type up to a degree bound and
-attaches closed-form maps where one of the two families covers the type.
-
-Every record is checked the same way: a map's ramification profile over 0,
-1 and inf must be the cycle types of its triple (Riemann's existence
-theorem), and a typed record's triple must realize its type.  The dessin
-needs no check of its own: it is a view of the triple.
+A record's independent data is its triple and its map; its type, dessin
+and invariants are derived from the triple, and the one check left is
+Riemann's existence theorem: a map's ramification profile over 0, 1 and
+inf must be the cycle types of its triple.  The catalog writer enumerates
+every combinatorial type up to a degree bound and attaches closed-form maps
+where one of the two families covers the type.
 """
 
 from __future__ import annotations
@@ -54,11 +51,12 @@ def family_map_for_type(ct: CombinatorialType) -> BelyiMap | None:
 
 @dataclass(frozen=True)
 class TriptychRecord:
-    """One catalog entry; its dessin and invariants are derived once, at construction."""
+    """One catalog entry: a triple and an optional map.  Its type, dessin and
+    invariants are derived from the triple once, at construction."""
 
     gensys: GeneratingSystem
-    ctype: CombinatorialType | None = None
     bmap: BelyiMap | None = None
+    ctype: CombinatorialType | None = field(init=False)
     dessin: Dessin = field(init=False)
     genus: int = field(init=False)
     diameter: int = field(init=False)
@@ -67,6 +65,7 @@ class TriptychRecord:
 
     def __post_init__(self):
         # frozen: each derived field is set once, here
+        object.__setattr__(self, "ctype", self.gensys.single_cycle_type())
         object.__setattr__(self, "dessin", Dessin(self.gensys))
         object.__setattr__(self, "genus", self.gensys.genus())
         shape = self.dessin.shape()
@@ -80,7 +79,7 @@ class TriptychRecord:
 
     @classmethod
     def for_type(cls, ct: CombinatorialType) -> "TriptychRecord":
-        return cls(canonical_single_cycle(ct), ct, family_map_for_type(ct))
+        return cls(canonical_single_cycle(ct), family_map_for_type(ct))
 
     @classmethod
     def for_family(cls, family: str, d: int, k: int | None = None) -> "TriptychRecord":
@@ -95,23 +94,22 @@ class TriptychRecord:
             gs, m = power_gensys(d), power_map(d)
         else:
             gs, m = chebyshev_gensys(d), chebyshev_map(d)
-        return cls(gs, m.claimed_type, m)
+        return cls(gs, m)
 
     def validate(self) -> None:
-        """Cross-check the representations against each other; raises
-        VerificationError on any disagreement.
+        """Cross-check the map against the triple; raises VerificationError
+        when they disagree.
 
-        The invariants are not re-derived here: the frozen record computed
-        them from its own gensys, and from_json checks stored copies.  Two
-        checks remain.  A typed record's gensys must realize its type.  A
+        Nothing else can disagree: the type, dessin and invariants are
+        derived from the triple, and from_json checks stored copies.  The
         map's ramification profile over 0, 1 and inf must equal the cycle
         types of sigma0, sigma1 and sigmaInf, which is what Riemann's
         existence theorem makes of a map and its monodromy.  That one
         equality loses nothing:
 
-        - typed records: once the triple realizes the type, each fiber is
-          (e, 1, ..., 1), so the map has a single ramification point of
-          the claimed index over each of 0, 1 and inf;
+        - typed records: each fiber is (e, 1, ..., 1), so the map has a
+          single ramification point of the type's index over each of 0, 1
+          and inf;
         - power records: cycle types (d), (1^d), (d) make the dessin a star;
         - Chebyshev records: a transitive triple with cycle types in {1, 2}
           over 0 and 1 and sigmaInf a d-cycle makes the dessin a path;
@@ -119,15 +117,7 @@ class TriptychRecord:
           ramification, and a transitive triple with product 1 carries
           2d - 2 + 2g, so equality forces genus 0 and no other critical
           value.
-
-        On a typed record the dessin follows from the triple too: a
-        transitive triple of single e0-, e1- and eInf-cycles puts every
-        label in the black hub or the white hub, so the dessin is a double
-        star with d - e1 white leaves, d - e0 black leaves, e0 + e1 - d
-        parallel edges and vertex diameter at most 4.
         """
-        if self.ctype is not None and self.gensys.single_cycle_type() != self.ctype:
-            raise VerificationError("gensys does not realize the stored type")
         if self.bmap is not None:
             fibers = self.bmap.profile.fibers
             cycle_types = tuple(s.cycle_type() for s in self.gensys.triple)
@@ -137,44 +127,48 @@ class TriptychRecord:
                     f" {cycle_types} of its triple"
                 )
 
-    def _invariants(self) -> dict:
+    def _derived_json(self) -> dict:
+        # what to_json writes and from_json checks stored copies against
         return {
-            "genus": self.genus,
-            "diameter": self.diameter,
-            "shape": None if self.shape is None else self.shape.to_json(),
-            "isBelyi": self.is_belyi,
+            "type": None if self.ctype is None else self.ctype.to_json(),
+            "dessin": self.dessin.to_json(),
+            "invariants": {
+                "genus": self.genus,
+                "diameter": self.diameter,
+                "shape": None if self.shape is None else self.shape.to_json(),
+                "isBelyi": self.is_belyi,
+            },
         }
 
     def to_json(self) -> dict:
+        derived = self._derived_json()
         return {
-            "type": None if self.ctype is None else self.ctype.to_json(),
+            "type": derived["type"],
             "map": None if self.bmap is None else self.bmap.to_json(),
             "gensys": self.gensys.to_json(),
-            "dessin": self.dessin.to_json(),
-            "invariants": self._invariants(),
+            "dessin": derived["dessin"],
+            "invariants": derived["invariants"],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "TriptychRecord":
-        """Read a record and check its map's type against its own, and its
-        stored dessin and invariants against the ones derived from its
-        gensys; raises ValueError when they differ."""
+        """Read a record from its triple and map, and check its map's type
+        and its stored type, dessin and invariants against the ones derived
+        from the triple; raises ValueError when they differ."""
         gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
-        ct = None if data.get("type") is None else CombinatorialType.from_json(data["type"])
         m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
-        if m is not None and m.claimed_type is not None and m.claimed_type != ct:
-            raise ValueError(f"map type {m.claimed_type} differs from record type {ct}")
-        rec = cls(gs, ct, m)
-        # parsed strictly, compared, and dropped: the record keeps one triple
-        if Dessin.from_json(json_field(data, "dessin", "record")) != rec.dessin:
-            raise ValueError("stored dessin disagrees with the one derived from gensys")
-        # compared as JSON text, so that 0.0 or false cannot pass for 0
-        stored = json.dumps(data.get("invariants"), sort_keys=True)
-        derived = json.dumps(rec._invariants(), sort_keys=True)
-        if stored != derived:
-            raise ValueError(
-                f"stored invariants {stored} disagree with recomputed {derived}"
-            )
+        rec = cls(gs, m)
+        if m is not None and m.claimed_type not in (None, rec.ctype):
+            raise ValueError(f"map type {m.claimed_type} differs from record type {rec.ctype}")
+        # compared as JSON text, so that a rotated cycle, 0.0 or false cannot
+        # pass for what the writer derives
+        for key, value in rec._derived_json().items():
+            stored = json.dumps(data.get(key), sort_keys=True)
+            derived = json.dumps(value, sort_keys=True)
+            if stored != derived:
+                raise ValueError(
+                    f"stored {key} {stored} disagrees with {derived}, derived from gensys"
+                )
         return rec
 
 

@@ -18,7 +18,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exact import json_field, parse_int
 from .gensys import GeneratingSystem, NotTransitiveError, equivalent, make_gensys
 from .perm import Permutation, _cycle_tuples
 
@@ -219,11 +218,6 @@ class Dessin:
             "black": [list(c) for c in self.black],
             "white": [list(c) for c in self.white],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Dessin":
-        d, black, white = (json_field(data, key, "dessin") for key in ("d", "black", "white"))
-        return cls.from_cycles(parse_int(d), black, white)
 
 
 def dessin_from_gensys(gs: GeneratingSystem) -> Dessin:

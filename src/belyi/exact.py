@@ -51,6 +51,16 @@ def json_field(data: object, key: str, what: str) -> object:
     return data[key]
 
 
+def _fraction(c: Scalar) -> Fraction:
+    """An int, Fraction or "p/q" string as a Fraction; anything else, float
+    and bool included, raises ValueError."""
+    if type(c) is str:
+        return parse_rational(c)
+    if type(c) not in (int, Fraction):
+        raise ValueError(f"not an int, Fraction or \"p/q\" string: {c!r}")
+    return Fraction(c)
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical "p/q" form, or just "p" when the denominator is 1."""
     return str(Fraction(q))
@@ -67,7 +77,10 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        # checked in C, so that arithmetic on Fractions pays no per-coefficient call
+        if not set(map(type, cs)) <= {Fraction}:
+            cs = [_fraction(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -82,13 +95,13 @@ class Poly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "Poly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     @classmethod
     def monomial(cls, power: int, coeff: Scalar = 1) -> "Poly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        return cls((0,) * power + (Fraction(coeff),))
+        return cls((0,) * power + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -132,7 +145,7 @@ class Poly:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) in (int, Fraction):
             return Poly(tuple(c * other for c in self.coeffs))
         other = _as_poly(other)
         if self.is_zero or other.is_zero:
@@ -190,7 +203,7 @@ class Poly:
 
     def __call__(self, x: Scalar) -> Fraction:
         """Evaluate at a finite rational point (Horner)."""
-        x = Fraction(x)
+        x = _fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c

@@ -37,6 +37,8 @@ class CombinatorialType:
     e_inf: int
 
     def __post_init__(self):
+        for e in (self.d, *self.indices):
+            parse_int(e)
         if self.d < 3:
             raise InvalidTypeError(f"degree must be at least 3, got {self.d}")
         for name, e in zip(("e0", "e1", "eInf"), self.indices):
@@ -70,9 +72,7 @@ class CombinatorialType:
 
     @classmethod
     def from_json(cls, data: dict) -> "CombinatorialType":
-        return cls(
-            *(parse_int(json_field(data, key, "type")) for key in ("d", "e0", "e1", "eInf"))
-        )
+        return cls(*(json_field(data, key, "type") for key in ("d", "e0", "e1", "eInf")))
 
     def __str__(self) -> str:
         return f"({self.e0}, {self.e1}, {self.e_inf})"
@@ -167,10 +167,6 @@ class GeneratingSystem:
 
 def make_gensys(sigma0: Permutation, sigma1: Permutation) -> GeneratingSystem:
     """Complete (sigma0, sigma1) with the derived sigmaInf = (sigma0*sigma1)^-1."""
-    if sigma0.degree != sigma1.degree:
-        raise DegreeMismatchError(
-            f"degrees differ: {sigma0.degree} vs {sigma1.degree}"
-        )
     return GeneratingSystem(sigma0, sigma1, (sigma0 * sigma1).inverse())
 
 

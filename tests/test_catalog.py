@@ -116,7 +116,7 @@ def test_validate_rejects_the_swapped_chebyshev_triple():
     gs = chebyshev_gensys(6)
     swapped = make_gensys(gs.sigma1, gs.sigma0)
     with pytest.raises(VerificationError, match="cycle types"):
-        TriptychRecord(swapped, None, chebyshev_map(6)).validate()
+        TriptychRecord(swapped, chebyshev_map(6)).validate()
 
 
 def test_validate_rejects_a_map_that_is_not_belyi():
@@ -124,7 +124,7 @@ def test_validate_rejects_a_map_that_is_not_belyi():
     not_belyi = BelyiMap(RatFunc(Poly((0, -3, 0, 1))))
     assert not not_belyi.profile.is_belyi
     with pytest.raises(VerificationError, match="cycle types"):
-        TriptychRecord(power_gensys(3), None, not_belyi).validate()
+        TriptychRecord(power_gensys(3), not_belyi).validate()
 
 
 def test_record_invariants_are_frozen():
@@ -136,16 +136,17 @@ def test_record_invariants_are_frozen():
 
 
 def test_validate_catches_wrong_type():
-    good = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
-    rec = TriptychRecord(good.gensys, CombinatorialType(5, 4, 4, 3))
-    with pytest.raises(VerificationError):
-        rec.validate()
+    # the type is derived from the triple, so a wrong one can only be stored
+    data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
+    data["type"] = CombinatorialType(5, 4, 4, 3).to_json()
+    with pytest.raises(ValueError, match="stored type"):
+        TriptychRecord.from_json(data)
 
 
 def test_validate_catches_map_type_mismatch():
     good = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
     wrong_map = single_cycle_polynomial(5, 1)  # type (4, 2, 5)
-    rec = TriptychRecord(good.gensys, good.ctype, wrong_map)
+    rec = TriptychRecord(good.gensys, wrong_map)
     with pytest.raises(VerificationError):
         rec.validate()
 
@@ -191,30 +192,34 @@ def test_record_json_rejects_drifted_invariants():
 
 def test_record_json_rejects_a_drifted_dessin():
     good = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
+    assert good.to_json()["dessin"]["black"] == [[1], [2], [3, 5, 4]]
     # a relabeled copy of the same dessin: every invariant still agrees
     t = Permutation.from_cycles(5, [(1, 2)])
     relabeled = make_gensys(good.gensys.sigma0.conjugate(t), good.gensys.sigma1.conjugate(t))
     for other in (
-        TriptychRecord.for_type(CombinatorialType(5, 4, 2, 5)).dessin,  # another type
-        dessin_from_gensys(relabeled),
+        TriptychRecord.for_type(CombinatorialType(5, 4, 2, 5)).dessin.to_json(),  # another type
+        dessin_from_gensys(relabeled).to_json(),
+        # the same vertex cyclic orders, written as the writer never does
+        dict(good.dessin.to_json(), black=[[1], [2], [5, 4, 3]]),  # rotated
+        dict(good.dessin.to_json(), black=[[2], [1], [3, 5, 4]]),  # reordered
     ):
         data = good.to_json()
-        data["dessin"] = other.to_json()
+        data["dessin"] = other
         assert data["dessin"]["d"] == 5
         with pytest.raises(ValueError, match="stored dessin"):
             TriptychRecord.from_json(data)
 
 
 @pytest.mark.parametrize(
-    "path, value",
+    "path, value, message",
     [
-        (("gensys", "d"), 5.0),
-        (("dessin", "d"), 5.0),
-        (("type", "e0"), 3.0),
-        (("map", "k"), True),
-        (("map", "d"), "5"),
-        (("gensys", "sigma0"), [[1], [2], [3.0, 5, 4]]),
-        (("dessin", "white"), [[1, 2, 3], ["4"], [5]]),
+        (("gensys", "d"), 5.0, "not an integer"),
+        (("dessin", "d"), 5.0, "stored dessin"),
+        (("type", "e0"), 3.0, "stored type"),
+        (("map", "k"), True, "not an integer"),
+        (("map", "d"), "5", "not an integer"),
+        (("gensys", "sigma0"), [[1], [2], [3.0, 5, 4]], "not an integer"),
+        (("dessin", "white"), [[1, 2, 3], ["4"], [5]], "stored dessin"),
     ],
     ids=[
         "float-gensys-d",
@@ -226,10 +231,10 @@ def test_record_json_rejects_a_drifted_dessin():
         "string-label",
     ],
 )
-def test_record_json_rejects_non_integer_fields(path, value):
+def test_record_json_rejects_non_integer_fields(path, value, message):
     data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
     data[path[0]][path[1]] = value
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match=message):
         TriptychRecord.from_json(data)
 
 
@@ -238,7 +243,9 @@ def test_record_json_rejects_non_integer_fields(path, value):
 def test_record_json_rejects_cycles_that_are_not_a_list_of_lists(path, value):
     data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
     data[path[0]][path[1]] = value
-    with pytest.raises(ValueError, match="list of lists"):
+    # the triple is parsed; the dessin is only compared with the derived one
+    message = "list of lists" if path[0] == "gensys" else "stored dessin"
+    with pytest.raises(ValueError, match=message):
         TriptychRecord.from_json(data)
 
 
@@ -249,14 +256,14 @@ _DROP = object()
     "path, value, message",
     [
         (("gensys",), _DROP, "record has no 'gensys' field"),
-        (("dessin",), _DROP, "record has no 'dessin' field"),
+        (("dessin",), _DROP, "stored dessin"),
         (("gensys", "sigma1"), _DROP, "gensys has no 'sigma1' field"),
-        (("dessin", "white"), _DROP, "dessin has no 'white' field"),
-        (("type", "e1"), _DROP, "type has no 'e1' field"),
+        (("dessin", "white"), _DROP, "stored dessin"),
+        (("type", "e1"), _DROP, "stored type"),
         (("map", "f"), _DROP, "map has no 'f' field"),
         (("gensys",), 5, "gensys must be an object"),
-        (("dessin",), None, "dessin must be an object"),
-        (("type",), [1], "type must be an object"),
+        (("dessin",), None, "stored dessin"),
+        (("type",), [1], "stored type"),
         (("map",), 5, "map must be an object"),
     ],
     ids=[
@@ -286,9 +293,28 @@ def test_record_json_rejects_missing_fields_and_non_objects(path, value, message
         TriptychRecord.from_json(data)
 
 
+def test_record_type_is_derived_from_the_triple():
+    # chebyshev d = 3: (1 2), (2 3) and a 3-cycle are of type (3; 2, 2, 3)
+    chebyshev = TriptychRecord.for_family("chebyshev", 3)
+    assert chebyshev.ctype == CombinatorialType(3, 2, 2, 3)
+    assert chebyshev.to_json()["type"] == {"d": 3, "e0": 2, "e1": 2, "eInf": 3}
+    typed = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
+    untyped = [TriptychRecord.for_family(f, 5).to_json() for f in ("power", "chebyshev")]
+    cases = [(typed, None), (typed, _DROP), (chebyshev.to_json(), None)]
+    cases += [(data, typed["type"]) for data in untyped]
+    for data, value in cases:
+        data = json.loads(json.dumps(data))
+        if value is _DROP:
+            del data["type"]
+        else:
+            data["type"] = value
+        with pytest.raises(ValueError, match="stored type"):
+            TriptychRecord.from_json(data)
+
+
 def test_record_json_rejects_a_map_of_another_type():
-    # the map is of (3, 4, 6) whatever its record says; validate() reads the
-    # record's type only, so the misstated one would round-trip unseen
+    # the map is of (3, 4, 6) whatever it states; validate() compares its
+    # profile with the cycle types only, so a misstated type would round-trip
     data = TriptychRecord.for_type(CombinatorialType.from_indices(3, 4, 6)).to_json()
     data["map"]["type"] = CombinatorialType.from_indices(4, 3, 6).to_json()
     with pytest.raises(ValueError, match=r"map type \(4, 3, 6\) differs from record type \(3, 4, 6\)"):
@@ -344,6 +370,8 @@ def test_write_catalog_counts_and_lines():
         rec = json.loads(line)
         assert rec["invariants"]["genus"] == 0
         assert rec["invariants"]["diameter"] <= 4
+        back = TriptychRecord.from_json(rec).to_json()
+        assert json.dumps(back, separators=(",", ":")) == line
 
 
 def test_write_catalog_deterministic():

@@ -284,7 +284,7 @@ def test_json_round_trip():
         "black": [[1], [2], [3, 5, 4]],
         "white": [[1, 2, 3], [4], [5]],
     }
-    assert Dessin.from_json(data) == ds
+    assert Dessin.from_cycles(data["d"], data["black"], data["white"]) == ds
 
 
 def test_dot_output_is_stable():

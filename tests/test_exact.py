@@ -271,6 +271,26 @@ def test_poly_and_ratfunc_from_json_reject_malformed_input():
             RatFunc.from_json(bad)
 
 
+def test_poly_takes_only_exact_coefficients():
+    # Fraction(0.1) is the float's binary value, 3602879701896397/2^55
+    for bad in ([0.1], [1, True], [False], ["0.5"], ["1e3"], [None]):
+        with pytest.raises(ValueError):
+            Poly(bad)
+    for build in (
+        lambda: Poly.monomial(2, 0.5),
+        lambda: Poly.constant(True),
+        lambda: X * 0.5,
+        lambda: X * True,
+        lambda: RatFunc(X, 2.0),
+        lambda: X(0.5),
+    ):
+        with pytest.raises(ValueError):
+            build()
+    p = Poly([1, Fraction(1, 2), "-3/4"])
+    assert p.coeffs == (1, Fraction(1, 2), Fraction(-3, 4))
+    assert {type(c) for c in p.coeffs} == {Fraction}
+
+
 def test_evaluate_rejects_an_unreduced_function():
     f = RatFunc(Poly.one(), X - 1)
     f.num = X - 1  # bypass the reduction the constructor performs

@@ -36,6 +36,10 @@ def test_type_validation():
         CombinatorialType(5, 6, 3, 2)  # e0 > d
     with pytest.raises(InvalidTypeError):
         CombinatorialType(5, 3, 3, 4)  # sum != 2d + 1
+    # equal to ints in Python, so range and sum checks alone would pass them
+    for bad in ((5, 3.0, 3, 5), (5.0, 3, 3, 5), (5, 3, 3, 5.0), (5, True, 5, 5)):
+        with pytest.raises(ValueError, match="not an integer"):
+            CombinatorialType(*bad)
 
 
 def test_type_from_indices():
@@ -103,7 +107,7 @@ def test_make_gensys_derives_inverse_product():
 
 
 def test_make_gensys_degree_mismatch():
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(DegreeMismatchError, match="degrees differ: 3 vs 4"):
         make_gensys(Permutation.identity(3), Permutation.identity(4))
 
 

@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 from typing import IO, Iterator
 
 from .dessin import Dessin, DessinShape
-from .exact import json_field
+from .exact import check_stored, json_field
 from .families import (
     FAMILIES,
     BelyiMap,
     VerificationError,
-    chebyshev_map,
-    power_map,
     single_cycle_polynomial,
     symmetric_single_cycle,
 )
@@ -83,17 +81,17 @@ class TriptychRecord:
 
     @classmethod
     def for_family(cls, family: str, d: int, k: int | None = None) -> "TriptychRecord":
-        """Record for one member of a named family (a key of FAMILIES)."""
+        """Record for the member (d, k) of a named family (a key of
+        FAMILIES); k is given exactly when the family takes one."""
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        if FAMILIES[family].takes_k:
-            build = single_cycle_polynomial if family == "poly" else symmetric_single_cycle
-            m = build(d, 1 if k is None else k)
+        m = FAMILIES[family].member(d, k)
+        if m.claimed_type is not None:
             gs = canonical_single_cycle(m.claimed_type)
         elif family == "power":
-            gs, m = power_gensys(d), power_map(d)
+            gs = power_gensys(d)
         else:
-            gs, m = chebyshev_gensys(d), chebyshev_map(d)
+            gs = chebyshev_gensys(d)
         return cls(gs, m)
 
     def validate(self) -> None:
@@ -160,15 +158,7 @@ class TriptychRecord:
         rec = cls(gs, m)
         if m is not None and m.claimed_type not in (None, rec.ctype):
             raise ValueError(f"map type {m.claimed_type} differs from record type {rec.ctype}")
-        # compared as JSON text, so that a rotated cycle, 0.0 or false cannot
-        # pass for what the writer derives
-        for key, value in rec._derived_json().items():
-            stored = json.dumps(data.get(key), sort_keys=True)
-            derived = json.dumps(value, sort_keys=True)
-            if stored != derived:
-                raise ValueError(
-                    f"stored {key} {stored} disagrees with {derived}, derived from gensys"
-                )
+        check_stored(data, rec._derived_json(), "gensys")
         return rec
 
 

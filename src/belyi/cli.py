@@ -103,8 +103,9 @@ def _print_record_text(rec: TriptychRecord, family: str) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if FAMILIES[args.family].takes_k and args.k is None:
-        print("construct: --k is required for this family", file=sys.stderr)
+    if FAMILIES[args.family].takes_k != (args.k is not None):
+        need = "required" if args.k is None else "not taken"
+        print(f"construct: --k is {need} for this family", file=sys.stderr)
         return USAGE
     rec = TriptychRecord.for_family(args.family, args.d, args.k)
     rec.validate()
@@ -118,10 +119,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    claimed: tuple[int, int, int] | None = None
+    claimed: CombinatorialType | None = None
     if args.type is not None:
         try:
-            claimed = _parse_indices(args.type)
+            claimed = CombinatorialType.from_indices(*_parse_indices(args.type))
         except ValueError as exc:
             print(f"verify: bad --type: {exc}", file=sys.stderr)
             return USAGE
@@ -158,9 +159,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     print(f"belyi: {'yes' if prof.is_belyi else 'no'}")
 
-    if claimed is None and m.claimed_type is not None:
-        claimed = m.claimed_type.indices
-
+    if claimed is None:
+        claimed = m.claimed_type
     if claimed is None:
         if not prof.is_belyi:
             print(

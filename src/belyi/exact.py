@@ -10,6 +10,7 @@ touches floating point, so every identity checked downstream is exact.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -49,6 +50,17 @@ def json_field(data: object, key: str, what: str) -> object:
     if key not in data:
         raise ValueError(f"{what} has no {key!r} field")
     return data[key]
+
+
+def check_stored(data: dict, derived: dict, source: str) -> None:
+    """Raise ValueError unless ``data`` stores each field of ``derived`` as
+    it is, compared as sorted-key JSON text, so that a rotated cycle, 0.0
+    or false cannot pass for what the writer derives from ``source``."""
+    for key, value in derived.items():
+        stored = json.dumps(data.get(key), sort_keys=True)
+        want = json.dumps(value, sort_keys=True)
+        if stored != want:
+            raise ValueError(f"stored {key} {stored} disagrees with {want}, derived from {source}")
 
 
 def _fraction(c: Scalar) -> Fraction:
@@ -229,7 +241,8 @@ class Poly:
         return Poly(out)
 
     def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
+        # each coefficient is a Fraction, whose str is the canonical "p/q"
+        return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data: list[str]) -> "Poly":

@@ -13,15 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exact import (
     Poly,
     RatFunc,
+    check_stored,
     format_rational,
     json_field,
     parse_int,
-    parse_rational,
     squarefree_decomposition,
 )
 from .gensys import CombinatorialType
@@ -31,14 +31,25 @@ class Family(NamedTuple):
     tag: str  # the map's family field in JSON
     name: str  # as printed by `belyi construct`
     takes_k: bool
+    build: Callable[[int, int | None], BelyiMap]  # (d, k) -> the member
+
+    def member(self, d: int, k: int | None) -> "BelyiMap":
+        """The member (d, k); k is given exactly when the family takes one."""
+        if self.takes_k != (k is not None):
+            need = "needs" if self.takes_k else "takes no"
+            raise ParameterOutOfRangeError(f"the {self.name} family {need} parameter k")
+        return self.build(d, k)
 
 
-# CLI name -> family; the only list of the named families
+# CLI name -> family; the only list of the named families.  The builders
+# look their constructor up when called, so a wrapped one is the one used.
 FAMILIES = {
-    "poly": Family("single-cycle-poly", "single-cycle polynomial", True),
-    "symmetric": Family("symmetric-single-cycle", "symmetric single-cycle", True),
-    "power": Family("power", "power map", False),
-    "chebyshev": Family("chebyshev", "chebyshev", False),
+    "poly": Family("single-cycle-poly", "single-cycle polynomial", True,
+                   lambda d, k: single_cycle_polynomial(d, k)),
+    "symmetric": Family("symmetric-single-cycle", "symmetric single-cycle", True,
+                        lambda d, k: symmetric_single_cycle(d, k)),
+    "power": Family("power", "power map", False, lambda d, k: power_map(d)),
+    "chebyshev": Family("chebyshev", "chebyshev", False, lambda d, k: chebyshev_map(d)),
 }
 FAMILY_TAGS = tuple(f.tag for f in FAMILIES.values()) + ("custom",)
 
@@ -137,30 +148,15 @@ class MapParams:
             out["c"] = format_rational(self.c)
         return out
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MapParams":
-        if not isinstance(data, dict) or not isinstance(data.get("a"), list):
-            raise ValueError(f"params must be an object with a list a, not {data!r}")
-        c = parse_rational(data["c"]) if "c" in data else None
-        return cls(c, tuple(parse_rational(s) for s in data["a"]))
 
-
-def _closed_form(
-    family: str, k: int | None, params: MapParams
-) -> tuple[Poly, Poly] | None:
+def _closed_form(family: str, params: MapParams) -> tuple[Poly, Poly]:
     """(num, den) with f = x^(d-k) * num / den, built from the params of a
-    single-cycle family member; None for a map without a closed form."""
-    if k is None:
-        return None
+    member of one of the two single-cycle families."""
     a = params.a
-    if len(a) != k + 1:
-        raise ValueError(f"params give {len(a)} coefficients a, need k + 1 = {k + 1}")
-    if family == "single-cycle-poly" and params.c is not None:
+    if family == "single-cycle-poly":
         return Poly([params.c * x for x in reversed(a)]), Poly.one()
-    if family == "symmetric-single-cycle" and params.c is None:
-        den = Poly([(-1) ** i * x for i, x in enumerate(a)])
-        return den.reverse(), den
-    return None
+    den = Poly([(-1) ** i * x for i, x in enumerate(a)])
+    return den.reverse(), den
 
 
 class BelyiMap:
@@ -217,13 +213,10 @@ class BelyiMap:
 
     def factored_form(self) -> str | None:
         """Human-readable closed form for the two single-cycle families."""
-        if self.params is None or self.claimed_type is None:
+        if self.params is None:
             return None
-        form = _closed_form(self.family, self.k, self.params)
-        if form is None:
-            return None
-        num, den = form
-        head = f"x^{self.claimed_type.d - self.k} * ({num})"
+        num, den = _closed_form(self.family, self.params)
+        head = f"x^{self.degree - self.k} * ({num})"
         return head if den == Poly.one() else f"{head} / ({den})"
 
     def to_json(self) -> dict:
@@ -237,37 +230,37 @@ class BelyiMap:
     @classmethod
     def from_json(cls, data: dict) -> "BelyiMap":
         """Read a map record; raises ValueError when a field is malformed or
-        the stated degree or params disagree with f."""
-        f = RatFunc.from_json(json_field(data, "f", "map"))
+        disagrees with the map.
+
+        A member of a named family is its (family, d, k): it is rebuilt from
+        them, and every stored field, and every field the writer writes,
+        must be what the rebuilt map writes.  A custom map is read from f,
+        with an optional stated degree and claimed type.
+        """
+        f = json_field(data, "f", "map")
         family = data.get("family", "custom")
-        k = data.get("k")
-        d = data.get("d")
-        if d is not None and parse_int(d) != f.degree:
-            raise ValueError(f"stated degree {d} != map degree {f.degree}")
-        ct = data.get("type")
-        params = data.get("params")
-        m = cls(
-            f,
-            family,
-            None if k is None else parse_int(k),
-            None if ct is None else CombinatorialType.from_json(ct),
-            None if params is None else MapParams.from_json(params),
-        )
-        if m.params is not None:
-            form = None if m.claimed_type is None else _closed_form(family, m.k, m.params)
-            if form is None:
-                raise ValueError(f"params given for a {family} map without a closed form")
-            # before the shift below, whose length follows the stated d
-            if m.claimed_type.d != f.degree:
-                raise ValueError(f"type degree {m.claimed_type.d} != map degree {f.degree}")
-            # f is reduced with a monic denominator, and x^(d-k) num / den
-            # is reduced for every family member, so both sides agree
-            # once f is scaled by the leading coefficient of den
-            num, den = form
-            lead = den.lc
-            shifted = Poly((0,) * (m.claimed_type.d - m.k) + num.coeffs)
-            if not den or f.den * lead != den or f.num * lead != shifted:
-                raise ValueError("params do not describe f")
+        k = None if data.get("k") is None else parse_int(data["k"])
+        if family == "custom":
+            f = RatFunc.from_json(f)
+            d, ct = data.get("d"), data.get("type")
+            if d is not None and parse_int(d) != f.degree:
+                raise ValueError(f"stated degree {d} != map degree {f.degree}")
+            if data.get("params") is not None:
+                raise ValueError("params given for a custom map")
+            return cls(f, family, k, None if ct is None else CombinatorialType.from_json(ct))
+        fam = next((x for x in FAMILIES.values() if x.tag == family), None)
+        if fam is None:
+            raise ValueError(f"unknown family tag {family!r}")
+        d = parse_int(json_field(data, "d", "map"))
+        # the stated d bounds what the builder allocates, so it must match
+        # the stored f before anything of degree d is built
+        coeffs = [json_field(f, key, "f") for key in ("num", "den")]
+        if not all(isinstance(c, list) for c in coeffs):
+            raise ValueError(f"coefficients must be lists, not {f!r}")
+        if max(map(len, coeffs)) != d + 1:
+            raise ValueError(f"stated degree {d} != {max(map(len, coeffs)) - 1}, the stored f's")
+        m = fam.member(d, k)
+        check_stored(data, {**dict.fromkeys(data), **m.to_json()}, f"({family}, {d}, {k})")
         return m
 
 
@@ -344,7 +337,7 @@ def _family_member(
 ) -> BelyiMap:
     """The map x^(d-k) num / den of a single-cycle family's params; raises
     VerificationError unless it has its claimed type ct."""
-    num, den = _closed_form(family, k, params)
+    num, den = _closed_form(family, params)
     shifted = Poly((0,) * (ct.d - k) + num.coeffs)
     m = BelyiMap(RatFunc(shifted, den), family, k, ct, params)
     ok, diag = verify_single_cycle(m, ct)

@@ -122,3 +122,14 @@ def random_single_cycle_pair(
         s1 = Permutation.from_cycles(d, [rng.sample(range(1, d + 1), e1)])
         if is_transitive([s0, s1]):
             return make_gensys(s0, s1)
+
+
+def json_paths(value, path=()):
+    """Every path to a value inside a JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from json_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from json_paths(item, path + (i,))

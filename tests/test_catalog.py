@@ -1,5 +1,6 @@
 """Catalog records: cross-checked bundles and the JSONL writer."""
 
+import copy
 import dataclasses
 import io
 import json
@@ -10,6 +11,7 @@ import pytest
 from belyi import (
     BelyiMap,
     CombinatorialType,
+    ParameterOutOfRangeError,
     Permutation,
     Poly,
     RatFunc,
@@ -26,6 +28,8 @@ from belyi import (
     valid_types,
     write_catalog,
 )
+from belyi.families import FAMILY_TAGS
+from helpers import json_paths
 
 
 def test_family_map_for_type_polynomial_side():
@@ -108,6 +112,16 @@ def test_record_for_family():
 
     with pytest.raises(ValueError):
         TriptychRecord.for_family("mystery", 5)
+
+
+@pytest.mark.parametrize(
+    "family, k",
+    [("poly", None), ("symmetric", None), ("power", 3), ("chebyshev", 1)],
+)
+def test_record_for_family_takes_k_exactly_when_the_family_does(family, k):
+    # no silent default for a missing k, and no k ignored
+    with pytest.raises(ParameterOutOfRangeError, match="parameter k"):
+        TriptychRecord.for_family(family, 7, k)
 
 
 def test_validate_rejects_the_swapped_chebyshev_triple():
@@ -313,16 +327,18 @@ def test_record_type_is_derived_from_the_triple():
 
 
 def test_record_json_rejects_a_map_of_another_type():
-    # the map is of (3, 4, 6) whatever it states; validate() compares its
-    # profile with the cycle types only, so a misstated type would round-trip
+    # validate() compares the map's profile with the cycle types only, so a
+    # map of another type must be refused on reading
     data = TriptychRecord.for_type(CombinatorialType.from_indices(3, 4, 6)).to_json()
-    data["map"]["type"] = CombinatorialType.from_indices(4, 3, 6).to_json()
+    other = TriptychRecord.for_type(CombinatorialType.from_indices(4, 3, 6)).to_json()
     with pytest.raises(ValueError, match=r"map type \(4, 3, 6\) differs from record type \(3, 4, 6\)"):
-        TriptychRecord.from_json(data)
-    # a map without a type of its own stays allowed (params need one)
-    data["map"]["type"] = None
-    del data["map"]["params"]
-    TriptychRecord.from_json(data).validate()
+        TriptychRecord.from_json(dict(data, map=other["map"]))
+    # a family map's type is its (family, d, k)'s, so a misstated or a
+    # missing one is refused like any other stored field
+    for ct in (other["type"], None):
+        data["map"]["type"] = ct
+        with pytest.raises(ValueError, match="stored type"):
+            TriptychRecord.from_json(data)
 
 
 def test_record_json_reads_the_degree_from_the_cycles():
@@ -344,6 +360,71 @@ def test_record_json_rejects_a_record_that_is_not_an_object():
     data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
     with pytest.raises(ValueError, match="record must be an object"):
         TriptychRecord.from_json([data])
+
+
+_MAP_LABELS = {("map", key) for key in ("family", "d", "k")}
+_MAP_LABELS |= {("map", "f", key) for key in ("num", "den")}
+
+
+def test_fuzzed_records_read_as_a_record_or_a_value_error():
+    # each record is a good one with one to three values replaced by other
+    # JSON or deleted, the map's family, d and k among them; reading must
+    # give a record or ValueError, and validate() a verdict, never a crash
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    buf = io.StringIO()
+    write_catalog(6, buf)
+    good = [json.loads(line) for line in buf.getvalue().splitlines()]
+    good += [
+        TriptychRecord.for_family(family, 7, k).to_json()
+        for family, k in (("power", None), ("chebyshev", None), ("symmetric", 2))
+    ]
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(-2, 12)
+        | st.integers()
+        | st.floats()
+        | st.text(max_size=4)
+        | st.sampled_from([*FAMILY_TAGS, "0", "-1", "2/3", "1/0"])
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(good), st.data())
+    def check(record, data):
+        record = copy.deepcopy(record)
+        for _ in range(data.draw(st.integers(1, 3))):
+            # half the draws go to what the map reader rebuilds from or checks
+            # before it builds
+            paths = list(json_paths(record))
+            labels = [p for p in paths if p in _MAP_LABELS] or paths
+            where = data.draw(st.sampled_from(paths) | st.sampled_from(labels))
+            if not where:
+                record = data.draw(values)
+                continue
+            parent = record
+            for key in where[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                parent.pop(where[-1], None)
+            else:
+                parent[where[-1]] = data.draw(values)
+        try:
+            rec = TriptychRecord.from_json(record)
+        except ValueError:
+            return
+        try:
+            rec.validate()
+        except VerificationError:
+            pass
+
+    check()
 
 
 def test_iter_catalog_order_and_size():

@@ -9,8 +9,16 @@ import sys
 
 import pytest
 
-from belyi import chebyshev_map, power_map, single_cycle_polynomial, symmetric_single_cycle
+from belyi import (
+    BelyiMap,
+    TriptychRecord,
+    chebyshev_map,
+    power_map,
+    single_cycle_polynomial,
+    symmetric_single_cycle,
+)
 from belyi.cli import FAIL, INTERNAL, PASS, USAGE, main
+from helpers import json_paths
 
 POLY_5_2_TEXT = """\
 family: single-cycle polynomial
@@ -95,6 +103,14 @@ def test_construct_missing_k(capsys):
     assert "--k is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["power", "chebyshev"])
+def test_construct_refuses_a_stray_k(capsys, family):
+    assert main(["construct", family, "--d", "5", "--k", "3"]) == USAGE
+    captured = capsys.readouterr()
+    assert "--k is not taken" in captured.err
+    assert captured.out == ""
+
+
 def test_construct_out_of_range(capsys):
     assert main(["construct", "poly", "--d", "5", "--k", "4"]) == USAGE
     assert "error:" in capsys.readouterr().err
@@ -109,9 +125,28 @@ def test_verify_pass(capsys, good_map):
 
 
 def test_verify_explicit_type_overrides(capsys, good_map):
-    assert main(["verify", good_map, "--type", "3,3,4"]) == FAIL
+    # (4; 3, 3, 3) is a type, of another degree than the (5; 3, 3, 5) map
+    assert main(["verify", good_map, "--type", "3,3,3"]) == FAIL
     out = capsys.readouterr().out
-    assert "claimed type (3, 3, 4): FAIL - e_inf mismatch: expected 4, found 5" in out
+    assert "claimed type (3, 3, 3): FAIL - e_inf mismatch: expected 3, found 5" in out
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("3,3,4", "sum to 10, which is even"),
+        ("0,0,0", "sum to 0, which is even"),
+        ("1,1,1", "degree must be at least 3"),
+        ("2,2,7", "outside the valid range"),
+    ],
+)
+def test_verify_refuses_a_type_that_does_not_exist(capsys, good_map, spec, message):
+    # a usage error, like `belyi dessin` on the same spec, not a verdict
+    assert main(["verify", good_map, "--type", spec]) == USAGE
+    captured = capsys.readouterr()
+    assert "verify: bad --type: " in captured.err
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_verify_not_belyi(capsys, tmp_path):
@@ -198,19 +233,39 @@ def test_verify_rejects_params_of_the_wrong_shape(capsys, tmp_path, params):
     path.write_text(json.dumps(data))
     assert main(["verify", str(path)]) == USAGE
     captured = capsys.readouterr()
-    assert "params must be an object with a list a" in captured.err
+    assert "stored params" in captured.err
     assert captured.out == ""
 
 
-def _json_paths(value, path=()):
-    """Every path to a value inside a JSON document, the root included."""
-    yield path
-    if isinstance(value, dict):
-        for key, item in value.items():
-            yield from _json_paths(item, path + (key,))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            yield from _json_paths(item, path + (i,))
+@pytest.mark.parametrize(
+    "family, k, relabel",
+    [
+        ("poly", 2, {"k": 1, "params": None}),  # None: the field is deleted
+        ("power", None, {"family": "chebyshev"}),
+        ("poly", 2, {"k": 7, "params": None}),
+    ],
+    ids=["poly-k1-without-params", "power-as-chebyshev", "poly-k7-without-params"],
+)
+def test_a_relabelled_family_map_is_refused(capsys, tmp_path, family, k, relabel):
+    # a family map is rebuilt from its stated (family, d, k), so labels that
+    # name another member than the stored f cannot be read back
+    record = TriptychRecord.for_family(family, 5, k).to_json()
+    data = record["map"]
+    for key, value in relabel.items():
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    with pytest.raises(ValueError):
+        BelyiMap.from_json(data)
+    with pytest.raises(ValueError):
+        TriptychRecord.from_json(record)
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert "malformed map record" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_fuzzed_map_records_exit_with_a_verdict_or_usage(tmp_path):
@@ -249,7 +304,7 @@ def test_verify_fuzzed_map_records_exit_with_a_verdict_or_usage(tmp_path):
     def check(record, data):
         record = copy.deepcopy(record)
         for _ in range(data.draw(st.integers(1, 3))):
-            where = data.draw(st.sampled_from(list(_json_paths(record))))
+            where = data.draw(st.sampled_from(list(json_paths(record))))
             if not where:
                 record = data.draw(values)
                 continue

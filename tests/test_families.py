@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -306,11 +307,20 @@ def test_belyi_map_json_rejects_params_that_do_not_describe_f():
             BelyiMap.from_json(dict(good, params=params))
     for good in (poly, sym):
         assert BelyiMap.from_json(dict(good)).to_json() == good
-    # a type of another degree is refused before x^(d-k) is built, whose
-    # length would follow the stated d
-    far = {"d": 10**6, "e0": 10**6 - 2, "e1": 3, "eInf": 10**6}
-    with pytest.raises(ValueError, match="type degree 1000000 != map degree 5"):
-        BelyiMap.from_json(dict(poly, type=far))
+
+
+def test_belyi_map_json_checks_the_stated_degree_before_building():
+    # a family map is rebuilt from its stated (family, d, k); a d that the
+    # stored f does not have is refused before anything of degree d exists
+    poly = single_cycle_polynomial(5, 2).to_json()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="stated degree 1000000 != 5"):
+            BelyiMap.from_json(dict(poly, d=10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_belyi_map_misc():

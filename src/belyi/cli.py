@@ -18,14 +18,8 @@ import sys
 
 from .catalog import TriptychRecord, write_catalog
 from .dessin import dessin_from_gensys
-from .families import (
-    FAMILIES,
-    BelyiMap,
-    ParameterOutOfRangeError,
-    VerificationError,
-    verify_single_cycle,
-)
-from .gensys import CombinatorialType, InvalidTypeError, canonical_single_cycle
+from .families import FAMILIES, BelyiMap, VerificationError, verify_single_cycle
+from .gensys import CombinatorialType, canonical_single_cycle
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -219,7 +213,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "enumerate":
             return _cmd_enumerate(args)
         raise RuntimeError(f"unhandled command {args.command!r}")
-    except (ParameterOutOfRangeError, InvalidTypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except VerificationError as exc:

@@ -1,9 +1,8 @@
 """Generating systems: transitive permutation triples with product one.
 
 A generating system (sigma0, sigma1, sigmaInf) encodes the monodromy of a
-Belyi map around 0, 1, and infinity.  sigmaInf is always derived so that
-sigma0 * sigma1 * sigmaInf is the identity under the left-to-right
-composition convention.
+Belyi map around 0, 1, and infinity, with sigma0 * sigma1 * sigmaInf the
+identity under the left-to-right composition convention.
 """
 
 from __future__ import annotations
@@ -171,31 +170,30 @@ def make_gensys(sigma0: Permutation, sigma1: Permutation) -> GeneratingSystem:
 
 
 def power_gensys(d: int) -> GeneratingSystem:
-    """The cyclic triple of x^d: a d-cycle, the identity, and the inverse d-cycle."""
+    """The cyclic triple of x^d: (1 2 ... d), the identity, and (1 d ... 2)."""
     if d < 1:
         raise ValueError("degree must be at least 1")
-    full = Permutation.from_cycles(d, [range(1, d + 1)])
-    return make_gensys(full, Permutation.identity(d))
+    s0 = Permutation.from_cycles(d, [range(1, d + 1)])
+    s_inf = Permutation.from_cycles(d, [(1, *range(d, 1, -1))])
+    return GeneratingSystem(s0, Permutation.identity(d), s_inf)
 
 
 def chebyshev_gensys(d: int) -> GeneratingSystem:
     """The path triple: adjacent transpositions interleaved on 1..d.
 
-    sigma0 pairs (1 2)(3 4)..., sigma1 pairs (2 3)(4 5)...; the chains stop
-    where parity forces them to, which is exactly the assignment that makes
-    sigmaInf a full d-cycle (asserted).  This is the monodromy of
-    (T_d + 1)/2 itself: for even d its fiber over 0 is d/2 double points,
-    as sigma0 is d/2 transpositions.
+    sigma0 pairs (1 2)(3 4)..., sigma1 pairs (2 3)(4 5)..., and sigmaInf is
+    (1 2 4 6 ... 5 3): 1, the evens going up, then the odds above 1 coming
+    down, so a d-cycle.  This is the monodromy of (T_d + 1)/2 itself: for
+    even d its fiber over 0 is d/2 double points, as sigma0 is d/2
+    transpositions.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
     s0 = Permutation.from_cycles(d, [(i, i + 1) for i in range(1, d, 2)])
     s1 = Permutation.from_cycles(d, [(i, i + 1) for i in range(2, d, 2)])
-    gs = make_gensys(s0, s1)
-    nt = gs.sigma_inf.nontrivial_cycles()
-    if len(nt) != 1 or len(nt[0]) != d:
-        raise RuntimeError(f"sigmaInf is not a {d}-cycle for the path triple")
-    return gs
+    odds_down = reversed(range(3, d + 1, 2))
+    s_inf = Permutation.from_cycles(d, [(1, *range(2, d + 1, 2), *odds_down)])
+    return GeneratingSystem(s0, s1, s_inf)
 
 
 def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
@@ -204,18 +202,18 @@ def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
     sigma0 is the descending cycle (d, d-1, ..., d-e0+1) on the top e0
     points and sigma1 the ascending cycle (1, 2, ..., e1) on the bottom e1
     points.  The supports overlap in e0 + e1 - d >= 1 points, so the pair is
-    transitive, and the relative orientation makes sigma0 * sigma1 a single
-    eInf-cycle, giving genus zero.  (With both cycles ascending the product
-    is a full d-cycle instead, which has the wrong genus whenever
-    eInf < d.)
+    transitive.  sigmaInf is (1, e1+1, ..., d, d-e0+1, d-e0, ..., 2), one
+    cycle of length 1 + (d-e1) + (d-e0) = eInf, because its two runs are
+    disjoint when e0 + e1 > d; so the triple has type ct and genus zero.
+    The relative orientation matters: with both cycles ascending the
+    product is a full d-cycle instead, which has the wrong genus whenever
+    eInf < d.
     """
     d, e0, e1 = ct.d, ct.e0, ct.e1
     s0 = Permutation.from_cycles(d, [range(d, d - e0, -1)])
     s1 = Permutation.from_cycles(d, [range(1, e1 + 1)])
-    gs = make_gensys(s0, s1)
-    if gs.single_cycle_type() != ct:
-        raise RuntimeError(f"canonical triple failed to realize type {ct}")
-    return gs
+    runs = (*range(e1 + 1, d + 1), *range(d - e0 + 1, 1, -1))
+    return GeneratingSystem(s0, s1, Permutation.from_cycles(d, [(1, *runs)]))
 
 
 def equivalent(a: GeneratingSystem, b: GeneratingSystem) -> bool:

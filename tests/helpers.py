@@ -124,6 +124,11 @@ def random_single_cycle_pair(
             return make_gensys(s0, s1)
 
 
+# the fields of a family map record that its reader rebuilds the map from,
+# or checks before it builds; the fuzzes send half their mutations here
+MAP_LABELS = {("family",), ("d",), ("k",), ("f", "num"), ("f", "den")}
+
+
 def json_paths(value, path=()):
     """Every path to a value inside a JSON document, the root included."""
     yield path

@@ -29,7 +29,7 @@ from belyi import (
     write_catalog,
 )
 from belyi.families import FAMILY_TAGS
-from helpers import json_paths
+from helpers import MAP_LABELS, json_paths
 
 
 def test_family_map_for_type_polynomial_side():
@@ -362,8 +362,7 @@ def test_record_json_rejects_a_record_that_is_not_an_object():
         TriptychRecord.from_json([data])
 
 
-_MAP_LABELS = {("map", key) for key in ("family", "d", "k")}
-_MAP_LABELS |= {("map", "f", key) for key in ("num", "den")}
+_MAP_LABELS = {("map", *label) for label in MAP_LABELS}
 
 
 def test_fuzzed_records_read_as_a_record_or_a_value_error():
@@ -400,8 +399,6 @@ def test_fuzzed_records_read_as_a_record_or_a_value_error():
     def check(record, data):
         record = copy.deepcopy(record)
         for _ in range(data.draw(st.integers(1, 3))):
-            # half the draws go to what the map reader rebuilds from or checks
-            # before it builds
             paths = list(json_paths(record))
             labels = [p for p in paths if p in _MAP_LABELS] or paths
             where = data.draw(st.sampled_from(paths) | st.sampled_from(labels))

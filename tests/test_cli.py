@@ -18,7 +18,7 @@ from belyi import (
     symmetric_single_cycle,
 )
 from belyi.cli import FAIL, INTERNAL, PASS, USAGE, main
-from helpers import json_paths
+from helpers import MAP_LABELS, json_paths
 
 POLY_5_2_TEXT = """\
 family: single-cycle polynomial
@@ -268,10 +268,37 @@ def test_a_relabelled_family_map_is_refused(capsys, tmp_path, family, k, relabel
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "value", [None, 5, True, 1.5], ids=["null", "int", "bool", "float"]
+)
+def test_a_family_map_with_non_list_coefficients_is_refused(capsys, tmp_path, value):
+    # the family-map reader checks f's shape before it compares degrees or
+    # rebuilds, so f.num or f.den that is not a list is a malformed record
+    path = tmp_path / "bad.json"
+    for m in (
+        single_cycle_polynomial(5, 2),
+        symmetric_single_cycle(6, 2),
+        power_map(4),
+        chebyshev_map(5),
+    ):
+        for key in ("num", "den"):
+            data = m.to_json()
+            data["f"][key] = value
+            with pytest.raises(ValueError, match="coefficients must be lists"):
+                BelyiMap.from_json(data)
+            path.write_text(json.dumps(data))
+            assert main(["verify", str(path)]) == USAGE
+            captured = capsys.readouterr()
+            assert "malformed map record" in captured.err
+            assert "internal error" not in captured.err
+            assert captured.out == ""
+
+
 def test_verify_fuzzed_map_records_exit_with_a_verdict_or_usage(tmp_path):
     # each record is a good one with one to three values replaced by other
-    # JSON or deleted; whatever the result, it must be read as a verdict or
-    # as a malformed record, never as a crash
+    # JSON or deleted, half of them in the fields the reader rebuilds from;
+    # whatever the result, it must be read as a verdict or as a malformed
+    # record, never as a crash
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     good = [
@@ -304,7 +331,9 @@ def test_verify_fuzzed_map_records_exit_with_a_verdict_or_usage(tmp_path):
     def check(record, data):
         record = copy.deepcopy(record)
         for _ in range(data.draw(st.integers(1, 3))):
-            where = data.draw(st.sampled_from(list(json_paths(record))))
+            paths = list(json_paths(record))
+            labels = [p for p in paths if p in MAP_LABELS] or paths
+            where = data.draw(st.sampled_from(paths) | st.sampled_from(labels))
             if not where:
                 record = data.draw(values)
                 continue

@@ -173,11 +173,23 @@ def test_canonical_triple_large_overlap_example():
 
 
 def test_canonical_triple_realizes_every_type():
-    for d in range(3, 13):
+    # each builder states its sigmaInf; make_gensys derives it as the
+    # oracle, and single_cycle_type reads the type back from the cycles
+    for d in range(3, 41):
         for ct in valid_types(d):
             gs = canonical_single_cycle(ct)
+            assert gs == make_gensys(gs.sigma0, gs.sigma1)
             assert gs.single_cycle_type() == ct
-            assert gs.genus() == 0
+    for d in range(1, 151):
+        gs = power_gensys(d)
+        assert gs == make_gensys(gs.sigma0, gs.sigma1)
+        if d >= 3:
+            gs = chebyshev_gensys(d)
+            assert gs == make_gensys(gs.sigma0, gs.sigma1)
+    # a stated sigmaInf that is not the inverse product is refused
+    gs = canonical_single_cycle(CombinatorialType(5, 3, 3, 5))
+    with pytest.raises(ValueError, match="not the identity"):
+        GeneratingSystem(gs.sigma0, gs.sigma1, gs.sigma_inf.inverse())
 
 
 def test_single_cycle_type_round_trip_json():

@@ -136,27 +136,25 @@ def ramification_profile(f: "RatFunc | BelyiMap") -> RamificationProfile:
 
 @dataclass(frozen=True)
 class MapParams:
-    """Closed-form family data: the inner coefficients a and, for the
-    polynomial family, the normalizing constant c."""
+    """How a single-cycle family writes its map x^(d-k) num / den: the inner
+    coefficients a and, for the polynomial family, the normalizing constant c."""
 
     c: Fraction | None
     a: tuple[Fraction, ...]
+
+    def closed_form(self) -> tuple[Poly, Poly]:
+        """(num, den): c (a0 x^k + ... + a_k) over 1 when c is given, else
+        den = sum (-1)^i a_i x^i over its coefficient reversal num."""
+        if self.c is not None:
+            return Poly([self.c * x for x in reversed(self.a)]), Poly.one()
+        den = Poly([(-1) ** i * x for i, x in enumerate(self.a)])
+        return den.reverse(), den
 
     def to_json(self) -> dict:
         out: dict = {"a": [format_rational(x) for x in self.a]}
         if self.c is not None:
             out["c"] = format_rational(self.c)
         return out
-
-
-def _closed_form(family: str, params: MapParams) -> tuple[Poly, Poly]:
-    """(num, den) with f = x^(d-k) * num / den, built from the params of a
-    member of one of the two single-cycle families."""
-    a = params.a
-    if family == "single-cycle-poly":
-        return Poly([params.c * x for x in reversed(a)]), Poly.one()
-    den = Poly([(-1) ** i * x for i, x in enumerate(a)])
-    return den.reverse(), den
 
 
 class BelyiMap:
@@ -215,7 +213,7 @@ class BelyiMap:
         """Human-readable closed form for the two single-cycle families."""
         if self.params is None:
             return None
-        num, den = _closed_form(self.family, self.params)
+        num, den = self.params.closed_form()
         head = f"x^{self.degree - self.k} * ({num})"
         return head if den == Poly.one() else f"{head} / ({den})"
 
@@ -332,14 +330,31 @@ def chebyshev_map(d: int) -> BelyiMap:
     return m
 
 
+def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
+    """The normalized map of type (d; e0, e1, eInf), m = d - e0, n = d - eInf:
+
+        f = (Q(1) / P(1)) x^e0 P(x) / Q(x),
+        P = 2F1(-m, d+1-e1; e0+1; x),  Q = 2F1(-n, -d; 1-e0; x).
+
+    P/Q is the [m/n] Pade approximant of x^(-e0) at x = 1 (Baker &
+    Graves-Morris, Pade Approximants, 2nd ed., 1996).  It is built over the
+    integers, as u = perm(d, m) P and v = perm(e0-1, n) Q, and divided once.
+    """
+    d, e0, e1, e_inf = ct.d, ct.e0, ct.e1, ct.e_inf
+    m, n = d - e0, d - e_inf
+    u = [(-1) ** j * math.comb(m, j) * math.perm(d - e1 + j, j) * math.perm(d, m - j)
+         for j in range(m + 1)]
+    v = [(-1) ** j * math.comb(n, j) * math.perm(d, j) * math.perm(e0 - 1 - j, n - j)
+         for j in range(n + 1)]
+    return RatFunc(Poly([0] * e0 + [sum(v) * x for x in u]), Poly([sum(u) * x for x in v]))
+
+
 def _family_member(
-    family: str, ct: CombinatorialType, k: int, params: MapParams
+    family: str, ct: CombinatorialType, k: int, f: RatFunc, params: MapParams
 ) -> BelyiMap:
-    """The map x^(d-k) num / den of a single-cycle family's params; raises
-    VerificationError unless it has its claimed type ct."""
-    num, den = _closed_form(family, params)
-    shifted = Poly((0,) * (ct.d - k) + num.coeffs)
-    m = BelyiMap(RatFunc(shifted, den), family, k, ct, params)
+    """The family's map f with its params; raises VerificationError unless
+    f has its claimed type ct."""
+    m = BelyiMap(f, family, k, ct, params)
     ok, diag = verify_single_cycle(m, ct)
     if not ok:
         raise VerificationError(f"{family} map (d, k) = ({ct.d}, {k}): {diag}")
@@ -347,48 +362,33 @@ def _family_member(
 
 
 def single_cycle_polynomial(d: int, k: int) -> BelyiMap:
-    """The polynomial family c x^(d-k) (a0 x^k + ... + a_{k-1} x + a_k) with
-
-        a_i = (-1)^(k-i) / (d - i) * binom(k, i),
-        c   = (1/k!) * prod_{j=0..k} (d - j),
-
-    of combinatorial type (d-k, k+1, d): the derivative is a constant times
-    x^(d-k-1) (x-1)^k, so 0 and 1 are the only finite critical points.
+    """The map of type (d-k, k+1, d), a polynomial since eInf = d, which the
+    family writes as c x^(d-k) (a0 x^k + ... + a_k) with a_k = 1/(d-k).  Its
+    derivative is a constant times x^(d-k-1) (x-1)^k.
     """
     if d < 3 or not 1 <= k < d - 1:
         raise ParameterOutOfRangeError(
             f"(d, k) = ({d}, {k}) outside d >= 3, 1 <= k <= d - 2"
         )
-    a = tuple(
-        Fraction((-1) ** (k - i) * math.comb(k, i), d - i) for i in range(k + 1)
-    )
-    c = Fraction(math.prod(range(d - k, d + 1)), math.factorial(k))
     ct = CombinatorialType(d, d - k, k + 1, d)
-    return _family_member("single-cycle-poly", ct, k, MapParams(c, a))
-
-
-def _symmetric_coeffs(d: int, k: int) -> tuple[int, ...]:
-    """a_i = k! * binom(d, i) * binom(d-k-i-1, k-i) for 0 <= i <= k."""
-    kf = math.factorial(k)
-    return tuple(
-        kf * math.comb(d, i) * math.comb(d - k - i - 1, k - i) for i in range(k + 1)
-    )
+    f = _single_cycle_map(ct)
+    c = (d - k) * f.num.coeffs[d - k]
+    a = tuple(f.num.coeffs[d - i] / c for i in range(k + 1))
+    return _family_member("single-cycle-poly", ct, k, f, MapParams(c, a))
 
 
 def symmetric_single_cycle(d: int, k: int) -> BelyiMap:
-    """The self-reciprocal family x^(d-k) N(x) / D(x) of type
-    (d-k, 2k+1, d-k), where D has ascending coefficients (-1)^i a_i and N is
-    the coefficient reversal of D, so that f(1/x) f(x) = 1, with
-
-        a_i = k! * binom(d, i) * binom(d-k-i-1, k-i).
-
-    The type constraint e1 = 2k + 1 <= d bounds k at (d - 1) / 2; beyond
-    that the leading coefficients vanish and the formula degenerates.
+    """The map of type (d-k, 2k+1, d-k), with f(1/x) f(x) = 1 since e0 = eInf,
+    which the family writes as x^(d-k) N(x) / D(x): D has ascending
+    coefficients (-1)^i a_i with a_k = k! binom(d, k), and N is D reversed.
+    The type constraint e1 = 2k + 1 <= d bounds k at (d - 1) / 2.
     """
     if d < 3 or not 1 <= k or 2 * k + 1 > d:
         raise ParameterOutOfRangeError(
             f"(d, k) = ({d}, {k}) outside d >= 3, 1 <= k <= (d - 1) / 2"
         )
-    a = tuple(Fraction(x) for x in _symmetric_coeffs(d, k))
     ct = CombinatorialType(d, d - k, 2 * k + 1, d - k)
-    return _family_member("symmetric-single-cycle", ct, k, MapParams(None, a))
+    f = _single_cycle_map(ct)
+    scale = (-1) ** k * math.factorial(k) * math.comb(d, k)
+    a = tuple((-1) ** i * scale * x for i, x in enumerate(f.den.coeffs))
+    return _family_member("symmetric-single-cycle", ct, k, f, MapParams(None, a))

@@ -3,6 +3,7 @@ functions, shared across the test modules."""
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -63,6 +64,25 @@ def substitute_reciprocal(f: RatFunc) -> RatFunc:
     """The composite f(1/x), reduced."""
     k = max(f.num.degree, f.den.degree, 0)
     return RatFunc(f.num.reverse(k), f.den.reverse(k))
+
+
+def poly_params(d: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The polynomial family's own formulas for (c, a), kept as an oracle:
+
+        a_i = (-1)^(k-i) / (d - i) * binom(k, i),
+        c   = (1/k!) * prod_{j=0..k} (d - j).
+    """
+    a = tuple(Fraction((-1) ** (k - i) * math.comb(k, i), d - i) for i in range(k + 1))
+    return Fraction(math.prod(range(d - k, d + 1)), math.factorial(k)), a
+
+
+def symmetric_coeffs(d: int, k: int) -> tuple[int, ...]:
+    """The symmetric family's own formula, kept as an oracle:
+    a_i = k! * binom(d, i) * binom(d-k-i-1, k-i) for 0 <= i <= k."""
+    kf = math.factorial(k)
+    return tuple(
+        kf * math.comb(d, i) * math.comb(d - k - i - 1, k - i) for i in range(k + 1)
+    )
 
 
 def random_permutation(rng: random.Random, d: int) -> Permutation:

@@ -424,6 +424,18 @@ def test_fuzzed_records_read_as_a_record_or_a_value_error():
     check()
 
 
+def test_a_record_whose_map_has_non_list_coefficients_is_refused():
+    # the derandomized fuzz above draws other examples as other test modules
+    # are collected, and in the whole suite none of them reaches this case
+    data = TriptychRecord.for_family("symmetric", 7, 2).to_json()
+    for key in ("num", "den"):
+        for value in (None, 5, True, 1.5):
+            bad = copy.deepcopy(data)
+            bad["map"]["f"][key] = value
+            with pytest.raises(ValueError, match="coefficients must be lists"):
+                TriptychRecord.from_json(bad)
+
+
 def test_iter_catalog_order_and_size():
     recs = list(iter_catalog(5))
     assert len(recs) == 3 + 7 + 12

@@ -22,10 +22,17 @@ from belyi import (
     ramification_profile,
     single_cycle_polynomial,
     symmetric_single_cycle,
+    valid_types,
     verify_single_cycle,
 )
 from belyi import families
-from helpers import ProjectivePoint, evaluate, substitute_reciprocal
+from helpers import (
+    ProjectivePoint,
+    evaluate,
+    poly_params,
+    substitute_reciprocal,
+    symmetric_coeffs,
+)
 
 X = Poly.x()
 
@@ -211,10 +218,36 @@ def test_symmetric_coefficients_match_the_product_form():
     for d in range(3, 61):
         for k in range(1, (d - 1) // 2 + 1):
             oracle = tuple(_symmetric_coeff_product(d, k, i) for i in range(k + 1))
-            assert families._symmetric_coeffs(d, k) == oracle
+            assert symmetric_coeffs(d, k) == oracle
     assert symmetric_single_cycle(10, 2).params.a == tuple(
         Fraction(_symmetric_coeff_product(10, 2, i)) for i in range(3)
     )
+
+
+def test_both_families_are_the_one_map_of_their_type():
+    # each family's own coefficient formulas are the oracle: a member has
+    # their params, and its map is the one they assemble
+    for d in range(3, 41):
+        members = [
+            (single_cycle_polynomial(d, k), MapParams(*poly_params(d, k)))
+            for k in range(1, d - 1)
+        ] + [
+            (symmetric_single_cycle(d, k),
+             MapParams(None, tuple(map(Fraction, symmetric_coeffs(d, k)))))
+            for k in range(1, (d - 1) // 2 + 1)
+        ]
+        for m, params in members:
+            assert m.params == params
+            num, den = params.closed_form()
+            assert m.f == RatFunc(Poly.monomial(d - m.k) * num, den)
+    # the construction gives every type its map; the same map claimed as
+    # another type of its degree fails
+    for d in range(3, 13):
+        types = valid_types(d)
+        for i, ct in enumerate(types):
+            f = families._single_cycle_map(ct)
+            assert verify_single_cycle(f, ct) == (True, f"single-cycle of type {ct.indices}")
+            assert not verify_single_cycle(f, types[i - 1])[0]
 
 
 def test_symmetric_family_self_reciprocal():

@@ -13,6 +13,7 @@ Exit codes: 0 pass, 1 semantic failure (not Belyi / type mismatch),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,7 +25,10 @@ from .gensys import CombinatorialType, canonical_single_cycle
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="belyi",
         description="Single-cycle Belyi maps, generating systems, and dessins.",
@@ -47,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dot", "json"), default="dot")
 
     p = sub.add_parser("enumerate", help="write the catalog up to --dmax")
-    p.add_argument("--dmax", type=int, required=True, help="degree bound (3..30)")
+    p.add_argument("--dmax", type=int, required=True, help="degree bound (3..40)")
     p.add_argument("--out", required=True, help="output JSONL path")
     return parser
 
@@ -182,8 +186,8 @@ def _cmd_dessin(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 3 <= args.dmax <= 30:
-        print(f"enumerate: --dmax must be in 3..30, got {args.dmax}", file=sys.stderr)
+    if not 3 <= args.dmax <= 40:
+        print(f"enumerate: --dmax must be in 3..40, got {args.dmax}", file=sys.stderr)
         return USAGE
     try:
         with open(args.out, "w") as fh:

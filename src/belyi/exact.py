@@ -1,10 +1,11 @@
 """Exact scalar, polynomial, and rational-function arithmetic.
 
-Scalars are `fractions.Fraction`, polynomials are dense coefficient tuples
-over Fraction (ascending degree, no trailing zeros), and rational functions
-are stored reduced with a monic denominator.  Fraction is the view the API
-gives; gcd and squarefree decomposition scale to primitive integer
-coefficient lists once and run over the integers.  Nothing in this module
+Scalars are `fractions.Fraction` and polynomials are dense coefficient
+tuples over Fraction (ascending degree, no trailing zeros).  A rational
+function is stored reduced, as one pair of integer coefficient tuples with
+no common content and a positive leading denominator coefficient; its
+monic-denominator Fraction form is a view built on first use.  gcd and
+squarefree decomposition run over the integers.  Nothing in this module
 touches floating point, so every identity checked downstream is exact.
 """
 
@@ -349,8 +350,8 @@ def _prem(u: list[int], v: list[int]) -> list[int]:
     return u
 
 
-# a 61-bit prime: reduction modulo it bounds the degree of a gcd cheaply
-_P = (1 << 61) - 1
+# the largest prime below 2^30: a residue is one 30-bit CPython digit
+_P = (1 << 30) - 35
 
 
 def _coprime_mod_p(u: list[int], v: list[int]) -> bool:
@@ -359,7 +360,10 @@ def _coprime_mod_p(u: list[int], v: list[int]) -> bool:
     If _P divides neither leading coefficient, the gcd over the rationals
     keeps its degree modulo _P and divides both images there, so its degree
     is at most that of the gcd modulo _P: a constant there proves u and v
-    coprime.  False means only "not proven".
+    coprime.  False means only "not proven"; the caller then runs the PRS.
+    _P is below 2^30, so a residue is one CPython digit and a product of
+    two is two: the Euclid loop multiplies machine-sized integers, where a
+    61-bit prime's products take five digits.
     """
     if u[-1] % _P == 0 or v[-1] % _P == 0:
         return False
@@ -462,9 +466,15 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 class RatFunc:
-    """Rational function num/den, reduced, with monic denominator."""
+    """Rational function num/den in lowest terms.
 
-    __slots__ = ("num", "den")
+    Stored as one integer pair (N, D): ascending coefficient tuples, coprime,
+    with no content common to both and lc(D) > 0, so that equal functions
+    store equal pairs.  num and den, the monic-denominator Fraction form,
+    are a view of the pair built on first use.
+    """
+
+    __slots__ = ("pair", "_view")
 
     def __init__(self, num: Poly | Scalar, den: Poly | Scalar = 1):
         num = _as_poly(num)
@@ -472,45 +482,70 @@ class RatFunc:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            den = Poly.one()
+            n, d = [], [1]
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            scale = 1 / den.lc
-            num = num * scale
-            den = den * scale
-        self.num: Poly = num
-        self.den: Poly = den
+            # clear both denominators at once, then cancel the gcd and the content
+            scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+            n = [c.numerator * (scale // c.denominator) for c in num.coeffs]
+            d = [c.numerator * (scale // c.denominator) for c in den.coeffs]
+            g = _int_gcd(n, d)
+            if len(g) > 1:
+                n, d = _exact_quo(n, g), _exact_quo(d, g)
+            content = math.gcd(*n, *d) if d[-1] > 0 else -math.gcd(*n, *d)
+            n = [c // content for c in n]
+            d = [c // content for c in d]
+        self.pair: tuple[tuple[int, ...], tuple[int, ...]] = (tuple(n), tuple(d))
+        self._view: tuple[Poly, Poly] | None = None
+
+    def _monic_form(self) -> tuple[Poly, Poly]:
+        if self._view is None:
+            n, d = self.pair
+            self._view = (Poly([Fraction(c, d[-1]) for c in n]),
+                          Poly([Fraction(c, d[-1]) for c in d]))
+        return self._view
+
+    @property
+    def num(self) -> Poly:
+        return self._monic_form()[0]
+
+    @property
+    def den(self) -> Poly:
+        """The denominator, monic."""
+        return self._monic_form()[1]
 
     @property
     def degree(self) -> int:
         """Degree as a map of the projective line."""
-        return max(self.num.degree, self.den.degree)
+        return max(map(len, self.pair)) - 1
 
     @property
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
+        return self.degree <= 0
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return isinstance(other, RatFunc) and self.pair == other.pair
 
     def __hash__(self) -> int:
-        return hash(("RatFunc", self.num, self.den))
+        return hash(("RatFunc", self.pair))
 
     def __mul__(self, other: "RatFunc | Poly | Scalar") -> "RatFunc":
-        other = _as_ratfunc(other)
+        if not isinstance(other, RatFunc):
+            other = RatFunc(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        """{"num": [...], "den": [...]}, each coefficient of the monic form
+        as "p/q" or "p", written from one gcd with lc(D)."""
+        n, d = self.pair
+        lead = d[-1]
+
+        def text(c: int) -> str:
+            g = math.gcd(c, lead)
+            return str(c // g) if g == lead else f"{c // g}/{lead // g}"
+
+        return {"num": [text(c) for c in n], "den": [text(c) for c in d]}
 
     @classmethod
     def from_json(cls, data: dict) -> "RatFunc":
@@ -524,15 +559,9 @@ class RatFunc:
         return cls(Poly.from_json(data["num"]), den)
 
     def __str__(self) -> str:
-        if self.den == Poly.one():
+        if len(self.pair[1]) == 1:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
     def __repr__(self) -> str:
         return f"RatFunc({str(self)!r})"
-
-
-def _as_ratfunc(f: "RatFunc | Poly | Scalar") -> RatFunc:
-    if isinstance(f, RatFunc):
-        return f
-    return RatFunc(_as_poly(f))

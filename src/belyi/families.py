@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 from .exact import (
@@ -119,12 +120,13 @@ def ramification_profile(f: "RatFunc | BelyiMap") -> RamificationProfile:
     if f.is_constant:
         raise ValueError("constant map has no ramification profile")
     d = f.degree
+    num, den = f.pair
     prof = RamificationProfile(
         d,
-        _fiber_indices(f.num, d),
-        _fiber_indices(f.num - f.den, d),
+        _fiber_indices(Poly(num), d),
+        _fiber_indices(Poly([a - b for a, b in zip_longest(num, den, fillvalue=0)]), d),
         # d - deg D is the pole order of f at infinity
-        _fiber_indices(f.den, d),
+        _fiber_indices(Poly(den), d),
     )
     for name, fib in zip(("0", "1", "inf"), prof.fibers):
         if sum(fib) != d:
@@ -372,8 +374,9 @@ def single_cycle_polynomial(d: int, k: int) -> BelyiMap:
         )
     ct = CombinatorialType(d, d - k, k + 1, d)
     f = _single_cycle_map(ct)
-    c = (d - k) * f.num.coeffs[d - k]
-    a = tuple(f.num.coeffs[d - i] / c for i in range(k + 1))
+    num, (den,) = f.pair  # eInf = d: the denominator is a constant
+    c = Fraction((d - k) * num[d - k], den)
+    a = tuple(Fraction(num[d - i], (d - k) * num[d - k]) for i in range(k + 1))
     return _family_member("single-cycle-poly", ct, k, f, MapParams(c, a))
 
 
@@ -390,5 +393,6 @@ def symmetric_single_cycle(d: int, k: int) -> BelyiMap:
     ct = CombinatorialType(d, d - k, 2 * k + 1, d - k)
     f = _single_cycle_map(ct)
     scale = (-1) ** k * math.factorial(k) * math.comb(d, k)
-    a = tuple((-1) ** i * scale * x for i, x in enumerate(f.den.coeffs))
+    den = f.pair[1]
+    a = tuple(Fraction((-1) ** i * scale * x, den[-1]) for i, x in enumerate(den))
     return _family_member("symmetric-single-cycle", ct, k, f, MapParams(None, a))

@@ -437,7 +437,11 @@ def test_enumerate(capsys, tmp_path):
 def test_enumerate_dmax_bounds(capsys, tmp_path):
     out_path = str(tmp_path / "x.jsonl")
     assert main(["enumerate", "--dmax", "2", "--out", out_path]) == USAGE
-    assert main(["enumerate", "--dmax", "31", "--out", out_path]) == USAGE
+    assert main(["enumerate", "--dmax", "41", "--out", out_path]) == USAGE
+    assert "--dmax must be in 3..40, got 41" in capsys.readouterr().err
+    # 31, refused up to the cap of 30, is now written
+    assert main(["enumerate", "--dmax", "31", "--out", out_path]) == PASS
+    assert "d=31: 493 types\n" in capsys.readouterr().out
 
 
 def test_enumerate_has_no_dedup_flag(capsys, tmp_path):

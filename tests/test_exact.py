@@ -1,6 +1,7 @@
 """Exact arithmetic: hand-checked values first, then random-trial invariants,
 then sympy as an oracle for gcd and squarefree decomposition."""
 
+import io
 import math
 import random
 from fractions import Fraction
@@ -156,6 +157,60 @@ def test_ratfunc_reduces_and_normalizes():
     assert g.degree == 3
 
 
+def _monic_reference(sympy, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    # num/den cancelled by sympy over QQ, scaled so that the denominator is monic
+    def to_sympy(p: Poly):
+        coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        return sympy.Poly(coeffs or [0], sympy.Symbol("x"), domain=sympy.QQ)
+
+    n, d = to_sympy(num).cancel(to_sympy(den), include=True)
+
+    def back(q) -> Poly:
+        return Poly([Fraction(int(c.numerator), int(c.denominator))
+                     for c in reversed(q.quo_ground(d.LC()).all_coeffs())])
+
+    return back(n), back(d)
+
+
+def test_ratfunc_matches_a_monic_form_reference():
+    sympy = pytest.importorskip("sympy")
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8))
+    nonzero = rationals.filter(lambda c: c != 0)
+    polys = st.lists(rationals, min_size=0, max_size=4).map(Poly)
+    constants = nonzero.map(Poly.constant)
+    shared = st.sampled_from([Poly.one(), X, X - 1, 2 * X + 3, X * X + 1])
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(
+        st.one_of(polys, constants, st.just(Poly())),
+        st.one_of(polys, constants),
+        shared, nonzero, st.booleans(),
+    )
+    def check(a, b, g, content, negate):
+        # num = content * g * a and den = +-content * g * b: a shared factor,
+        # a shared content and, negated, a negative leading coefficient
+        hypothesis.assume(not b.is_zero)
+        num, den = content * g * a, content * g * b
+        if negate:
+            den = -den
+        f = RatFunc(num, den)
+        ref_num, ref_den = _monic_reference(sympy, num, den)
+        assert (f.num, f.den) == (ref_num, ref_den)
+        ref_str = str(ref_num) if ref_den == Poly.one() else f"({ref_num}) / ({ref_den})"
+        assert str(f) == ref_str
+        assert f.to_json() == {"num": [str(c) for c in ref_num.coeffs],
+                               "den": [str(c) for c in ref_den.coeffs]}
+        same = RatFunc(ref_num, ref_den)
+        assert f == same and hash(f) == hash(same)
+        assert f.degree == max(ref_num.degree, ref_den.degree, 0)
+        assert f != RatFunc(ref_num + ref_den, ref_den)  # f + 1
+
+    check()
+
+
 def test_ratfunc_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(X, Poly())
@@ -293,7 +348,9 @@ def test_poly_takes_only_exact_coefficients():
 
 def test_evaluate_rejects_an_unreduced_function():
     f = RatFunc(Poly.one(), X - 1)
-    f.num = X - 1  # bypass the reduction the constructor performs
+    # bypass the reduction the constructor performs: (x - 1) / (x - 1)
+    f.pair = ((-1, 1), (-1, 1))
+    assert f.num == f.den == X - 1
     with pytest.raises(ArithmeticError):
         evaluate(f, 1)
 
@@ -323,6 +380,28 @@ def test_gcd_falls_through_when_coprime_inputs_share_a_factor_mod_p():
     assert poly_gcd(X, X - _P) == Poly.one()
     assert poly_gcd(X * (X - 1), (X - _P) * (X - 1)) == X - 1
     assert squarefree_decomposition(X * (X - _P) ** 2) == [(X, 1), (X - _P, 2)]
+
+
+def test_the_modular_exit_decides_every_shipped_map(monkeypatch):
+    # an unlucky prime would send a gcd on to the PRS, which starts with _prem
+    import belyi.exact
+    from belyi import single_cycle_polynomial, symmetric_single_cycle, write_catalog
+
+    calls = []
+    prem = belyi.exact._prem
+    monkeypatch.setattr(belyi.exact, "_prem", lambda u, v: calls.append(1) or prem(u, v))
+    assert poly_gcd(X, X - belyi.exact._P) == Poly.one()  # the counter counts
+    assert calls
+    calls.clear()
+
+    counts = write_catalog(30, io.StringIO())
+    assert sum(counts.values()) == 4872
+    rng = random.Random(1431)
+    for _ in range(30):
+        d = rng.randint(31, 100)
+        assert single_cycle_polynomial(d, rng.randint(1, d - 2)).profile.is_belyi
+        assert symmetric_single_cycle(d, rng.randint(1, (d - 1) // 2)).profile.is_belyi
+    assert calls == []
 
 
 def _to_sympy(sympy, p: Poly):

@@ -41,18 +41,22 @@ def _build_parser() -> argparse.ArgumentParser:
     with_k = ", ".join(name for name, f in FAMILIES.items() if f.takes_k)
     p.add_argument("--k", type=int, help=f"family parameter ({with_k})")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p.set_defaults(run=_cmd_construct)
 
     p = sub.add_parser("verify", help="verify a map JSON file")
     p.add_argument("input", help="path to a map JSON file")
     p.add_argument("--type", help="claimed indices e0,e1,eInf")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("dessin", help="canonical dessin of a type")
     p.add_argument("typespec", help="indices e0,e1,eInf (degree is inferred)")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
+    p.set_defaults(run=_cmd_dessin)
 
     p = sub.add_parser("enumerate", help="write the catalog up to --dmax")
     p.add_argument("--dmax", type=int, required=True, help="degree bound (3..40)")
     p.add_argument("--out", required=True, help="output JSONL path")
+    p.set_defaults(run=_cmd_enumerate)
     return parser
 
 
@@ -208,15 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code else PASS
     try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "dessin":
-            return _cmd_dessin(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        raise RuntimeError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

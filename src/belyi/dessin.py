@@ -24,19 +24,21 @@ from .perm import Permutation, _cycle_tuples
 
 @dataclass(frozen=True)
 class DessinShape:
-    """Leaf and hub counts of a two-hub (double-star) dessin."""
+    """Leaf and edge counts of a two-hub (double-star) dessin: each white
+    leaf hangs off the black hub, each black leaf off the white hub, and
+    the parallel edges join the two hubs."""
 
     white_leaves: int
     black_leaves: int
     parallel_edges: int
-    black_hub_degree: int
-    white_hub_degree: int
 
-    def __post_init__(self):
-        if self.white_leaves + self.parallel_edges != self.black_hub_degree:
-            raise ValueError("white leaves + parallel edges != black hub degree")
-        if self.black_leaves + self.parallel_edges != self.white_hub_degree:
-            raise ValueError("black leaves + parallel edges != white hub degree")
+    @property
+    def black_hub_degree(self) -> int:
+        return self.white_leaves + self.parallel_edges
+
+    @property
+    def white_hub_degree(self) -> int:
+        return self.black_leaves + self.parallel_edges
 
     @property
     def diameter_vertices(self) -> int:
@@ -59,14 +61,12 @@ class DessinShape:
         }
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Dessin:
     """A connected bipartite ribbon graph with labeled edges 1..d, held as
     its generating system; ``from_cycles`` builds one from vertex cycles."""
 
-    __slots__ = ("gensys",)
-
-    def __init__(self, gs: GeneratingSystem):
-        self.gensys = gs
+    gensys: GeneratingSystem
 
     @classmethod
     def from_cycles(
@@ -101,12 +101,6 @@ class Dessin:
     @property
     def white(self) -> tuple[tuple[int, ...], ...]:
         return self.gensys.sigma1.cycles()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Dessin) and self.gensys == other.gensys
-
-    def __hash__(self) -> int:
-        return hash(("Dessin", self.gensys))
 
     def __repr__(self) -> str:
         return f"Dessin(d={self.d}, black={self.black}, white={self.white})"
@@ -172,24 +166,18 @@ class Dessin:
         return best + 1
 
     def shape(self) -> DessinShape | None:
-        """Leaf/hub counts for a two-hub dessin, None otherwise (NotTwoHub).
+        """Leaf/edge counts for a two-hub dessin, None otherwise (NotTwoHub).
 
         Requires exactly one black and one white vertex of degree >= 2; all
-        other vertices are leaves.
+        other vertices are leaves.  The dessin is connected, so no edge
+        joins two leaves, and every edge at neither a white nor a black
+        leaf joins the two hubs.
         """
         black, white = self.black, self.white
-        bhubs = [c for c in black if len(c) >= 2]
-        whubs = [c for c in white if len(c) >= 2]
-        if len(bhubs) != 1 or len(whubs) != 1:
+        if sum(len(c) >= 2 for c in black) != 1 or sum(len(c) >= 2 for c in white) != 1:
             return None
-        (bhub,), (whub,) = bhubs, whubs
-        return DessinShape(
-            white_leaves=len(white) - 1,
-            black_leaves=len(black) - 1,
-            parallel_edges=len(set(bhub) & set(whub)),
-            black_hub_degree=len(bhub),
-            white_hub_degree=len(whub),
-        )
+        white_leaves, black_leaves = len(white) - 1, len(black) - 1
+        return DessinShape(white_leaves, black_leaves, self.d - white_leaves - black_leaves)
 
     # ---- serialization -----------------------------------------------------
 

@@ -10,6 +10,7 @@ that class (two, respectively degenerate, critical values).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,6 +160,7 @@ class MapParams:
         return out
 
 
+@dataclass(frozen=True, repr=False)
 class BelyiMap:
     """A rational map tagged with its family and claimed combinatorial type.
 
@@ -166,47 +168,23 @@ class BelyiMap:
     their claimed type eagerly and refuse to return a map that fails.
     """
 
-    __slots__ = ("f", "family", "k", "claimed_type", "params", "_profile")
+    f: RatFunc
+    family: str = "custom"
+    k: int | None = None
+    claimed_type: CombinatorialType | None = None
+    params: MapParams | None = None
 
-    def __init__(
-        self,
-        f: RatFunc,
-        family: str = "custom",
-        k: int | None = None,
-        claimed_type: CombinatorialType | None = None,
-        params: MapParams | None = None,
-    ):
-        if family not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {family!r}")
-        self.f = f
-        self.family = family
-        self.k = k
-        self.claimed_type = claimed_type
-        self.params = params
-        self._profile: RamificationProfile | None = None
+    def __post_init__(self):
+        if self.family not in FAMILY_TAGS:
+            raise ValueError(f"unknown family tag {self.family!r}")
 
     @property
     def degree(self) -> int:
         return self.f.degree
 
-    @property
+    @functools.cached_property
     def profile(self) -> RamificationProfile:
-        if self._profile is None:
-            self._profile = ramification_profile(self.f)
-        return self._profile
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BelyiMap)
-            and self.f == other.f
-            and self.family == other.family
-            and self.k == other.k
-            and self.claimed_type == other.claimed_type
-            and self.params == other.params
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.f, self.family, self.k, self.claimed_type, self.params))
+        return ramification_profile(self.f)
 
     def __repr__(self) -> str:
         return f"BelyiMap({self.family}, d={self.degree}, f={self.f})"

@@ -158,3 +158,37 @@ def json_paths(value, path=()):
     elif isinstance(value, list):
         for i, item in enumerate(value):
             yield from json_paths(item, path + (i,))
+
+
+def shape_oracle(ds) -> dict | None:
+    """A two-hub dessin's shape as ``DessinShape.to_json`` writes it, read
+    straight off its hubs, or None unless each colour has exactly one
+    vertex of degree >= 2: the hub degrees are the hub cycle lengths, and
+    the parallel edges are the labels the two hubs share."""
+    bhubs = [c for c in ds.black if len(c) >= 2]
+    whubs = [c for c in ds.white if len(c) >= 2]
+    if len(bhubs) != 1 or len(whubs) != 1:
+        return None
+    (bhub,), (whub,) = bhubs, whubs
+    return {
+        "whiteLeaves": len(ds.white) - 1,
+        "blackLeaves": len(ds.black) - 1,
+        "parallelEdges": len(set(bhub) & set(whub)),
+        "blackHubDegree": len(bhub),
+        "whiteHubDegree": len(whub),
+    }
+
+
+def compose(f: RatFunc, g: RatFunc) -> RatFunc:
+    """The composite f(g(x)), reduced: with g = A/B and n = deg f, the
+    homogenized substitution sum p_i A^i B^(n-i) / sum q_i A^i B^(n-i)."""
+    a, b = g.num, g.den
+    n = f.degree
+
+    def homogenized(p: Poly) -> Poly:
+        out = Poly()
+        for i in range(p.degree + 1):
+            out = out + a ** i * b ** (n - i) * p.coeff(i)
+        return out
+
+    return RatFunc(homogenized(f.num), homogenized(f.den))

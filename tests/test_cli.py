@@ -357,10 +357,11 @@ def test_verify_fuzzed_map_records_exit_with_a_verdict_or_usage(tmp_path):
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     import belyi.cli
 
-    def crash(args):
+    def crash(gs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(belyi.cli, "_cmd_dessin", crash)
+    # the cached parser holds the handlers, so the crash goes one call below
+    monkeypatch.setattr(belyi.cli, "dessin_from_gensys", crash)
     assert main(["dessin", "3,3,5"]) == INTERNAL
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError('boom')\n"

@@ -16,7 +16,12 @@ from belyi import (
     power_gensys,
     valid_types,
 )
-from helpers import random_gensys, random_permutation, random_single_cycle_pair
+from helpers import (
+    random_gensys,
+    random_permutation,
+    random_single_cycle_pair,
+    shape_oracle,
+)
 
 
 def test_canonical_storage():
@@ -117,13 +122,8 @@ def test_shape_worked_example():
     # shared edge between the hubs
     ds = dessin_from_gensys(canonical_single_cycle(CombinatorialType(5, 3, 3, 5)))
     shape = ds.shape()
-    assert shape == DessinShape(
-        white_leaves=2,
-        black_leaves=2,
-        parallel_edges=1,
-        black_hub_degree=3,
-        white_hub_degree=3,
-    )
+    assert shape == DessinShape(white_leaves=2, black_leaves=2, parallel_edges=1)
+    assert (shape.black_hub_degree, shape.white_hub_degree) == (3, 3)
     assert ds.diameter_vertices() == 4
     assert ds.genus() == 0
 
@@ -146,18 +146,32 @@ def test_shape_counts_follow_type():
 def test_shape_is_none_off_family():
     # the degree-6 path has three white vertices of degree two
     ds = dessin_from_gensys(chebyshev_gensys(6))
-    assert ds.shape() is None
+    assert ds.shape() is None and shape_oracle(ds) is None
 
 
-def test_shape_invariant_validation():
-    with pytest.raises(ValueError):
-        DessinShape(
-            white_leaves=2,
-            black_leaves=2,
-            parallel_edges=1,
-            black_hub_degree=4,  # 2 + 1 != 4
-            white_hub_degree=3,
+def test_shape_counts_match_the_hub_oracle():
+    # the counts formula against the shared labels of the two hubs
+    dessins = [
+        dessin_from_gensys(canonical_single_cycle(ct))
+        for d in range(3, 31)
+        for ct in valid_types(d)
+    ]
+    rng = random.Random(20261018)
+    dessins += [dessin_from_gensys(random_single_cycle_pair(rng, dmax=16)) for _ in range(2000)]
+    for ds in dessins:
+        shape, want = ds.shape(), shape_oracle(ds)
+        assert shape is not None and want is not None
+        got = (
+            shape.white_leaves,
+            shape.black_leaves,
+            shape.parallel_edges,
+            shape.black_hub_degree,
+            shape.white_hub_degree,
         )
+        assert got == tuple(want.values())
+        assert list(shape.to_json().items()) == list(want.items())
+    # positive genus, not just the planar double stars
+    assert max(ds.genus() for ds in dessins) >= 3
 
 
 def test_star_dessin():

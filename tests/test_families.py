@@ -1,5 +1,6 @@
 """Map families: exact coefficients, ramification profiles, verification."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -28,6 +29,7 @@ from belyi import (
 from belyi import families
 from helpers import (
     ProjectivePoint,
+    compose,
     evaluate,
     poly_params,
     substitute_reciprocal,
@@ -375,3 +377,64 @@ def test_profile_json():
         "isBelyi": True,
     }
     assert RamificationProfile(5, (3, 1, 1), (3, 1, 1), (5,)) == prof
+
+
+def test_belyi_map_is_a_frozen_dataclass_with_a_cached_profile(monkeypatch):
+    calls = []
+    profile = families.ramification_profile
+
+    def counting(f):
+        calls.append(f)
+        return profile(f)
+
+    monkeypatch.setattr(families, "ramification_profile", counting)
+    m = single_cycle_polynomial(7, 3)  # its own check reads the profile once
+    assert m.profile is m.profile
+    assert len(calls) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.k = 2
+    with pytest.raises(ValueError, match="unknown family tag 'mystery'"):
+        BelyiMap(m.f, family="mystery")
+
+    fields = {"f": m.f, "family": m.family, "k": m.k,
+              "claimed_type": m.claimed_type, "params": m.params}
+    same = BelyiMap(**fields)
+    assert same == m and hash(same) == hash(m)
+    others = {"f": RatFunc(X ** 7), "family": "custom", "k": 2,
+              "claimed_type": CombinatorialType(7, 5, 3, 7), "params": None}
+    for name, value in others.items():
+        assert value != fields[name]
+        assert BelyiMap(**dict(fields, **{name: value})) != m
+
+
+def _composite_fibers(cf: CombinatorialType, d_g: int, g_indices) -> tuple:
+    # over each branch value, f's ramified point is where g has its
+    # ramified point, so the indices multiply there; f's simple points
+    # are not branch values of g and pull back simply
+    return tuple(
+        tuple(sorted([e_f * e_g] + [e_f] * (d_g - e_g) + [1] * ((cf.d - e_f) * d_g),
+                     reverse=True))
+        for e_f, e_g in zip(cf.indices, g_indices)
+    )
+
+
+def test_composite_single_cycle_maps_have_the_predicted_profile():
+    types = [ct for d in range(3, 9) for ct in valid_types(d)]
+    rng = random.Random(20261020)
+    swapped_checked = 0
+    for _ in range(60):
+        cf, cg = rng.choice(types), rng.choice(types)
+        fg = compose(families._single_cycle_map(cf), families._single_cycle_map(cg))
+        assert fg.degree == cf.d * cg.d
+        prof = ramification_profile(fg)
+        assert prof.is_belyi
+        assert prof.fibers == _composite_fibers(cf, cg.d, cg.indices)
+        if cg.e0 != cg.e1:
+            swapped = _composite_fibers(cf, cg.d, (cg.e1, cg.e0, cg.e_inf))
+            assert prof.fibers != swapped
+            swapped_checked += 1
+        num, den = fg.num, fg.den
+        i = rng.randrange(num.degree + 1)
+        bumped = Poly([c + (j == i) for j, c in enumerate(num.coeffs)])
+        assert not ramification_profile(RatFunc(bumped, den)).is_belyi
+    assert swapped_checked > 0

@@ -5,7 +5,8 @@ and invariants are derived from the triple, and the one check left is
 Riemann's existence theorem: a map's ramification profile over 0, 1 and
 inf must be the cycle types of its triple.  The catalog writer enumerates
 every combinatorial type up to a degree bound and attaches closed-form maps
-where one of the two families covers the type.
+where one of the two families covers the type; those maps come certified,
+with the profile their type gives, so writing a catalog factors no fiber.
 """
 
 from __future__ import annotations
@@ -102,8 +103,10 @@ class TriptychRecord:
         derived from the triple, and from_json checks stored copies.  The
         map's ramification profile over 0, 1 and inf must equal the cycle
         types of sigma0, sigma1 and sigmaInf, which is what Riemann's
-        existence theorem makes of a map and its monodromy.  That one
-        equality loses nothing:
+        existence theorem makes of a map and its monodromy.  A family
+        member's profile is the one its type gives, certified by its
+        Wronskian when it was built; a power or Chebyshev map's is
+        factored from its fibers.  That one equality loses nothing:
 
         - typed records: each fiber is (e, 1, ..., 1), so the map has a
           single ramification point of the type's index over each of 0, 1

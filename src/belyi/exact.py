@@ -306,6 +306,20 @@ def _derivative(u: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(u)][1:]
 
 
+def _wronskian(u: list[int], v: list[int]) -> list[int]:
+    """u'v - uv' of ascending integer coefficient lists, trailing zeros
+    stripped: the terms u_i x^i and v_j x^j give (i - j) u_i v_j x^(i+j-1)."""
+    out = [0] * max(len(u) + len(v) - 2, 0)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                if i != j and b:
+                    out[i + j - 1] += (i - j) * a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def _sub(u: list[int], v: list[int]) -> list[int]:
     # u - v, trailing zeros stripped
     out = [a - b for a, b in zip_longest(u, v, fillvalue=0)]
@@ -385,7 +399,19 @@ def _coprime_mod_p(u: list[int], v: list[int]) -> bool:
 
 
 def _int_gcd(u: list[int], v: list[int]) -> list[int]:
-    """Primitive gcd of two nonzero integer coefficient lists."""
+    """Primitive gcd of two nonzero integer coefficient lists.
+
+    Powers of x come off first: gcd(x^a U, x^b V) = x^min(a, b) gcd(U, V)
+    when U(0) and V(0) are nonzero, so the modular test and the PRS see
+    only U and V.
+    """
+    a = next(i for i, c in enumerate(u) if c)
+    b = next(i for i, c in enumerate(v) if c)
+    return [0] * min(a, b) + _int_gcd_at_nonzero(u[a:], v[b:])
+
+
+def _int_gcd_at_nonzero(u: list[int], v: list[int]) -> list[int]:
+    # primitive gcd of two integer lists whose constant terms are nonzero
     if len(u) < len(v):
         u, v = v, u
     if _coprime_mod_p(u, v):

@@ -1,11 +1,14 @@
 """Belyi maps: closed-form families and exact ramification verification.
 
 A Belyi map is a rational function ramified only over 0, 1, and infinity.
-Ramification profiles are computed from squarefree decompositions of the
-fiber polynomials, never from numeric root-finding, so verification is
-exact.  The single-cycle families here have exactly one ramification point
-over each branch value; the power and Chebyshev maps sit at the boundary of
-that class (two, respectively degenerate, critical values).
+Everything here is exact; nothing is found by numeric root-finding.  The
+two single-cycle families have exactly one ramification point over each
+branch value, and each member is certified by one polynomial identity: its
+Wronskian N'D - ND' is c x^(e0-1) (x-1)^(e1-1), which pins its profile to
+its type.  The power and Chebyshev maps sit at the boundary of that class
+(two, respectively degenerate, critical values) and are not normalized at
+0 and 1; they and custom maps get their profile from squarefree
+decompositions of the three fiber polynomials.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Callable, NamedTuple
 from .exact import (
     Poly,
     RatFunc,
+    _wronskian,
     check_stored,
     format_rational,
     json_field,
@@ -164,8 +168,10 @@ class MapParams:
 class BelyiMap:
     """A rational map tagged with its family and claimed combinatorial type.
 
-    The profile is computed lazily and cached; family constructors verify
-    their claimed type eagerly and refuse to return a map that fails.
+    The profile is computed from the three fibers on first read and cached.
+    The two single-cycle family constructors certify their claimed type
+    eagerly, refuse to return a map that fails, and fill in the profile the
+    type determines, so that their maps are never factored.
     """
 
     f: RatFunc
@@ -329,15 +335,45 @@ def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
     return RatFunc(Poly([0] * e0 + [sum(v) * x for x in u]), Poly([sum(u) * x for x in v]))
 
 
+# x, x - 1 and x^2 - x: the monic factors of a certified Wronskian
+_CRITICAL = (Poly((0, 1)), Poly((-1, 1)), Poly((0, -1, 1)))
+
+
+def _certified_profile(f: RatFunc, ct: CombinatorialType) -> RamificationProfile | None:
+    """The profile (e, 1, ..., 1) over 0, 1 and inf that the type ct gives,
+    when f is the normalized map of that type; None when it is not.
+
+    f = N/D is reduced, so N and D are coprime.  Let deg N = d,
+    deg N - deg D = eInf, x^e0 divide N and N(1) = D(1).  Then f fixes 0,
+    1 and inf, with index eInf at inf, and D(0) D(1) != 0.  Since
+    f' = W / D^2 with W = N'D - ND', a finite point of index e is a root of
+    W of order e - 1, poles included.  So W = c x^(e0-1) (x-1)^(e1-1) makes
+    0 and 1 the only finite ramification points, of indices exactly e0 and
+    e1, and every other point simple: W's squarefree decomposition decides.
+    """
+    d, (e0, e1, e_inf) = ct.d, ct.indices
+    num, den = f.pair
+    if len(num) != d + 1 or len(num) - len(den) != e_inf or any(num[:e0]) or sum(num) != sum(den):
+        return None
+    x, x1, x2x = _CRITICAL
+    roots = [(x, e0 - 1), (x1, e1 - 1)] if e0 != e1 else [(x2x, e0 - 1)]
+    if squarefree_decomposition(Poly(_wronskian(num, den))) != sorted(roots, key=lambda r: r[1]):
+        return None
+    return RamificationProfile(d, *((e,) + (1,) * (d - e) for e in ct.indices))
+
+
 def _family_member(
     family: str, ct: CombinatorialType, k: int, f: RatFunc, params: MapParams
 ) -> BelyiMap:
-    """The family's map f with its params; raises VerificationError unless
-    f has its claimed type ct."""
+    """The family's map f with its params and its certified profile; raises
+    VerificationError unless f is the normalized map of its claimed type ct."""
+    prof = _certified_profile(f, ct)
+    if prof is None:
+        raise VerificationError(
+            f"{family} map (d, k) = ({ct.d}, {k}) is not the normalized map of type {ct.indices}"
+        )
     m = BelyiMap(f, family, k, ct, params)
-    ok, diag = verify_single_cycle(m, ct)
-    if not ok:
-        raise VerificationError(f"{family} map (d, k) = ({ct.d}, {k}): {diag}")
+    vars(m)["profile"] = prof  # where functools.cached_property keeps its value
     return m
 
 

@@ -182,18 +182,22 @@ def test_ratfunc_matches_a_monic_form_reference():
     polys = st.lists(rationals, min_size=0, max_size=4).map(Poly)
     constants = nonzero.map(Poly.constant)
     shared = st.sampled_from([Poly.one(), X, X - 1, 2 * X + 3, X * X + 1])
+    # powers of x on neither side, on one side, or on both
+    x_powers = st.sampled_from([(0, 0), (2, 0), (0, 3), (1, 2), (3, 3)])
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
     @hypothesis.given(
         st.one_of(polys, constants, st.just(Poly())),
         st.one_of(polys, constants),
-        shared, nonzero, st.booleans(),
+        shared, nonzero, st.booleans(), x_powers,
     )
-    def check(a, b, g, content, negate):
-        # num = content * g * a and den = +-content * g * b: a shared factor,
-        # a shared content and, negated, a negative leading coefficient
+    def check(a, b, g, content, negate, powers):
+        # num = content * g * x^i * a and den = +-content * g * x^j * b: a
+        # shared factor, a shared content, powers of x and, negated, a
+        # negative leading coefficient
         hypothesis.assume(not b.is_zero)
-        num, den = content * g * a, content * g * b
+        i, j = powers
+        num, den = content * g * X ** i * a, content * g * X ** j * b
         if negate:
             den = -den
         f = RatFunc(num, den)
@@ -390,7 +394,9 @@ def test_the_modular_exit_decides_every_shipped_map(monkeypatch):
     calls = []
     prem = belyi.exact._prem
     monkeypatch.setattr(belyi.exact, "_prem", lambda u, v: calls.append(1) or prem(u, v))
-    assert poly_gcd(X, X - belyi.exact._P) == Poly.one()  # the counter counts
+    # x + 1 and x + 1 - _P agree modulo _P, and their constant terms are
+    # nonzero, so no power of x comes off first
+    assert poly_gcd(X + 1, X + 1 - belyi.exact._P) == Poly.one()  # the counter counts
     assert calls
     calls.clear()
 

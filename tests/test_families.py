@@ -169,9 +169,16 @@ def test_polynomial_family_domain():
 
 
 def test_family_constructors_refuse_a_map_that_fails_its_type(monkeypatch):
-    monkeypatch.setattr(families, "verify_single_cycle", lambda m, ct: (False, "e0 mismatch"))
+    # each constructor gets the map of another type of its degree:
+    # (7; 4, 4, 7) for the polynomial (7; 5, 3, 7), (7; 4, 6, 5) for the
+    # symmetric (7; 5, 5, 5)
+    build_map = families._single_cycle_map
+    monkeypatch.setattr(
+        families, "_single_cycle_map",
+        lambda ct: build_map(CombinatorialType(ct.d, ct.e0 - 1, ct.e1 + 1, ct.e_inf)),
+    )
     for build in (single_cycle_polynomial, symmetric_single_cycle):
-        with pytest.raises(VerificationError, match=r"map \(d, k\) = \(7, 2\): e0 mismatch"):
+        with pytest.raises(VerificationError, match=r"map \(d, k\) = \(7, 2\) is not"):
             build(7, 2)
 
 
@@ -250,6 +257,75 @@ def test_both_families_are_the_one_map_of_their_type():
             f = families._single_cycle_map(ct)
             assert verify_single_cycle(f, ct) == (True, f"single-cycle of type {ct.indices}")
             assert not verify_single_cycle(f, types[i - 1])[0]
+
+
+def test_certified_profile_is_the_factored_profile(monkeypatch):
+    # the oracle is Yun on all three fibers: every family member to d = 30
+    # and the map of every type to d = 12
+    maps = [
+        (m.f, m.profile)
+        for d in range(3, 31)
+        for m in [single_cycle_polynomial(d, k) for k in range(1, d - 1)]
+        + [symmetric_single_cycle(d, k) for k in range(1, (d - 1) // 2 + 1)]
+    ]
+    assert len(maps) == 616
+    maps += [
+        (f, families._certified_profile(f, ct))
+        for d in range(3, 13)
+        for ct in valid_types(d)
+        for f in [families._single_cycle_map(ct)]
+    ]
+    for f, prof in maps:
+        assert prof == ramification_profile(f)
+    # a family constructor factors nothing but its Wronskian, once; power
+    # and Chebyshev maps, which are not normalized, factor their fibers
+    seen, profiled = [], []
+    yun, profile = families.squarefree_decomposition, families.ramification_profile
+    monkeypatch.setattr(families, "squarefree_decomposition", lambda p: seen.append(p) or yun(p))
+    monkeypatch.setattr(families, "ramification_profile", lambda f: profiled.append(f) or profile(f))
+    for build, d, k in ((single_cycle_polynomial, 7, 3), (symmetric_single_cycle, 10, 2)):
+        m = build(d, k)
+        num, den = (Poly(c) for c in m.f.pair)
+        assert seen == [num.derivative() * den - num * den.derivative()]
+        seen.clear()
+    assert profiled == []
+    for m in (power_map(5), chebyshev_map(4)):
+        assert m.profile.is_belyi
+    assert sorted(f.degree for f in profiled) == [4, 5]
+
+
+def test_certificate_refuses_what_is_not_the_map_of_its_type():
+    rng = random.Random(1616)
+    for d in range(3, 11):
+        types = valid_types(d)
+        for ct in types:
+            f = families._single_cycle_map(ct)
+            assert [o for o in types if families._certified_profile(f, o)] == [ct]
+            # each has the Wronskian of f up to a constant: 2f misses
+            # N(1) = D(1), 2f - 1 misses x^e0 | N, and 2f / (f + 1) moves
+            # the branch value inf to 2, so deg D = deg N
+            num, den = (Poly(c) for c in f.pair)
+            for g in (RatFunc(2 * num, den), RatFunc(2 * num - den, den),
+                      RatFunc(2 * num, num + den)):
+                assert families._certified_profile(g, ct) is None
+            if ct.e_inf < d:
+                # the map of (d + 1; e0, e1, eInf + 2) has a Wronskian of
+                # the same shape, and the wrong degree
+                up = CombinatorialType(d + 1, ct.e0, ct.e1, ct.e_inf + 2)
+                assert families._certified_profile(families._single_cycle_map(up), ct) is None
+            # one coefficient of N bumped, then also one of D so that
+            # N(1) = D(1) holds again and only the Wronskian can refuse it,
+            # which Yun's profile confirms
+            num += Poly.monomial(rng.randrange(ct.e0, d + 1))
+            assert families._certified_profile(RatFunc(num, den), ct) is None
+            g = RatFunc(num, den + Poly.monomial(rng.randrange(den.degree + 1)))
+            assert families._certified_profile(g, ct) is None
+            assert not verify_single_cycle(g, ct)[0]
+    # the Chebyshev d = 3 map has the profile of (3; 2, 2, 3), but is not
+    # normalized at 0 and 1
+    cheb, ct = chebyshev_map(3).f, CombinatorialType(3, 2, 2, 3)
+    assert verify_single_cycle(cheb, ct)[0]
+    assert families._certified_profile(cheb, ct) is None
 
 
 def test_symmetric_family_self_reciprocal():
@@ -388,8 +464,14 @@ def test_belyi_map_is_a_frozen_dataclass_with_a_cached_profile(monkeypatch):
         return profile(f)
 
     monkeypatch.setattr(families, "ramification_profile", counting)
-    m = single_cycle_polynomial(7, 3)  # its own check reads the profile once
+    # a family member's profile is certified from its type, never factored
+    m = single_cycle_polynomial(7, 3)
     assert m.profile is m.profile
+    assert calls == []
+    assert m.profile == profile(m.f)
+    # a custom map factors its fibers once, on the first read
+    custom = BelyiMap(m.f)
+    assert custom.profile is custom.profile
     assert len(calls) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.k = 2

@@ -91,9 +91,11 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = list(coeffs)
-        # checked in C, so that arithmetic on Fractions pays no per-coefficient call
-        if not set(map(type, cs)) <= {Fraction}:
-            cs = [_fraction(c) for c in cs]
+        # checked in C, so that arithmetic on Fractions pays no per-coefficient
+        # call and ints become Fractions without the parse and type checks
+        kinds = set(map(type, cs))
+        if not kinds <= {Fraction}:
+            cs = list(map(Fraction if kinds <= {int, Fraction} else _fraction, cs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -291,7 +293,10 @@ def _as_poly(p: "Poly | Scalar") -> Poly:
 def _int_primitive(p: Poly) -> list[int]:
     # scale to integer coefficients and strip the content
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    if den == 1:
+        ints = [c.numerator for c in p.coeffs]
+    else:
+        ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     g = math.gcd(*ints)
     return [c // g for c in ints]
 
@@ -505,15 +510,26 @@ class RatFunc:
     def __init__(self, num: Poly | Scalar, den: Poly | Scalar = 1):
         num = _as_poly(num)
         den = _as_poly(den)
-        if den.is_zero:
+        # clear both denominators at once
+        scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+        self._reduce([c.numerator * (scale // c.denominator) for c in num.coeffs],
+                     [c.numerator * (scale // c.denominator) for c in den.coeffs])
+
+    @classmethod
+    def _from_ints(cls, n: list[int], d: list[int]) -> "RatFunc":
+        """n/d for ascending integer coefficient lists, trailing zeros
+        stripped, reduced without a Fraction."""
+        f = cls.__new__(cls)
+        f._reduce(n, d)
+        return f
+
+    def _reduce(self, n: list[int], d: list[int]) -> None:
+        # cancel the gcd and the content, with lc(D) > 0
+        if not d:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
+        if not n:
             n, d = [], [1]
         else:
-            # clear both denominators at once, then cancel the gcd and the content
-            scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-            n = [c.numerator * (scale // c.denominator) for c in num.coeffs]
-            d = [c.numerator * (scale // c.denominator) for c in den.coeffs]
             g = _int_gcd(n, d)
             if len(g) > 1:
                 n, d = _exact_quo(n, g), _exact_quo(d, g)

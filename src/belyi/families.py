@@ -324,7 +324,8 @@ def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
 
     P/Q is the [m/n] Pade approximant of x^(-e0) at x = 1 (Baker &
     Graves-Morris, Pade Approximants, 2nd ed., 1996).  It is built over the
-    integers, as u = perm(d, m) P and v = perm(e0-1, n) Q, and divided once.
+    integers, as u = perm(d, m) P and v = perm(e0-1, n) Q, and the pair
+    (x^e0 v(1) u, u(1) v) is reduced once, with no Fraction on the way.
     """
     d, e0, e1, e_inf = ct.d, ct.e0, ct.e1, ct.e_inf
     m, n = d - e0, d - e_inf
@@ -332,7 +333,7 @@ def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
          for j in range(m + 1)]
     v = [(-1) ** j * math.comb(n, j) * math.perm(d, j) * math.perm(e0 - 1 - j, n - j)
          for j in range(n + 1)]
-    return RatFunc(Poly([0] * e0 + [sum(v) * x for x in u]), Poly([sum(u) * x for x in v]))
+    return RatFunc._from_ints([0] * e0 + [sum(v) * x for x in u], [sum(u) * x for x in v])
 
 
 # x, x - 1 and x^2 - x: the monic factors of a certified Wronskian

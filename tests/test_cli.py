@@ -17,7 +17,7 @@ from belyi import (
     single_cycle_polynomial,
     symmetric_single_cycle,
 )
-from belyi.cli import FAIL, INTERNAL, PASS, USAGE, main
+from belyi.cli import FAIL, INTERNAL, PASS, USAGE, _indented_json, main
 from helpers import MAP_LABELS, json_paths
 
 POLY_5_2_TEXT = """\
@@ -411,10 +411,60 @@ def test_dessin_json(capsys):
     assert [3, 10, 9, 8, 7, 6, 5, 4] in data["black"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "symmetric", "--d", "40", "--k", "7"],
+    ["construct", "poly", "--d", "5", "--k", "2"],
+    ["construct", "power", "--d", "3"],
+    ["construct", "chebyshev", "--d", "4"],
+    ["dessin", "3,3,5"],
+    ["dessin", "8,5,8"],
+    ["dessin", "2,2,3"],
+    ["dessin", "4,4,5"],
+])
+def test_json_output_is_what_json_dumps_indents(capsys, argv):
+    assert main(argv + ["--format", "json"]) == PASS
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+INDENTED_JSON_EXAMPLES = [
+    None, True, False, 0, -7, 2**64 + 1, -(2**70), "", "plain", "\x00\x1f\n\t\"\\", "é ü ✓ 𝔽",
+    [], {}, [[]], [{}], {"": {}}, {"a": []}, [[], [1]], [[1, 2], [3]], [[1], [True]],
+    [True, 1, None], [1, "1"], [[1, [2]]], ([1, 2], (3,)), {"é": ["x", 2], "k": {"n": [[5]]}},
+]
+
+
+@pytest.mark.parametrize("value", INDENTED_JSON_EXAMPLES)
+def test_indented_json_fixed_examples(value):
+    assert _indented_json(value) == json.dumps(value, indent=2)
+
+
+def test_indented_json_matches_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = (st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**80)
+               | st.text() | st.sampled_from(["\x00\x1f\x7f", "é ü ✓ 𝔽", "\"\\/"]))
+    int_lists = st.lists(st.lists(st.integers() | st.booleans(), max_size=4), max_size=4)
+    values = st.recursive(
+        scalars | int_lists,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        max_leaves=20,
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(values)
+    def check(v):
+        assert _indented_json(v) == json.dumps(v, indent=2)
+
+    check()
+
+
 def test_dessin_impossible_type(capsys):
     assert main(["dessin", "2,2,2"]) == USAGE
     err = capsys.readouterr().err
     assert "sum to 6, which is even: no integer degree fits" in err
+    assert main(["dessin", "4,4,4", "--format", "json"]) == USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_dessin_out_of_range_type(capsys):

@@ -211,6 +211,10 @@ def test_ratfunc_matches_a_monic_form_reference():
         assert f == same and hash(f) == hash(same)
         assert f.degree == max(ref_num.degree, ref_den.degree, 0)
         assert f != RatFunc(ref_num + ref_den, ref_den)  # f + 1
+        # the integer-pair entry reduces num and den scaled to integers alike
+        scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
+        ints = [[int(c * scale) for c in p.coeffs] for p in (num, den)]
+        assert RatFunc._from_ints(*ints).pair == f.pair
 
     check()
 
@@ -218,6 +222,19 @@ def test_ratfunc_matches_a_monic_form_reference():
 def test_ratfunc_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(X, Poly())
+    with pytest.raises(ZeroDivisionError):
+        RatFunc._from_ints([0, 1], [])
+
+
+def test_ratfunc_from_ints_fixed_cases():
+    # a zero numerator is 0/1, whatever the denominator
+    assert RatFunc._from_ints([], [0, -3, 6]).pair == ((), (1,))
+    # a negative lc(D) moves to the numerator with the content: -4x / -6x^2 = 2 / 3x
+    f = RatFunc._from_ints([0, -4], [0, 0, -6])
+    assert f.pair == ((2,), (0, 3))
+    assert f == RatFunc(Poly((0, -4)), Poly((0, 0, -6)))
+    # (x - 1)(x + 2) / (x - 1)(3 - x), shared factor cancelled, lc(D) made positive
+    assert RatFunc._from_ints([-2, 1, 1], [-3, 4, -1]).pair == ((-2, -1), (-3, 1))
 
 
 def test_ratfunc_arithmetic_random_stays_reduced():
@@ -332,7 +349,7 @@ def test_poly_and_ratfunc_from_json_reject_malformed_input():
 
 def test_poly_takes_only_exact_coefficients():
     # Fraction(0.1) is the float's binary value, 3602879701896397/2^55
-    for bad in ([0.1], [1, True], [False], ["0.5"], ["1e3"], [None]):
+    for bad in ([0.1], [1, True], [False], [1, Fraction(1, 2), 0.5], ["0.5"], ["1e3"], [None]):
         with pytest.raises(ValueError):
             Poly(bad)
     for build in (
@@ -348,6 +365,18 @@ def test_poly_takes_only_exact_coefficients():
     p = Poly([1, Fraction(1, 2), "-3/4"])
     assert p.coeffs == (1, Fraction(1, 2), Fraction(-3, 4))
     assert {type(c) for c in p.coeffs} == {Fraction}
+
+
+def test_poly_of_ints_and_fractions_stores_fractions():
+    # ints and Fractions skip the parse, but an int left in place would make
+    # monic() or divmod divide int by int and give a float
+    for cs in ([1, 2, Fraction(1, 3)], [2, 4], [Fraction(1, 2), 3, 0]):
+        p = Poly(cs)
+        assert {type(c) for c in p.coeffs} == {Fraction}
+        assert {type(c) for c in p.monic().coeffs} == {Fraction}
+        for part in divmod(p * p + 1, Poly([3, 2])):
+            assert {type(c) for c in part.coeffs} <= {Fraction}
+    assert Poly([1, 2]).monic().coeffs == (Fraction(1, 2), 1)
 
 
 def test_evaluate_rejects_an_unreduced_function():

@@ -259,6 +259,19 @@ def test_both_families_are_the_one_map_of_their_type():
             assert not verify_single_cycle(f, types[i - 1])[0]
 
 
+def test_single_cycle_map_reduces_its_integer_pair_as_ratfunc_does(monkeypatch):
+    # the pair built without a Fraction is the one RatFunc gets from Poly(N)/Poly(D)
+    built = []
+    from_ints = RatFunc._from_ints
+    monkeypatch.setattr(RatFunc, "_from_ints", lambda n, d: built.append((n, d)) or from_ints(n, d))
+    types = [ct for d in range(3, 31) for ct in valid_types(d)]
+    for ct in types:
+        f = families._single_cycle_map(ct)
+        num, den = built.pop()
+        assert f.pair == RatFunc(Poly(num), Poly(den)).pair
+    assert len(types) == 4872
+
+
 def test_certified_profile_is_the_factored_profile(monkeypatch):
     # the oracle is Yun on all three fibers: every family member to d = 30
     # and the map of every type to d = 12

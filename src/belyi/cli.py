@@ -7,7 +7,8 @@ Subcommands:
   enumerate  write the full catalog up to a degree bound as JSON Lines
 
 Exit codes: 0 pass, 1 semantic failure (not Belyi / type mismatch),
-2 usage or parse error, 3 internal invariant violation.
+2 usage or parse error, 3 internal invariant violation, 141 stdout closed
+by its reader.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import chain, repeat
 
@@ -258,13 +260,23 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INTERNAL
+    except BrokenPipeError:
+        raise  # the reader left, as in `belyi ... | head`: entry() exits 141
     except Exception as exc:  # noqa: BLE001 - a crash must not read as a verdict
         print(f"internal error: {exc!r}", file=sys.stderr)
         return INTERNAL
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader closed it early.  Point stdout at devnull, so that
+        # the flush at exit raises nothing, and exit as SIGPIPE would: 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

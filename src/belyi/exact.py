@@ -1,12 +1,15 @@
-"""Exact scalar, polynomial, and rational-function arithmetic.
+"""Exact scalars, the polynomial display value, and rational functions.
 
-Scalars are `fractions.Fraction` and polynomials are dense coefficient
-tuples over Fraction (ascending degree, no trailing zeros).  A rational
+Scalars are `fractions.Fraction`.  A `Poly` is how a polynomial is shown,
+written to JSON and compared: a dense tuple of Fraction coefficients
+(ascending degree, no trailing zeros), with no arithmetic of its own.  The
+work is done on ascending lists of integer coefficients.  A rational
 function is stored reduced, as one pair of integer coefficient tuples with
 no common content and a positive leading denominator coefficient; its
-monic-denominator Fraction form is a view built on first use.  gcd and
-squarefree decomposition run over the integers.  Nothing in this module
-touches floating point, so every identity checked downstream is exact.
+monic-denominator Poly form is a view built on first use.  gcd, the
+Wronskian and squarefree decomposition run over the integers.  Nothing in
+this module touches floating point, so every identity checked downstream
+is exact.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ def format_rational(q: Fraction) -> str:
 
 
 class Poly:
-    """Dense univariate polynomial over the rationals.
+    """Dense univariate polynomial over the rationals, as displayed and
+    written to JSON.
 
     Coefficients are stored ascending by degree with trailing zeros stripped;
     the zero polynomial is the empty tuple.  Instances are treated as
@@ -91,32 +95,15 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = list(coeffs)
-        # checked in C, so that arithmetic on Fractions pays no per-coefficient
-        # call and ints become Fractions without the parse and type checks
+        # checked in C, so that the ints and Fractions the integer routines
+        # hand over skip the parse and type checks; every coefficient is
+        # stored as a Fraction, the one type that readers of coeffs see
         kinds = set(map(type, cs))
         if not kinds <= {Fraction}:
             cs = list(map(Fraction if kinds <= {int, Fraction} else _fraction, cs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "Poly":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: Scalar = 1) -> "Poly":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return cls((0,) * power + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -127,11 +114,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def lc(self) -> Fraction:
-        """Leading coefficient (0 for the zero polynomial)."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -140,97 +122,6 @@ class Poly:
 
     def __hash__(self) -> int:
         return hash(("Poly", self.coeffs))
-
-    def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other: "Poly | Scalar") -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            tuple(self.coeff(i) + other.coeff(i) for i in range(n))
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Poly | Scalar") -> "Poly":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other: "Poly | Scalar") -> "Poly":
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if type(other) in (int, Fraction):
-            return Poly(tuple(c * other for c in self.coeffs))
-        other = _as_poly(other)
-        if self.is_zero or other.is_zero:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact division with remainder over the rationals."""
-        other = _as_poly(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        r = list(self.coeffs)
-        d, lead = other.degree, other.lc
-        q = [Fraction(0)] * max(0, len(r) - d)
-        while len(r) - 1 >= d and r:
-            c = r[-1] / lead
-            k = len(r) - 1 - d
-            q[k] = c
-            for i in range(d + 1):
-                r[k + i] -= c * other.coeffs[i]
-            r.pop()
-            while r and r[-1] == 0:
-                r.pop()
-        return Poly(q), Poly(r)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def coeff(self, power: int) -> Fraction:
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    def __call__(self, x: Scalar) -> Fraction:
-        """Evaluate at a finite rational point (Horner)."""
-        x = _fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no monic form")
-        return self * (1 / self.lc)
 
     def reverse(self, k: int | None = None) -> "Poly":
         """Coefficient reversal x^k * p(1/x); k defaults to deg p."""
@@ -282,12 +173,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"
-
-
-def _as_poly(p: "Poly | Scalar") -> Poly:
-    if isinstance(p, Poly):
-        return p
-    return Poly.constant(p)
 
 
 def _int_primitive(p: Poly) -> list[int]:
@@ -438,9 +323,9 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
     if a.is_zero:
-        return b.monic()
+        return _monic_poly(_int_primitive(b))
     if b.is_zero:
-        return a.monic()
+        return _monic_poly(_int_primitive(a))
     return _monic_poly(_int_gcd(_int_primitive(a), _int_primitive(b)))
 
 
@@ -507,9 +392,7 @@ class RatFunc:
 
     __slots__ = ("pair", "_view")
 
-    def __init__(self, num: Poly | Scalar, den: Poly | Scalar = 1):
-        num = _as_poly(num)
-        den = _as_poly(den)
+    def __init__(self, num: Poly, den: Poly = Poly((1,))):
         # clear both denominators at once
         scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
         self._reduce([c.numerator * (scale // c.denominator) for c in num.coeffs],
@@ -569,13 +452,6 @@ class RatFunc:
 
     def __hash__(self) -> int:
         return hash(("RatFunc", self.pair))
-
-    def __mul__(self, other: "RatFunc | Poly | Scalar") -> "RatFunc":
-        if not isinstance(other, RatFunc):
-            other = RatFunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict:
         """{"num": [...], "den": [...]}, each coefficient of the monic form

@@ -153,7 +153,7 @@ class MapParams:
         """(num, den): c (a0 x^k + ... + a_k) over 1 when c is given, else
         den = sum (-1)^i a_i x^i over its coefficient reversal num."""
         if self.c is not None:
-            return Poly([self.c * x for x in reversed(self.a)]), Poly.one()
+            return Poly([self.c * x for x in reversed(self.a)]), Poly((1,))
         den = Poly([(-1) ** i * x for i, x in enumerate(self.a)])
         return den.reverse(), den
 
@@ -201,7 +201,7 @@ class BelyiMap:
             return None
         num, den = self.params.closed_form()
         head = f"x^{self.degree - self.k} * ({num})"
-        return head if den == Poly.one() else f"{head} / ({den})"
+        return head if den.degree == 0 else f"{head} / ({den})"
 
     def to_json(self) -> dict:
         out: dict = {"family": self.family, "d": self.degree, "k": self.k}
@@ -288,28 +288,34 @@ def power_map(d: int) -> BelyiMap:
     """x^d: totally ramified over 0 and infinity, unramified over 1."""
     if d < 1:
         raise ParameterOutOfRangeError("power map needs d >= 1")
-    return BelyiMap(RatFunc(Poly.monomial(d)), family="power")
+    return BelyiMap(RatFunc._from_ints([0] * d + [1], [1]), family="power")
+
+
+def _chebyshev_ints(n: int) -> list[int]:
+    # T_n's ascending integer coefficients: x^(n-2k) has
+    # (-1)^k n/(n-k) binom(n-k, k) 2^(n-2k-1), an integer, for 2k <= n
+    if n == 0:
+        return [1]
+    out = [0] * (n + 1)
+    for k in range(n // 2 + 1):
+        out[n - 2 * k] = (-1) ** k * n * math.comb(n - k, k) * 2 ** (n - 2 * k) // (2 * (n - k))
+    return out
 
 
 def chebyshev_polynomial(n: int) -> Poly:
-    """Chebyshev polynomial of the first kind, T_0 = 1, T_1 = x,
-    T_{n+1} = 2x T_n - T_{n-1}."""
+    """Chebyshev polynomial of the first kind, T_n(cos t) = cos(nt)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t0, t1 = Poly.one(), Poly.x()
-    if n == 0:
-        return t0
-    two_x = Poly((0, 2))
-    for _ in range(n - 1):
-        t0, t1 = t1, two_x * t1 - t0
-    return t1
+    return Poly(_chebyshev_ints(n))
 
 
 def chebyshev_map(d: int) -> BelyiMap:
     """(T_d + 1)/2, normalized so the branch values are within {0, 1, inf}."""
     if d < 3:
         raise ParameterOutOfRangeError("chebyshev map needs d >= 3")
-    f = RatFunc((chebyshev_polynomial(d) + Poly.one()) * Fraction(1, 2))
+    t = _chebyshev_ints(d)
+    t[0] += 1
+    f = RatFunc._from_ints(t, [2])
     m = BelyiMap(f, family="chebyshev")
     if not m.profile.is_belyi:
         raise VerificationError("chebyshev map failed the Belyi check")

@@ -1,5 +1,6 @@
-"""Seeded random generators and the projective evaluation of rational
-functions, shared across the test modules."""
+"""Seeded random generators, the projective evaluation of rational
+functions and the polynomial arithmetic of the test oracles, shared across
+the test modules."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from belyi import (
     GeneratingSystem,
@@ -40,24 +42,78 @@ class ProjectivePoint:
 INFINITY = ProjectivePoint(None)
 
 
+# Oracle arithmetic on ascending lists of int or Fraction coefficients, the
+# zero polynomial being []: wrap a result in Poly to compare or print it.
+
+
+def _trimmed(out: list) -> list:
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def add(*ps: list) -> list:
+    """The sum of coefficient lists, trailing zeros stripped."""
+    return _trimmed([sum(cs) for cs in zip_longest(*ps, fillvalue=0)])
+
+
+def sub(p: list, q: list) -> list:
+    return add(p, [-c for c in q])
+
+
+def mul(*ps: list) -> list:
+    """The product of coefficient lists, trailing zeros stripped; the empty
+    product is [1]."""
+    out = [1]
+    for p in ps:
+        acc = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                acc[i + j] += a * b
+        out = acc
+    return _trimmed(out)
+
+
+def power(p: list, n: int) -> list:
+    return mul(*[p] * n)
+
+
+def derivative(p: list) -> list:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def horner(p: list, x: int | Fraction) -> int | Fraction:
+    """p(x) at a finite point."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def evaluate(f: RatFunc, z: ProjectivePoint | int | Fraction) -> ProjectivePoint:
     """f(z) as a map of the projective line (poles go to infinity)."""
     if not isinstance(z, ProjectivePoint):
         z = ProjectivePoint.of(z)
+    num, den = f.pair
     if z.finite is None:
-        dn, dd = f.num.degree, f.den.degree
-        if dn > dd:
+        if len(num) > len(den):
             return INFINITY
-        if dn < dd:
+        if len(num) < len(den):
             return ProjectivePoint.of(0)
-        return ProjectivePoint.of(f.num.lc / f.den.lc)
-    nv = f.num(z.finite)
-    dv = f.den(z.finite)
+        return ProjectivePoint.of(Fraction(num[-1], den[-1]))
+    nv = horner(num, z.finite)
+    dv = horner(den, z.finite)
     if dv == 0:
         if nv == 0:
             raise ArithmeticError("num and den share a root: not reduced")
         return INFINITY
-    return ProjectivePoint.of(nv / dv)
+    return ProjectivePoint.of(Fraction(nv, dv))
+
+
+def product(f: RatFunc, g: RatFunc) -> RatFunc:
+    """f g, reduced."""
+    (a, b), (c, d) = f.pair, g.pair
+    return RatFunc._from_ints(mul(a, c), mul(b, d))
 
 
 def substitute_reciprocal(f: RatFunc) -> RatFunc:
@@ -182,13 +238,12 @@ def shape_oracle(ds) -> dict | None:
 def compose(f: RatFunc, g: RatFunc) -> RatFunc:
     """The composite f(g(x)), reduced: with g = A/B and n = deg f, the
     homogenized substitution sum p_i A^i B^(n-i) / sum q_i A^i B^(n-i)."""
-    a, b = g.num, g.den
+    a, b = g.pair
     n = f.degree
 
-    def homogenized(p: Poly) -> Poly:
-        out = Poly()
-        for i in range(p.degree + 1):
-            out = out + a ** i * b ** (n - i) * p.coeff(i)
-        return out
+    def homogenized(p: tuple[int, ...]) -> Poly:
+        terms = (mul([c], power(a, i), power(b, n - i)) for i, c in enumerate(p) if c)
+        return Poly(add(*terms))
 
-    return RatFunc(homogenized(f.num), homogenized(f.den))
+    num, den = f.pair
+    return RatFunc(homogenized(num), homogenized(den))

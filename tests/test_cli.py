@@ -2,8 +2,10 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -522,3 +524,67 @@ def test_module_entry_point():
     )
     assert proc.returncode == PASS
     assert proc.stdout == POLY_5_2_TEXT
+
+
+@pytest.mark.parametrize(
+    "unbuffered, argv",
+    [
+        # buffered, the short text output first meets the closed pipe when
+        # entry() flushes, and would again at interpreter exit
+        ("", ["construct", "poly", "--d", "5", "--k", "2"]),
+        # unbuffered, the JSON output meets it inside the subcommand
+        ("1", ["construct", "symmetric", "--d", "40", "--k", "7", "--format", "json"]),
+    ],
+    ids=["flush-at-exit", "write-in-command"],
+)
+def test_a_reader_that_closed_stdout_gets_exit_141_and_no_message(unbuffered, argv):
+    # the read end is closed before the CLI writes, as when `| head` has left
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "belyi.cli", *argv],
+                              stdout=w, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# sha256 of stdout for each family at a fixed (d, k): `construct` in each
+# format, and `verify` on the map record that `construct --format json` prints
+PINNED_STDOUT = {
+    ("poly", "text"): "7cc0e71ee1344df17132918940cc5d22a52a8dc563d8ae4c4b8a45b1f2b794f0",
+    ("poly", "json"): "cf104ca62c0910da4d84544ad27b62908651e84963bd5299d47c450f2bda2880",
+    ("poly", "dot"): "e8759d4f5ce2132b902306c38363785e733df2029978706c0719d7ea7dbf13d3",
+    ("poly", "verify"): "a4ed259255b0894149f0fd5bf6ae556409e91f5a61e68ab203c0269a1a5be1ee",
+    ("symmetric", "text"): "f7110d6e0652e3b747eec7f8c7086cdf618ed64a9da00ce509657ec566ca6283",
+    ("symmetric", "json"): "3da9ec5f445198a1dc319eeac24920c2d214fb53d34a5ec818935860649e6b40",
+    ("symmetric", "dot"): "b4d4796ac480a0079bdfe7e7817233d727391899efc948464f3c79b91c6df4ee",
+    ("symmetric", "verify"): "3bb1ec5ad9203ad0c0c2ef2ca2b47658db8fa42052127ef91aaaf9eb53f45b6e",
+    ("power", "text"): "f754016b406ca8c72ca9d6405a47433abb727b38a4566e6a9d6f086efc1c18e8",
+    ("power", "json"): "3242ddec23d2ec1b684609f3c22f538c781792729dfdf41aa48d686b603e1947",
+    ("power", "dot"): "828d4b043ac8a7985ee13efc8056f52ae00e91a1f309fb2f8d7bf5ebbdb9ed55",
+    ("power", "verify"): "96b3386a4dcb2dce7aa70ac0f999d005e540d525c921a6ee12debb9d55ddd066",
+    ("chebyshev", "text"): "02032ec811de7c53704930a6a6307315ef1775703538a4c1ac60bf35792b4b92",
+    ("chebyshev", "json"): "3754a7d3b32ae5c3f457547f06cca72f8d5f0c737bb7f4a6fb07870438ae1888",
+    ("chebyshev", "dot"): "4c90e2d0db5afd89ee8e1328b6f61d3676d9bd0fcdd45f1dd61ccaf0d0d8bee9",
+    ("chebyshev", "verify"): "66312cd063c2443bc0663ba0deecab9f4ecae0ae51bb9f9717b0ba8de2428b4c",
+}
+PINNED_ARGS = {"poly": ["--d", "14", "--k", "4"], "symmetric": ["--d", "14", "--k", "4"],
+               "power": ["--d", "12"], "chebyshev": ["--d", "12"]}
+
+
+@pytest.mark.parametrize("family, output", sorted(PINNED_STDOUT))
+def test_construct_and_verify_stdout_is_pinned(family, output, capsys, tmp_path):
+    construct = ["construct", family, *PINNED_ARGS[family], "--format"]
+    if output == "verify":
+        assert main(construct + ["json"]) == PASS
+        record = tmp_path / "map.json"
+        record.write_text(json.dumps(json.loads(capsys.readouterr().out)["map"]))
+        assert main(["verify", str(record)]) == PASS
+    else:
+        assert main(construct + [output]) == PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[family, output]

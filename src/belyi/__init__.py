@@ -46,14 +46,14 @@ from .families import (
     RamificationProfile,
     VerificationError,
     chebyshev_map,
-    chebyshev_polynomial,
+    family_map_for_type,
     power_map,
     ramification_profile,
     single_cycle_polynomial,
     symmetric_single_cycle,
     verify_single_cycle,
 )
-from .catalog import TriptychRecord, family_map_for_type, iter_catalog, write_catalog
+from .catalog import TriptychRecord, iter_catalog, write_catalog
 
 __version__ = "0.1.0"
 
@@ -89,14 +89,13 @@ __all__ = [
     "RamificationProfile",
     "VerificationError",
     "chebyshev_map",
-    "chebyshev_polynomial",
+    "family_map_for_type",
     "power_map",
     "ramification_profile",
     "single_cycle_polynomial",
     "symmetric_single_cycle",
     "verify_single_cycle",
     "TriptychRecord",
-    "family_map_for_type",
     "iter_catalog",
     "write_catalog",
 ]

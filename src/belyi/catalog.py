@@ -17,35 +17,8 @@ from typing import IO, Iterator
 
 from .dessin import Dessin, DessinShape
 from .exact import check_stored, json_field
-from .families import (
-    FAMILIES,
-    BelyiMap,
-    VerificationError,
-    single_cycle_polynomial,
-    symmetric_single_cycle,
-)
-from .gensys import (
-    CombinatorialType,
-    GeneratingSystem,
-    canonical_single_cycle,
-    chebyshev_gensys,
-    power_gensys,
-    valid_types,
-)
-
-
-def family_map_for_type(ct: CombinatorialType) -> BelyiMap | None:
-    """A closed-form map realizing the type, when a family covers it.
-
-    The polynomial family covers eInf = d (then k = d - e0) and the
-    symmetric family covers e0 = eInf (then e1 = 2k + 1 is automatically
-    odd).  Other types get no map here.
-    """
-    if ct.e_inf == ct.d:
-        return single_cycle_polynomial(ct.d, ct.d - ct.e0)
-    if ct.e0 == ct.e_inf:
-        return symmetric_single_cycle(ct.d, ct.d - ct.e0)
-    return None
+from .families import FAMILIES, BelyiMap, VerificationError, family_map_for_type
+from .gensys import CombinatorialType, GeneratingSystem, canonical_single_cycle, valid_types
 
 
 @dataclass(frozen=True)
@@ -86,14 +59,9 @@ class TriptychRecord:
         FAMILIES); k is given exactly when the family takes one."""
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        m = FAMILIES[family].member(d, k)
-        if m.claimed_type is not None:
-            gs = canonical_single_cycle(m.claimed_type)
-        elif family == "power":
-            gs = power_gensys(d)
-        else:
-            gs = chebyshev_gensys(d)
-        return cls(gs, m)
+        fam = FAMILIES[family]
+        m = fam.member(d, k)
+        return cls(fam.triple(m), m)
 
     def validate(self) -> None:
         """Cross-check the map against the triple; raises VerificationError

@@ -182,9 +182,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return USAGE
+    except (UnicodeDecodeError, RecursionError) as exc:
+        # a file that is not UTF-8, or JSON nested deeper than Python recurses
+        print(f"verify: cannot parse {args.input}: {exc}", file=sys.stderr)
+        return USAGE
     try:
         m = BelyiMap.from_json(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"verify: malformed map record: {exc}", file=sys.stderr)
         return USAGE
 

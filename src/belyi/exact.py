@@ -6,7 +6,7 @@ written to JSON and compared: a dense tuple of Fraction coefficients
 work is done on ascending lists of integer coefficients.  A rational
 function is stored reduced, as one pair of integer coefficient tuples with
 no common content and a positive leading denominator coefficient; its
-monic-denominator Poly form is a view built on first use.  gcd, the
+monic-denominator Poly form is built from the pair when read.  gcd, the
 Wronskian and squarefree decomposition run over the integers.  Nothing in
 this module touches floating point, so every identity checked downstream
 is exact.
@@ -122,17 +122,6 @@ class Poly:
 
     def __hash__(self) -> int:
         return hash(("Poly", self.coeffs))
-
-    def reverse(self, k: int | None = None) -> "Poly":
-        """Coefficient reversal x^k * p(1/x); k defaults to deg p."""
-        if k is None:
-            k = max(self.degree, 0)
-        if k < self.degree:
-            raise ValueError("reversal order below the degree")
-        out = [Fraction(0)] * (k + 1)
-        for i, c in enumerate(self.coeffs):
-            out[k - i] = c
-        return Poly(out)
 
     def to_json(self) -> list[str]:
         # each coefficient is a Fraction, whose str is the canonical "p/q"
@@ -387,10 +376,10 @@ class RatFunc:
     Stored as one integer pair (N, D): ascending coefficient tuples, coprime,
     with no content common to both and lc(D) > 0, so that equal functions
     store equal pairs.  num and den, the monic-denominator Fraction form,
-    are a view of the pair built on first use.
+    are built from the pair on each read.
     """
 
-    __slots__ = ("pair", "_view")
+    __slots__ = ("pair",)
 
     def __init__(self, num: Poly, den: Poly = Poly((1,))):
         # clear both denominators at once
@@ -420,23 +409,17 @@ class RatFunc:
             n = [c // content for c in n]
             d = [c // content for c in d]
         self.pair: tuple[tuple[int, ...], tuple[int, ...]] = (tuple(n), tuple(d))
-        self._view: tuple[Poly, Poly] | None = None
-
-    def _monic_form(self) -> tuple[Poly, Poly]:
-        if self._view is None:
-            n, d = self.pair
-            self._view = (Poly([Fraction(c, d[-1]) for c in n]),
-                          Poly([Fraction(c, d[-1]) for c in d]))
-        return self._view
 
     @property
     def num(self) -> Poly:
-        return self._monic_form()[0]
+        n, d = self.pair
+        return Poly([Fraction(c, d[-1]) for c in n])
 
     @property
     def den(self) -> Poly:
         """The denominator, monic."""
-        return self._monic_form()[1]
+        d = self.pair[1]
+        return Poly([Fraction(c, d[-1]) for c in d])
 
     @property
     def degree(self) -> int:

@@ -8,7 +8,8 @@ Wronskian N'D - ND' is c x^(e0-1) (x-1)^(e1-1), which pins its profile to
 its type.  The power and Chebyshev maps sit at the boundary of that class
 (two, respectively degenerate, critical values) and are not normalized at
 0 and 1; they and custom maps get their profile from squarefree
-decompositions of the three fiber polynomials.
+decompositions of the three fiber polynomials.  `FAMILIES` gives each
+family's builder and triple, and `family_map_for_type` a type's map.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ from .exact import (
     parse_int,
     squarefree_decomposition,
 )
-from .gensys import CombinatorialType
+from .gensys import (
+    CombinatorialType,
+    GeneratingSystem,
+    canonical_single_cycle,
+    chebyshev_gensys,
+    power_gensys,
+)
 
 
 class Family(NamedTuple):
@@ -38,6 +45,7 @@ class Family(NamedTuple):
     name: str  # as printed by `belyi construct`
     takes_k: bool
     build: Callable[[int, int | None], BelyiMap]  # (d, k) -> the member
+    triple: Callable[[BelyiMap], GeneratingSystem]  # member -> its monodromy
 
     def member(self, d: int, k: int | None) -> "BelyiMap":
         """The member (d, k); k is given exactly when the family takes one."""
@@ -47,15 +55,20 @@ class Family(NamedTuple):
         return self.build(d, k)
 
 
-# CLI name -> family; the only list of the named families.  The builders
-# look their constructor up when called, so a wrapped one is the one used.
+# CLI name -> family: the only list of the named families, and the one
+# place that gives each member's triple.  Rows look their functions up
+# when called, as those are defined below and may be rebound later.
 FAMILIES = {
     "poly": Family("single-cycle-poly", "single-cycle polynomial", True,
-                   lambda d, k: single_cycle_polynomial(d, k)),
+                   lambda d, k: single_cycle_polynomial(d, k),
+                   lambda m: canonical_single_cycle(m.claimed_type)),
     "symmetric": Family("symmetric-single-cycle", "symmetric single-cycle", True,
-                        lambda d, k: symmetric_single_cycle(d, k)),
-    "power": Family("power", "power map", False, lambda d, k: power_map(d)),
-    "chebyshev": Family("chebyshev", "chebyshev", False, lambda d, k: chebyshev_map(d)),
+                        lambda d, k: symmetric_single_cycle(d, k),
+                        lambda m: canonical_single_cycle(m.claimed_type)),
+    "power": Family("power", "power map", False, lambda d, k: power_map(d),
+                    lambda m: power_gensys(m.degree)),
+    "chebyshev": Family("chebyshev", "chebyshev", False, lambda d, k: chebyshev_map(d),
+                        lambda m: chebyshev_gensys(m.degree)),
 }
 FAMILY_TAGS = tuple(f.tag for f in FAMILIES.values()) + ("custom",)
 
@@ -95,15 +108,6 @@ class RamificationProfile:
     def is_belyi(self) -> bool:
         return self.total_ramification == 2 * self.degree - 2
 
-    def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "over0": list(self.over0),
-            "over1": list(self.over1),
-            "overInf": list(self.over_inf),
-            "isBelyi": self.is_belyi,
-        }
-
 
 def _fiber_indices(g: Poly, d: int) -> tuple[int, ...]:
     """Ramification indices of one fiber: multiplicities of the roots of g,
@@ -118,10 +122,8 @@ def _fiber_indices(g: Poly, d: int) -> tuple[int, ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def ramification_profile(f: "RatFunc | BelyiMap") -> RamificationProfile:
+def ramification_profile(f: RatFunc) -> RamificationProfile:
     """Exact ramification profile of a nonconstant rational map over {0, 1, inf}."""
-    if isinstance(f, BelyiMap):
-        f = f.f
     if f.is_constant:
         raise ValueError("constant map has no ramification profile")
     d = f.degree
@@ -155,7 +157,7 @@ class MapParams:
         if self.c is not None:
             return Poly([self.c * x for x in reversed(self.a)]), Poly((1,))
         den = Poly([(-1) ** i * x for i, x in enumerate(self.a)])
-        return den.reverse(), den
+        return Poly(den.coeffs[::-1]), den
 
     def to_json(self) -> dict:
         out: dict = {"a": [format_rational(x) for x in self.a]}
@@ -302,13 +304,6 @@ def _chebyshev_ints(n: int) -> list[int]:
     return out
 
 
-def chebyshev_polynomial(n: int) -> Poly:
-    """Chebyshev polynomial of the first kind, T_n(cos t) = cos(nt)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return Poly(_chebyshev_ints(n))
-
-
 def chebyshev_map(d: int) -> BelyiMap:
     """(T_d + 1)/2, normalized so the branch values are within {0, 1, inf}."""
     if d < 3:
@@ -417,3 +412,17 @@ def symmetric_single_cycle(d: int, k: int) -> BelyiMap:
     den = f.pair[1]
     a = tuple(Fraction((-1) ** i * scale * x, den[-1]) for i, x in enumerate(den))
     return _family_member("symmetric-single-cycle", ct, k, f, MapParams(None, a))
+
+
+def family_map_for_type(ct: CombinatorialType) -> BelyiMap | None:
+    """A closed-form map realizing the type, when a family covers it.
+
+    The polynomial family covers eInf = d (then k = d - e0) and the
+    symmetric family covers e0 = eInf (then e1 = 2k + 1 is automatically
+    odd).  Other types get no map here.
+    """
+    if ct.e_inf == ct.d:
+        return single_cycle_polynomial(ct.d, ct.d - ct.e0)
+    if ct.e0 == ct.e_inf:
+        return symmetric_single_cycle(ct.d, ct.d - ct.e0)
+    return None

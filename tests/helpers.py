@@ -118,8 +118,9 @@ def product(f: RatFunc, g: RatFunc) -> RatFunc:
 
 def substitute_reciprocal(f: RatFunc) -> RatFunc:
     """The composite f(1/x), reduced."""
-    k = max(f.num.degree, f.den.degree, 0)
-    return RatFunc(f.num.reverse(k), f.den.reverse(k))
+    k = f.degree  # x^k f(1/x) reverses each coefficient list padded to k + 1
+    n, d = ([0] * (k + 1 - len(c)) + list(c[::-1]) for c in f.pair)
+    return RatFunc(Poly(n), Poly(d))
 
 
 def poly_params(d: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:

@@ -17,6 +17,7 @@ from belyi import (
     RatFunc,
     TriptychRecord,
     VerificationError,
+    canonical_single_cycle,
     chebyshev_gensys,
     chebyshev_map,
     dessin_from_gensys,
@@ -28,7 +29,7 @@ from belyi import (
     valid_types,
     write_catalog,
 )
-from belyi.families import FAMILY_TAGS
+from belyi.families import FAMILIES, FAMILY_TAGS
 from helpers import MAP_LABELS, json_paths
 
 
@@ -122,6 +123,35 @@ def test_record_for_family_takes_k_exactly_when_the_family_does(family, k):
     # no silent default for a missing k, and no k ignored
     with pytest.raises(ParameterOutOfRangeError, match="parameter k"):
         TriptychRecord.for_family(family, 7, k)
+
+
+# family -> (d -> its valid k, or [None]; (d, k) -> the member's triple)
+FAMILY_MEMBERS = {
+    "poly": (lambda d: range(1, d - 1),
+             lambda d, k: canonical_single_cycle(CombinatorialType(d, d - k, k + 1, d))),
+    "symmetric": (lambda d: range(1, (d - 1) // 2 + 1),
+                  lambda d, k: canonical_single_cycle(
+                      CombinatorialType(d, d - k, 2 * k + 1, d - k))),
+    "power": (lambda d: [None], lambda d, k: power_gensys(d)),
+    "chebyshev": (lambda d: [None], lambda d, k: chebyshev_gensys(d)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_family_record_validates_and_round_trips(family):
+    # each row's triple column, for every member with 3 <= d <= 12
+    ks, triple = FAMILY_MEMBERS[family]
+    for d in range(3, 13):
+        for k in ks(d):
+            rec = TriptychRecord.for_family(family, d, k)
+            assert (rec.bmap.degree, rec.bmap.k) == (d, k)
+            assert rec.gensys == triple(d, k)
+            assert rec.bmap.claimed_type in (None, rec.ctype)
+            rec.validate()
+            data = json.loads(json.dumps(rec.to_json()))
+            back = TriptychRecord.from_json(data)
+            back.validate()
+            assert back.to_json() == data
 
 
 def test_validate_rejects_the_swapped_chebyshev_triple():

@@ -169,6 +169,49 @@ def test_verify_parse_error(capsys, tmp_path):
     assert "line 1 column 28" in err
 
 
+def _nested(depth: int) -> list:
+    # [[...[]...]], built without recursion
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"family": "custom", "extra": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b"\xff\xfe{",
+    ],
+    ids=["deep-array", "deep-field", "not-utf-8"],
+)
+def test_verify_input_that_json_cannot_read_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"verify: cannot parse {path}: ")
+    assert "internal error" not in captured.err
+    assert captured.out == ""
+
+
+def test_verify_a_record_too_deep_to_compare_is_malformed(capsys, tmp_path, monkeypatch):
+    # json.load may read a field that the stored-field check cannot write
+    # back; the reader's RecursionError is a malformed record, not a crash
+    data = dict(single_cycle_polynomial(5, 2).to_json(), extra=_nested(100_000))
+    with pytest.raises(RecursionError):
+        BelyiMap.from_json(data)
+    path = tmp_path / "deep.json"
+    path.write_text("{}")
+    monkeypatch.setattr(json, "load", lambda fh: data)
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("verify: malformed map record: ")
+    assert "internal error" not in captured.err
+    assert captured.out == ""
+
+
 def test_verify_missing_file(capsys, tmp_path):
     assert main(["verify", str(tmp_path / "nope.json")]) == USAGE
     assert "cannot read" in capsys.readouterr().err
@@ -294,6 +337,46 @@ def test_a_family_map_with_non_list_coefficients_is_refused(capsys, tmp_path, va
             assert "malformed map record" in captured.err
             assert "internal error" not in captured.err
             assert captured.out == ""
+
+
+CUSTOM_MAP = {"family": "custom", "f": {"num": ["0", "0", "1"], "den": ["1"]}}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: {**m, "family": ["poly"]}, r"unknown family tag \['poly'\]"),
+        (lambda m: {**m, "family": {"poly": 1}}, r"unknown family tag \{'poly': 1\}"),
+        (lambda m: {**CUSTOM_MAP, "f": {"num": ["1"]}}, "needs num and den"),
+        (lambda m: {**CUSTOM_MAP, "params": {"a": ["1"]}}, "params given for a custom map"),
+        (lambda m: {**CUSTOM_MAP, "d": 3}, "stated degree 3 != map degree 2"),
+        (lambda m: {**CUSTOM_MAP, "f": {"num": ["1"], "den": ["0"]}}, "zero denominator"),
+        (lambda m: {**m, "type": {**m["type"], "e1": 4}}, "stored type .* disagrees with"),
+        (lambda m: {**m, "extra": [1]}, r"stored extra \[1\] disagrees with null"),
+    ],
+    ids=[
+        "family-list",
+        "family-object",
+        "f-without-den",
+        "custom-params",
+        "custom-degree",
+        "custom-zero-den",
+        "misstated-type",
+        "extra-field",
+    ],
+)
+def test_each_map_reader_guard_has_a_fixed_case(capsys, tmp_path, edit, message):
+    # the fuzzes may or may not draw these; each guard's message is pinned
+    data = edit(single_cycle_polynomial(5, 2).to_json())
+    with pytest.raises(ValueError, match=message):
+        BelyiMap.from_json(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert "malformed map record" in captured.err
+    assert "internal error" not in captured.err
+    assert captured.out == ""
 
 
 def test_verify_fuzzed_map_records_exit_with_a_verdict_or_usage(tmp_path):

@@ -123,13 +123,17 @@ class TriptychRecord:
     def from_json(cls, data: dict) -> "TriptychRecord":
         """Read a record from its triple and map, and check its map's type
         and its stored type, dessin and invariants against the ones derived
-        from the triple; raises ValueError when they differ."""
-        gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
-        m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
-        rec = cls(gs, m)
-        if m is not None and m.claimed_type not in (None, rec.ctype):
-            raise ValueError(f"map type {m.claimed_type} differs from record type {rec.ctype}")
-        check_stored(data, rec._derived_json(), "gensys")
+        from the triple; raises ValueError when they differ, or when a value
+        is nested past Python's recursion limit."""
+        try:
+            gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
+            m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
+            rec = cls(gs, m)
+            if m is not None and m.claimed_type not in (None, rec.ctype):
+                raise ValueError(f"map type {m.claimed_type} differs from record type {rec.ctype}")
+            check_stored(data, rec._derived_json(), "gensys")
+        except RecursionError as exc:
+            raise ValueError(f"record nested too deeply to read: {exc}") from None
         return rec
 
 

@@ -1,15 +1,15 @@
 """Exact scalars, the polynomial display value, and rational functions.
 
-Scalars are `fractions.Fraction`.  A `Poly` is how a polynomial is shown,
-written to JSON and compared: a dense tuple of Fraction coefficients
+Coefficients are ints and `fractions.Fraction`s.  A `Poly` is how a
+polynomial is shown and compared: a dense tuple of Fraction coefficients
 (ascending degree, no trailing zeros), with no arithmetic of its own.  The
 work is done on ascending lists of integer coefficients.  A rational
 function is stored reduced, as one pair of integer coefficient tuples with
 no common content and a positive leading denominator coefficient; its
-monic-denominator Poly form is built from the pair when read.  gcd, the
-Wronskian and squarefree decomposition run over the integers.  Nothing in
-this module touches floating point, so every identity checked downstream
-is exact.
+monic-denominator Poly form is built from the pair when read.  Only
+`RatFunc.from_json` reads "p/q" strings.  gcd, the Wronskian and
+squarefree decomposition run over the integers.  Nothing in this module
+touches floating point, so every identity checked downstream is exact.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from typing import Iterable, Union
-
-Scalar = Union[int, str, Fraction]
+from typing import Iterable, Sequence
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -67,14 +65,13 @@ def check_stored(data: dict, derived: dict, source: str) -> None:
             raise ValueError(f"stored {key} {stored} disagrees with {want}, derived from {source}")
 
 
-def _fraction(c: Scalar) -> Fraction:
-    """An int, Fraction or "p/q" string as a Fraction; anything else, float
-    and bool included, raises ValueError."""
-    if type(c) is str:
-        return parse_rational(c)
-    if type(c) not in (int, Fraction):
-        raise ValueError(f"not an int, Fraction or \"p/q\" string: {c!r}")
-    return Fraction(c)
+def _exact_kinds(cs: list) -> set[type]:
+    # the coefficients' types, found in C; only ints and Fractions pass
+    kinds = set(map(type, cs))
+    if not kinds <= {int, Fraction}:
+        bad = next(c for c in cs if type(c) not in (int, Fraction))
+        raise ValueError(f"not an int or Fraction: {bad!r}")
+    return kinds
 
 
 def format_rational(q: Fraction) -> str:
@@ -84,7 +81,7 @@ def format_rational(q: Fraction) -> str:
 
 class Poly:
     """Dense univariate polynomial over the rationals, as displayed and
-    written to JSON.
+    compared.
 
     Coefficients are stored ascending by degree with trailing zeros stripped;
     the zero polynomial is the empty tuple.  Instances are treated as
@@ -93,14 +90,11 @@ class Poly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
         cs = list(coeffs)
-        # checked in C, so that the ints and Fractions the integer routines
-        # hand over skip the parse and type checks; every coefficient is
-        # stored as a Fraction, the one type that readers of coeffs see
-        kinds = set(map(type, cs))
-        if not kinds <= {Fraction}:
-            cs = list(map(Fraction if kinds <= {int, Fraction} else _fraction, cs))
+        # stored as Fractions, the one type that readers of coeffs see
+        if not _exact_kinds(cs) <= {Fraction}:
+            cs = list(map(Fraction, cs))
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -122,18 +116,6 @@ class Poly:
 
     def __hash__(self) -> int:
         return hash(("Poly", self.coeffs))
-
-    def to_json(self) -> list[str]:
-        # each coefficient is a Fraction, whose str is the canonical "p/q"
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: list[str]) -> "Poly":
-        """Read an ascending list of "p" or "p/q" strings; raises ValueError
-        on anything else."""
-        if not isinstance(data, list):
-            raise ValueError(f"coefficients must be a list of strings, not {data!r}")
-        return cls([parse_rational(s) for s in data])
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -375,27 +357,23 @@ class RatFunc:
 
     Stored as one integer pair (N, D): ascending coefficient tuples, coprime,
     with no content common to both and lc(D) > 0, so that equal functions
-    store equal pairs.  num and den, the monic-denominator Fraction form,
-    are built from the pair on each read.
+    store equal pairs.  It is built from num and den, ascending coefficient
+    sequences of ints and Fractions; the num and den it shows, the
+    monic-denominator Fraction form, are built from the pair on each read.
     """
 
     __slots__ = ("pair",)
 
-    def __init__(self, num: Poly, den: Poly = Poly((1,))):
-        # clear both denominators at once
-        scale = math.lcm(*(c.denominator for c in num.coeffs + den.coeffs))
-        self._reduce([c.numerator * (scale // c.denominator) for c in num.coeffs],
-                     [c.numerator * (scale // c.denominator) for c in den.coeffs])
-
-    @classmethod
-    def _from_ints(cls, n: list[int], d: list[int]) -> "RatFunc":
-        """n/d for ascending integer coefficient lists, trailing zeros
-        stripped, reduced without a Fraction."""
-        f = cls.__new__(cls)
-        f._reduce(n, d)
-        return f
-
-    def _reduce(self, n: list[int], d: list[int]) -> None:
+    def __init__(self, num: Sequence[int | Fraction], den: Sequence[int | Fraction] = (1,)):
+        n, d = list(num), list(den)
+        if Fraction in _exact_kinds(n + d):
+            # clear both denominators at once
+            scale = math.lcm(*(c.denominator for c in n + d))
+            n = [c.numerator * (scale // c.denominator) for c in n]
+            d = [c.numerator * (scale // c.denominator) for c in d]
+        for u in (n, d):
+            while u and u[-1] == 0:
+                u.pop()
         # cancel the gcd and the content, with lc(D) > 0
         if not d:
             raise ZeroDivisionError("zero denominator")
@@ -450,14 +428,22 @@ class RatFunc:
 
     @classmethod
     def from_json(cls, data: dict) -> "RatFunc":
-        """Read {"num": [...], "den": [...]}; raises ValueError on a malformed
-        object or a zero denominator."""
+        """Read {"num": [...], "den": [...]}, ascending lists of "p" or "p/q"
+        strings; raises ValueError on a malformed object or a zero
+        denominator."""
         if not isinstance(data, dict) or "num" not in data or "den" not in data:
             raise ValueError(f"a rational function needs num and den, not {data!r}")
-        den = Poly.from_json(data["den"])
-        if den.is_zero:
+
+        def coeffs(key: str) -> list[Fraction]:
+            cs = data[key]
+            if not isinstance(cs, list):
+                raise ValueError(f"coefficients must be a list of strings, not {cs!r}")
+            return [parse_rational(s) for s in cs]
+
+        den = coeffs("den")
+        if not any(den):
             raise ValueError("zero denominator")
-        return cls(Poly.from_json(data["num"]), den)
+        return cls(coeffs("num"), den)
 
     def __str__(self) -> str:
         if len(self.pair[1]) == 1:

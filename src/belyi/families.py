@@ -18,12 +18,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 from .exact import (
     Poly,
     RatFunc,
+    _sub,
     _wronskian,
     check_stored,
     format_rational,
@@ -131,7 +131,7 @@ def ramification_profile(f: RatFunc) -> RamificationProfile:
     prof = RamificationProfile(
         d,
         _fiber_indices(Poly(num), d),
-        _fiber_indices(Poly([a - b for a, b in zip_longest(num, den, fillvalue=0)]), d),
+        _fiber_indices(Poly(_sub(num, den)), d),
         # d - deg D is the pole order of f at infinity
         _fiber_indices(Poly(den), d),
     )
@@ -221,33 +221,39 @@ class BelyiMap:
         A member of a named family is its (family, d, k): it is rebuilt from
         them, and every stored field, and every field the writer writes,
         must be what the rebuilt map writes.  A custom map is read from f,
-        with an optional stated degree and claimed type.
+        with an optional stated degree and claimed type.  A value nested past
+        Python's recursion limit is malformed too.
         """
-        f = json_field(data, "f", "map")
-        family = data.get("family", "custom")
-        k = None if data.get("k") is None else parse_int(data["k"])
-        if family == "custom":
-            f = RatFunc.from_json(f)
-            d, ct = data.get("d"), data.get("type")
-            if d is not None and parse_int(d) != f.degree:
-                raise ValueError(f"stated degree {d} != map degree {f.degree}")
-            if data.get("params") is not None:
-                raise ValueError("params given for a custom map")
-            return cls(f, family, k, None if ct is None else CombinatorialType.from_json(ct))
-        fam = next((x for x in FAMILIES.values() if x.tag == family), None)
-        if fam is None:
-            raise ValueError(f"unknown family tag {family!r}")
-        d = parse_int(json_field(data, "d", "map"))
-        # the stated d bounds what the builder allocates, so it must match
-        # the stored f before anything of degree d is built
-        coeffs = [json_field(f, key, "f") for key in ("num", "den")]
-        if not all(isinstance(c, list) for c in coeffs):
-            raise ValueError(f"coefficients must be lists, not {f!r}")
-        if max(map(len, coeffs)) != d + 1:
-            raise ValueError(f"stated degree {d} != {max(map(len, coeffs)) - 1}, the stored f's")
-        m = fam.member(d, k)
-        check_stored(data, {**dict.fromkeys(data), **m.to_json()}, f"({family}, {d}, {k})")
-        return m
+        try:
+            f = json_field(data, "f", "map")
+            family = data.get("family", "custom")
+            k = None if data.get("k") is None else parse_int(data["k"])
+            if family == "custom":
+                f = RatFunc.from_json(f)
+                d, ct = data.get("d"), data.get("type")
+                if d is not None and parse_int(d) != f.degree:
+                    raise ValueError(f"stated degree {d} != map degree {f.degree}")
+                if data.get("params") is not None:
+                    raise ValueError("params given for a custom map")
+                return cls(f, family, k, None if ct is None else CombinatorialType.from_json(ct))
+            fam = next((x for x in FAMILIES.values() if x.tag == family), None)
+            if fam is None:
+                raise ValueError(f"unknown family tag {family!r}")
+            d = parse_int(json_field(data, "d", "map"))
+            # the stated d bounds what the builder allocates, so it must match
+            # the stored f before anything of degree d is built
+            coeffs = [json_field(f, key, "f") for key in ("num", "den")]
+            if not all(isinstance(c, list) for c in coeffs):
+                raise ValueError(f"coefficients must be lists, not {f!r}")
+            stored = max(map(len, coeffs)) - 1
+            if stored != d:
+                raise ValueError(f"stated degree {d} != {stored}, the stored f's")
+            m = fam.member(d, k)
+            check_stored(data, {**dict.fromkeys(data), **m.to_json()}, f"({family}, {d}, {k})")
+            return m
+        except RecursionError as exc:
+            # json.load returns values nested deeper than repr and json.dumps go
+            raise ValueError(f"map nested too deeply to read: {exc}") from None
 
 
 def verify_single_cycle(
@@ -290,7 +296,7 @@ def power_map(d: int) -> BelyiMap:
     """x^d: totally ramified over 0 and infinity, unramified over 1."""
     if d < 1:
         raise ParameterOutOfRangeError("power map needs d >= 1")
-    return BelyiMap(RatFunc._from_ints([0] * d + [1], [1]), family="power")
+    return BelyiMap(RatFunc([0] * d + [1], [1]), family="power")
 
 
 def _chebyshev_ints(n: int) -> list[int]:
@@ -310,7 +316,7 @@ def chebyshev_map(d: int) -> BelyiMap:
         raise ParameterOutOfRangeError("chebyshev map needs d >= 3")
     t = _chebyshev_ints(d)
     t[0] += 1
-    f = RatFunc._from_ints(t, [2])
+    f = RatFunc(t, [2])
     m = BelyiMap(f, family="chebyshev")
     if not m.profile.is_belyi:
         raise VerificationError("chebyshev map failed the Belyi check")
@@ -334,7 +340,7 @@ def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
          for j in range(m + 1)]
     v = [(-1) ** j * math.comb(n, j) * math.perm(d, j) * math.perm(e0 - 1 - j, n - j)
          for j in range(n + 1)]
-    return RatFunc._from_ints([0] * e0 + [sum(v) * x for x in u], [sum(u) * x for x in v])
+    return RatFunc([0] * e0 + [sum(v) * x for x in u], [sum(u) * x for x in v])
 
 
 # x, x - 1 and x^2 - x: the monic factors of a certified Wronskian

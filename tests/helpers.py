@@ -113,14 +113,14 @@ def evaluate(f: RatFunc, z: ProjectivePoint | int | Fraction) -> ProjectivePoint
 def product(f: RatFunc, g: RatFunc) -> RatFunc:
     """f g, reduced."""
     (a, b), (c, d) = f.pair, g.pair
-    return RatFunc._from_ints(mul(a, c), mul(b, d))
+    return RatFunc(mul(a, c), mul(b, d))
 
 
 def substitute_reciprocal(f: RatFunc) -> RatFunc:
     """The composite f(1/x), reduced."""
     k = f.degree  # x^k f(1/x) reverses each coefficient list padded to k + 1
     n, d = ([0] * (k + 1 - len(c)) + list(c[::-1]) for c in f.pair)
-    return RatFunc(Poly(n), Poly(d))
+    return RatFunc(n, d)
 
 
 def poly_params(d: int, k: int) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -242,9 +242,9 @@ def compose(f: RatFunc, g: RatFunc) -> RatFunc:
     a, b = g.pair
     n = f.degree
 
-    def homogenized(p: tuple[int, ...]) -> Poly:
+    def homogenized(p: tuple[int, ...]) -> list[int]:
         terms = (mul([c], power(a, i), power(b, n - i)) for i, c in enumerate(p) if c)
-        return Poly(add(*terms))
+        return add(*terms)
 
     num, den = f.pair
     return RatFunc(homogenized(num), homogenized(den))

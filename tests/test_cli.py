@@ -196,12 +196,39 @@ def test_verify_input_that_json_cannot_read_is_a_usage_error(capsys, tmp_path, c
     assert captured.out == ""
 
 
-def test_verify_a_record_too_deep_to_compare_is_malformed(capsys, tmp_path, monkeypatch):
-    # json.load may read a field that the stored-field check cannot write
-    # back; the reader's RecursionError is a malformed record, not a crash
-    data = dict(single_cycle_polynomial(5, 2).to_json(), extra=_nested(100_000))
-    with pytest.raises(RecursionError):
-        BelyiMap.from_json(data)
+DEEP_READS = {
+    # reader, what it reads, the path to the value nested 100,000 deep
+    "custom-f": (BelyiMap, "custom", ("f",)),
+    "custom-num-element": (BelyiMap, "custom", ("f", "num", 1)),
+    "custom-type": (BelyiMap, "custom", ("type",)),
+    "custom-d": (BelyiMap, "custom", ("d",)),
+    "family-extra-field": (BelyiMap, "family", ("extra",)),
+    "record-gensys": (TriptychRecord, "record", ("gensys",)),
+    "record-sigma0": (TriptychRecord, "record", ("gensys", "sigma0")),
+    "record-sigma0-cycle": (TriptychRecord, "record", ("gensys", "sigma0", 2)),
+    "record-gensys-d": (TriptychRecord, "record", ("gensys", "d")),
+    "record-type": (TriptychRecord, "record", ("type",)),
+    "record-dessin": (TriptychRecord, "record", ("dessin",)),
+}
+
+
+@pytest.mark.parametrize("case", DEEP_READS)
+def test_a_value_nested_too_deep_is_a_malformed_record(case, capsys, tmp_path, monkeypatch):
+    # json.load may return a value that repr, in a guard's message, or the
+    # stored-field check cannot write back; each reader turns the
+    # RecursionError into a malformed record, not a crash
+    reader, base, (*outer, key) = DEEP_READS[case]
+    data = {
+        "custom": copy.deepcopy(CUSTOM_MAP),
+        "family": single_cycle_polynomial(5, 2).to_json(),
+        "record": TriptychRecord.for_family("poly", 5, 2).to_json(),
+    }[base]
+    parent = data
+    for step in outer:
+        parent = parent[step]
+    parent[key] = _nested(100_000)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        reader.from_json(data)
     path = tmp_path / "deep.json"
     path.write_text("{}")
     monkeypatch.setattr(json, "load", lambda fh: data)
@@ -351,6 +378,15 @@ CUSTOM_MAP = {"family": "custom", "f": {"num": ["0", "0", "1"], "den": ["1"]}}
         (lambda m: {**CUSTOM_MAP, "params": {"a": ["1"]}}, "params given for a custom map"),
         (lambda m: {**CUSTOM_MAP, "d": 3}, "stated degree 3 != map degree 2"),
         (lambda m: {**CUSTOM_MAP, "f": {"num": ["1"], "den": ["0"]}}, "zero denominator"),
+        (lambda m: {**CUSTOM_MAP, "f": {"num": ["1"], "den": ["0", "0"]}}, "^zero denominator$"),
+        (lambda m: {**CUSTOM_MAP, "f": {"num": "12", "den": ["1"]}},
+         "coefficients must be a list of strings, not '12'"),
+        (lambda m: {**CUSTOM_MAP, "f": {"num": ["1"], "den": {"0": "1"}}},
+         r"coefficients must be a list of strings, not \{'0': '1'\}"),
+        (lambda m: {**CUSTOM_MAP, "f": {"num": ["0", 1.5], "den": ["1"]}},
+         r'not a rational "p" or "p/q": 1\.5'),
+        (lambda m: {**CUSTOM_MAP, "f": {"num": ["1/0"], "den": ["1"]}},
+         "zero denominator in '1/0'"),
         (lambda m: {**m, "type": {**m["type"], "e1": 4}}, "stored type .* disagrees with"),
         (lambda m: {**m, "extra": [1]}, r"stored extra \[1\] disagrees with null"),
     ],
@@ -361,6 +397,11 @@ CUSTOM_MAP = {"family": "custom", "f": {"num": ["0", "0", "1"], "den": ["1"]}}
         "custom-params",
         "custom-degree",
         "custom-zero-den",
+        "custom-den-of-zeros",
+        "num-a-string",
+        "den-an-object",
+        "json-number-coefficient",
+        "coefficient-over-zero",
         "misstated-type",
         "extra-field",
     ],
@@ -671,3 +712,45 @@ def test_construct_and_verify_stdout_is_pinned(family, output, capsys, tmp_path)
         assert main(construct + [output]) == PASS
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[family, output]
+
+
+# `verify` on custom maps, which are read through RatFunc.from_json where
+# family maps are rebuilt from (family, d, k): f, or the whole record, and
+# the extra arguments -> exit code and sha256 of stdout + "\0" + stderr
+POLY_5_2_AS_CUSTOM = {
+    "family": "custom", "d": 5, "k": None, "type": {"d": 5, "e0": 3, "e1": 3, "eInf": 5},
+    "f": {"num": ["0", "0", "0", "10", "-15", "6"], "den": ["1"]},
+}
+PINNED_CUSTOM_VERIFY = {
+    "x^2": (CUSTOM_MAP["f"], [], PASS,
+            "6f201cd56af3ca5001effdc6d5fad9e9fc43016d87bcf1d13f4a17fd908c91bb"),
+    "x^2-typed": (CUSTOM_MAP["f"], ["--type", "2,2,3"], FAIL,
+                  "26393aee81c285fba59bc73581b28683fba0ce49ce41b05788affbb1ee417c29"),
+    "unreduced-3x^2": ({"num": ["0", "0", "2"], "den": ["2/3"]}, [], PASS,
+                       "6f201cd56af3ca5001effdc6d5fad9e9fc43016d87bcf1d13f4a17fd908c91bb"),
+    "x^3-3x": ({"num": ["0", "-3", "0", "1"], "den": ["1"]}, [], FAIL,
+               "5830bfcab2a2e44d1ba2692690662910d54944cc385842aa2504308ebd0c89b0"),
+    "poly-5-2-as-custom": (POLY_5_2_AS_CUSTOM, [], PASS,
+                           "3cbb5e5f9163a1195ee731a84efb058203fa18ba6e695e60ed349a6a9337504c"),
+    "rational-den": ({"num": ["0", "0", "1/2"], "den": ["-1/2", "1/2"]}, [], FAIL,
+                     "02e91f3154bd88e634f49c81970e8139573bc1472994de8516b3cd4cad1a1ff5"),
+    "float-coefficient": ({"num": ["0", 1.5], "den": ["1"]}, [], USAGE,
+                          "5e76012a9fcf5d6ca7a9d2242f3a95dc9a490cb585d1c03f9d2e7266c04881bb"),
+    "num-string": ({"num": "12", "den": ["1"]}, [], USAGE,
+                   "441a1963f45afb4091f75bf296ca27c96ee72994967c4be555bdab441cb9bb40"),
+    "constant": ({"num": ["3"], "den": ["1"]}, [], FAIL,
+                 "0e9152cfb83c04515c1662518c05c8d0cc3569ba5b5b7b4752bb9c6448bcc3e9"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_CUSTOM_VERIFY)
+def test_custom_map_verify_output_is_pinned(case, capsys, tmp_path):
+    data, argv, code, digest = PINNED_CUSTOM_VERIFY[case]
+    if "f" not in data:
+        data = {"family": "custom", "f": data}
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps(data))
+    got = main(["verify", str(path), *argv])
+    captured = capsys.readouterr()
+    assert got == code
+    assert hashlib.sha256(f"{captured.out}\0{captured.err}".encode()).hexdigest() == digest

@@ -9,7 +9,6 @@ the two closed-form families, an exactly verified rational map.
 from .exact import (
     Poly,
     RatFunc,
-    format_rational,
     parse_rational,
     poly_gcd,
     squarefree_decomposition,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Poly",
     "RatFunc",
-    "format_rational",
     "parse_rational",
     "poly_gcd",
     "squarefree_decomposition",

@@ -1,15 +1,15 @@
 """Exact scalars, the polynomial display value, and rational functions.
 
-Coefficients are ints and `fractions.Fraction`s.  A `Poly` is how a
-polynomial is shown and compared: a dense tuple of Fraction coefficients
-(ascending degree, no trailing zeros), with no arithmetic of its own.  The
-work is done on ascending lists of integer coefficients.  A rational
-function is stored reduced, as one pair of integer coefficient tuples with
-no common content and a positive leading denominator coefficient; its
-monic-denominator Poly form is built from the pair when read.  Only
-`RatFunc.from_json` reads "p/q" strings.  gcd, the Wronskian and
-squarefree decomposition run over the integers.  Nothing in this module
-touches floating point, so every identity checked downstream is exact.
+Coefficients are ints and `fractions.Fraction`s.  A `Poly` is a dense
+tuple of Fraction coefficients (ascending degree, no trailing zeros) with
+no arithmetic of its own: it is what is printed, and what squarefree
+decomposition and gcd take.  The work is done on ascending lists of
+integer coefficients, and squarefree decomposition returns its factors as
+such lists.  A rational function is stored reduced, as one pair of integer
+coefficient tuples with no common content and a positive leading
+denominator coefficient, and printed with a monic denominator.  Only
+`RatFunc.from_json` reads "p/q" strings.  Nothing in this module touches
+floating point, so every identity checked downstream is exact.
 """
 
 from __future__ import annotations
@@ -72,11 +72,6 @@ def _exact_kinds(cs: list) -> set[type]:
         bad = next(c for c in cs if type(c) not in (int, Fraction))
         raise ValueError(f"not an int or Fraction: {bad!r}")
     return kinds
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical "p/q" form, or just "p" when the denominator is 1."""
-    return str(Fraction(q))
 
 
 class Poly:
@@ -155,12 +150,6 @@ def _int_primitive(p: Poly) -> list[int]:
         ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     g = math.gcd(*ints)
     return [c // g for c in ints]
-
-
-def _monic_poly(u: list[int]) -> Poly:
-    # the monic rational polynomial with the roots of an integer list
-    lead = u[-1]
-    return Poly([Fraction(c, lead) for c in u])
 
 
 def _derivative(u: list[int]) -> list[int]:
@@ -293,20 +282,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     over the integers, skipped when the inputs are coprime modulo a prime."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
-    if a.is_zero:
-        return _monic_poly(_int_primitive(b))
-    if b.is_zero:
-        return _monic_poly(_int_primitive(a))
-    return _monic_poly(_int_gcd(_int_primitive(a), _int_primitive(b)))
+    if a.is_zero or b.is_zero:
+        g = _int_primitive(a or b)
+    else:
+        g = _int_gcd(_int_primitive(a), _int_primitive(b))
+    return Poly([Fraction(c, g[-1]) for c in g])
 
 
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+def squarefree_decomposition(p: Poly) -> list[tuple[list[int], int]]:
     """Yun's squarefree decomposition.
 
-    Returns monic squarefree factors with their multiplicities, ordered by
-    strictly increasing multiplicity, such that p = lc(p) * prod(f**m).
-    Factors of degree zero are omitted; a constant input decomposes into the
-    empty product.
+    Returns squarefree factors with their multiplicities, ordered by
+    strictly increasing multiplicity, such that p = c * prod(f**m) for a
+    rational c.  Each factor is an ascending list of integer coefficients,
+    primitive, with a positive leading coefficient.  Factors of degree zero
+    are omitted; a constant input decomposes into the empty product.
 
     The work is done on primitive integer coefficient lists.  Powers x^m
     and (x - 1)^m1 are split off first, by a shift and by exact synthetic
@@ -349,7 +339,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if m:
         # x^m joins the factor of multiplicity m, or stands alone
         factors[m] = [0] + factors.get(m, [1])
-    return [(_monic_poly(factors[i]), i) for i in sorted(factors)]
+    return [(f if f[-1] > 0 else [-c for c in f], i) for i, f in sorted(factors.items())]
 
 
 class RatFunc:
@@ -358,8 +348,7 @@ class RatFunc:
     Stored as one integer pair (N, D): ascending coefficient tuples, coprime,
     with no content common to both and lc(D) > 0, so that equal functions
     store equal pairs.  It is built from num and den, ascending coefficient
-    sequences of ints and Fractions; the num and den it shows, the
-    monic-denominator Fraction form, are built from the pair on each read.
+    sequences of ints and Fractions, and printed with a monic denominator.
     """
 
     __slots__ = ("pair",)
@@ -387,17 +376,6 @@ class RatFunc:
             n = [c // content for c in n]
             d = [c // content for c in d]
         self.pair: tuple[tuple[int, ...], tuple[int, ...]] = (tuple(n), tuple(d))
-
-    @property
-    def num(self) -> Poly:
-        n, d = self.pair
-        return Poly([Fraction(c, d[-1]) for c in n])
-
-    @property
-    def den(self) -> Poly:
-        """The denominator, monic."""
-        d = self.pair[1]
-        return Poly([Fraction(c, d[-1]) for c in d])
 
     @property
     def degree(self) -> int:
@@ -446,9 +424,9 @@ class RatFunc:
         return cls(coeffs("num"), den)
 
     def __str__(self) -> str:
-        if len(self.pair[1]) == 1:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        lead = self.pair[1][-1]
+        num, den = (Poly([Fraction(c, lead) for c in u]) for u in self.pair)
+        return str(num) if den.degree == 0 else f"({num}) / ({den})"
 
     def __repr__(self) -> str:
         return f"RatFunc({str(self)!r})"

@@ -7,9 +7,10 @@ branch value, and each member is certified by one polynomial identity: its
 Wronskian N'D - ND' is c x^(e0-1) (x-1)^(e1-1), which pins its profile to
 its type.  The power and Chebyshev maps sit at the boundary of that class
 (two, respectively degenerate, critical values) and are not normalized at
-0 and 1; they and custom maps get their profile from squarefree
-decompositions of the three fiber polynomials.  `FAMILIES` gives each
-family's builder and triple, and `family_map_for_type` a type's map.
+0 and 1; they and custom maps get their profile from the degrees of the
+integer squarefree factors of the three fiber polynomials.  `FAMILIES`
+gives each family's builder and triple, and `family_map_for_type` a
+type's map.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .exact import (
     Poly,
@@ -26,7 +27,6 @@ from .exact import (
     _sub,
     _wronskian,
     check_stored,
-    format_rational,
     json_field,
     parse_int,
     squarefree_decomposition,
@@ -109,14 +109,15 @@ class RamificationProfile:
         return self.total_ramification == 2 * self.degree - 2
 
 
-def _fiber_indices(g: Poly, d: int) -> tuple[int, ...]:
+def _fiber_indices(g: Sequence[int], d: int) -> tuple[int, ...]:
     """Ramification indices of one fiber: multiplicities of the roots of g,
-    plus the point at infinity with index d - deg g when the degree drops."""
+    an ascending integer coefficient list, plus the point at infinity with
+    index d - deg g when the degree drops."""
     out: list[int] = []
-    if g.degree > 0:
-        for factor, mult in squarefree_decomposition(g):
-            out.extend([mult] * factor.degree)
-    drop = d - max(g.degree, 0)
+    if len(g) > 1:
+        for factor, mult in squarefree_decomposition(Poly(g)):
+            out.extend([mult] * (len(factor) - 1))
+    drop = d - max(len(g) - 1, 0)
     if drop > 0:
         out.append(drop)
     return tuple(sorted(out, reverse=True))
@@ -130,10 +131,10 @@ def ramification_profile(f: RatFunc) -> RamificationProfile:
     num, den = f.pair
     prof = RamificationProfile(
         d,
-        _fiber_indices(Poly(num), d),
-        _fiber_indices(Poly(_sub(num, den)), d),
+        _fiber_indices(num, d),
+        _fiber_indices(_sub(num, den), d),
         # d - deg D is the pole order of f at infinity
-        _fiber_indices(Poly(den), d),
+        _fiber_indices(den, d),
     )
     for name, fib in zip(("0", "1", "inf"), prof.fibers):
         if sum(fib) != d:
@@ -151,18 +152,10 @@ class MapParams:
     c: Fraction | None
     a: tuple[Fraction, ...]
 
-    def closed_form(self) -> tuple[Poly, Poly]:
-        """(num, den): c (a0 x^k + ... + a_k) over 1 when c is given, else
-        den = sum (-1)^i a_i x^i over its coefficient reversal num."""
-        if self.c is not None:
-            return Poly([self.c * x for x in reversed(self.a)]), Poly((1,))
-        den = Poly([(-1) ** i * x for i, x in enumerate(self.a)])
-        return Poly(den.coeffs[::-1]), den
-
     def to_json(self) -> dict:
-        out: dict = {"a": [format_rational(x) for x in self.a]}
+        out: dict = {"a": [str(x) for x in self.a]}
         if self.c is not None:
-            out["c"] = format_rational(self.c)
+            out["c"] = str(self.c)
         return out
 
 
@@ -198,12 +191,17 @@ class BelyiMap:
         return f"BelyiMap({self.family}, d={self.degree}, f={self.f})"
 
     def factored_form(self) -> str | None:
-        """Human-readable closed form for the two single-cycle families."""
+        """Human-readable closed form for the two single-cycle families:
+        x^(d-k) c (a0 x^k + ... + a_k) when c is given, else x^(d-k) times
+        den = sum (-1)^i a_i x^i reversed, over den."""
         if self.params is None:
             return None
-        num, den = self.params.closed_form()
-        head = f"x^{self.degree - self.k} * ({num})"
-        return head if den.degree == 0 else f"{head} / ({den})"
+        c, a = self.params.c, self.params.a
+        head = f"x^{self.degree - self.k}"
+        if c is not None:
+            return f"{head} * ({Poly([c * x for x in reversed(a)])})"
+        den = [(-1) ** i * x for i, x in enumerate(a)]
+        return f"{head} * ({Poly(den[::-1])}) / ({Poly(den)})"
 
     def to_json(self) -> dict:
         out: dict = {"family": self.family, "d": self.degree, "k": self.k}
@@ -221,8 +219,8 @@ class BelyiMap:
         A member of a named family is its (family, d, k): it is rebuilt from
         them, and every stored field, and every field the writer writes,
         must be what the rebuilt map writes.  A custom map is read from f,
-        with an optional stated degree and claimed type.  A value nested past
-        Python's recursion limit is malformed too.
+        with an optional stated degree and claimed type and no params or k.
+        A value nested past Python's recursion limit is malformed too.
         """
         try:
             f = json_field(data, "f", "map")
@@ -235,7 +233,9 @@ class BelyiMap:
                     raise ValueError(f"stated degree {d} != map degree {f.degree}")
                 if data.get("params") is not None:
                     raise ValueError("params given for a custom map")
-                return cls(f, family, k, None if ct is None else CombinatorialType.from_json(ct))
+                if k is not None:
+                    raise ValueError("k given for a custom map")
+                return cls(f, family, None, None if ct is None else CombinatorialType.from_json(ct))
             fam = next((x for x in FAMILIES.values() if x.tag == family), None)
             if fam is None:
                 raise ValueError(f"unknown family tag {family!r}")
@@ -343,8 +343,8 @@ def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
     return RatFunc([0] * e0 + [sum(v) * x for x in u], [sum(u) * x for x in v])
 
 
-# x, x - 1 and x^2 - x: the monic factors of a certified Wronskian
-_CRITICAL = (Poly((0, 1)), Poly((-1, 1)), Poly((0, -1, 1)))
+# x, x - 1 and x^2 - x: the primitive factors of a certified Wronskian
+_CRITICAL = ([0, 1], [-1, 1], [0, -1, 1])
 
 
 def _certified_profile(f: RatFunc, ct: CombinatorialType) -> RamificationProfile | None:

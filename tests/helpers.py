@@ -16,7 +16,6 @@ from belyi import (
     Permutation,
     Poly,
     RatFunc,
-    format_rational,
     is_transitive,
     make_gensys,
 )
@@ -36,7 +35,7 @@ class ProjectivePoint:
         return cls(Fraction(v))
 
     def __str__(self) -> str:
-        return "inf" if self.finite is None else format_rational(self.finite)
+        return "inf" if self.finite is None else str(self.finite)
 
 
 INFINITY = ProjectivePoint(None)

@@ -94,8 +94,8 @@ def test_criterion_01_polynomial_worked_example(capsys):
         assert m.params is not None
         assert m.params.c == 30
         assert m.params.a == (Fraction(1, 5), Fraction(-1, 2), Fraction(1, 3))
-        assert m.f.num == Poly((0, 0, 0, 10, -15, 6))
-        f, x, x1 = list(m.f.num.coeffs), [0, 1], [-1, 1]
+        assert m.f.pair == ((0, 0, 0, 10, -15, 6), (1,))
+        f, x, x1 = list(m.f.pair[0]), [0, 1], [-1, 1]
         # the 1-fiber factors as (x - 1)^3 (6x^2 + 3x + 1)
         assert Poly(sub(f, [1])) == Poly(mul(power(x1, 3), [1, 3, 6]))
         # the derivative vanishes only at 0 and 1

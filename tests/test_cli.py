@@ -376,6 +376,7 @@ CUSTOM_MAP = {"family": "custom", "f": {"num": ["0", "0", "1"], "den": ["1"]}}
         (lambda m: {**m, "family": {"poly": 1}}, r"unknown family tag \{'poly': 1\}"),
         (lambda m: {**CUSTOM_MAP, "f": {"num": ["1"]}}, "needs num and den"),
         (lambda m: {**CUSTOM_MAP, "params": {"a": ["1"]}}, "params given for a custom map"),
+        (lambda m: {**CUSTOM_MAP, "k": 7}, "k given for a custom map"),
         (lambda m: {**CUSTOM_MAP, "d": 3}, "stated degree 3 != map degree 2"),
         (lambda m: {**CUSTOM_MAP, "f": {"num": ["1"], "den": ["0"]}}, "zero denominator"),
         (lambda m: {**CUSTOM_MAP, "f": {"num": ["1"], "den": ["0", "0"]}}, "^zero denominator$"),
@@ -395,6 +396,7 @@ CUSTOM_MAP = {"family": "custom", "f": {"num": ["0", "0", "1"], "den": ["1"]}}
         "family-object",
         "f-without-den",
         "custom-params",
+        "custom-k",
         "custom-degree",
         "custom-zero-den",
         "custom-den-of-zeros",
@@ -740,6 +742,8 @@ PINNED_CUSTOM_VERIFY = {
                    "441a1963f45afb4091f75bf296ca27c96ee72994967c4be555bdab441cb9bb40"),
     "constant": ({"num": ["3"], "den": ["1"]}, [], FAIL,
                  "0e9152cfb83c04515c1662518c05c8d0cc3569ba5b5b7b4752bb9c6448bcc3e9"),
+    "custom-k": ({**CUSTOM_MAP, "k": 7}, [], USAGE,
+                 "8d68ad3bf5951dabc1c768def8d03461412bb11ff330de8d869cedb4951f4b31"),
 }
 
 

@@ -11,7 +11,6 @@ import pytest
 from belyi import (
     Poly,
     RatFunc,
-    format_rational,
     parse_rational,
     poly_gcd,
     squarefree_decomposition,
@@ -96,25 +95,35 @@ def test_gcd_scaling_invariance_random():
 
 def test_squarefree_decomposition_basic():
     p = Poly(mul(power(X, 2), power(X1, 2)))
-    assert squarefree_decomposition(p) == [(Poly((0, -1, 1)), 2)]
+    assert squarefree_decomposition(p) == [([0, -1, 1], 2)]
 
 
 def test_squarefree_decomposition_family_fiber():
-    # 6x^5 - 15x^4 + 10x^3 - 1 = 6 (x - 1)^3 (x^2 + x/2 + 1/6)
+    # 6x^5 - 15x^4 + 10x^3 - 1 = (x - 1)^3 (6x^2 + 3x + 1)
     p = Poly((-1, 0, 0, 10, -15, 6))
     dec = squarefree_decomposition(p)
-    assert dec == [
-        (Poly((Fraction(1, 6), Fraction(1, 2), 1)), 1),
-        (Poly(X1), 3),
-    ]
+    assert dec == [([1, 3, 6], 1), (X1, 3)]
     # independent cross-check: the factors multiply back to p
-    assert Poly(mul([6], power(X1, 3), [Fraction(1, 6), Fraction(1, 2), 1])) == p
+    assert Poly(mul(power(X1, 3), [1, 3, 6])) == p
 
 
 def test_squarefree_input_is_its_own_decomposition():
     p = Poly((2, 0, 2))  # 2(x^2 + 1)
-    assert squarefree_decomposition(p) == [(Poly((1, 0, 1)), 1)]
+    assert squarefree_decomposition(p) == [([1, 0, 1], 1)]
     assert squarefree_decomposition(Poly((5,))) == []
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        ((-1, 0, -1), [([1, 0, 1], 1)]),  # a negative lead
+        ((0, 0, -6, 6), [([-1, 1], 1), ([0, 1], 2)]),  # content and sign, split off
+        ((Fraction(1, 2), -1, Fraction(1, 2)), [([-1, 1], 2)]),  # Fraction content
+    ],
+    ids=["negative", "content", "fraction"],
+)
+def test_squarefree_factors_are_primitive_with_a_positive_lead(p, expected):
+    assert squarefree_decomposition(Poly(p)) == expected
 
 
 def test_squarefree_reconstruction_random():
@@ -126,27 +135,28 @@ def test_squarefree_reconstruction_random():
             continue
         trials += 1
         dec = squarefree_decomposition(p)
-        prod = [p.coeffs[-1]]
+        prod = [1]
         mults = []
         for f, m in dec:
-            prod = mul(prod, power(f.coeffs, m))
+            prod = mul(prod, power(f, m))
             mults.append(m)
-            assert f.coeffs[-1] == 1
-            assert poly_gcd(f, Poly(derivative(f.coeffs))).degree == 0  # squarefree
-        assert Poly(prod) == p
+            assert {type(c) for c in f} == {int} and math.gcd(*f) == 1 and f[-1] > 0
+            assert poly_gcd(Poly(f), Poly(derivative(f))).degree == 0  # squarefree
+        # p = c * prod(f**m) for the rational c = lc(p) / lc(prod)
+        assert Poly(mul([p.coeffs[-1] / prod[-1]], prod)) == p
         assert mults == sorted(set(mults))  # strictly increasing
         for i in range(len(dec)):
             for j in range(i + 1, len(dec)):
-                assert poly_gcd(dec[i][0], dec[j][0]).degree == 0
+                assert poly_gcd(Poly(dec[i][0]), Poly(dec[j][0])).degree == 0
 
 
 def test_ratfunc_reduces_and_normalizes():
     f = RatFunc((0, 2), (0, 0, 4))  # 2x / 4x^2
-    assert f.num == Poly((Fraction(1, 2),))
-    assert f.den == Poly(X)
-    assert f.den.coeffs[-1] == 1
+    assert f.pair == ((1,), (0, 2))
+    assert str(f) == "(1/2) / (x)"  # printed with a monic denominator
     g = RatFunc((0, 0, 0, 1))
-    assert g.den == Poly((1,))
+    assert g.pair == ((0, 0, 0, 1), (1,))
+    assert str(g) == "x^3"
     assert g.degree == 3
 
 
@@ -194,7 +204,10 @@ def test_ratfunc_matches_a_monic_form_reference():
         den = Poly(mul([-content if negate else content], g, power(X, j), b.coeffs))
         f = RatFunc(num.coeffs, den.coeffs)
         ref_num, ref_den = _monic_reference(sympy, num, den)
-        assert (f.num, f.den) == (ref_num, ref_den)
+        # the pair is the reference over lc(D) > 0, with no common content
+        lead = f.pair[1][-1]
+        assert lead > 0 and math.gcd(*f.pair[0], *f.pair[1]) == 1
+        assert [Poly([Fraction(c, lead) for c in u]) for u in f.pair] == [ref_num, ref_den]
         ref_str = str(ref_num) if ref_den == Poly((1,)) else f"({ref_num}) / ({ref_den})"
         assert str(f) == ref_str
         assert f.to_json() == {"num": [str(c) for c in ref_num.coeffs],
@@ -246,9 +259,10 @@ def test_ratfunc_arithmetic_random_stays_reduced():
         if d1.is_zero or d2.is_zero:
             continue
         f = product(RatFunc(n1.coeffs, d1.coeffs), RatFunc(n2.coeffs, d2.coeffs))
-        assert f.den.coeffs[-1] == 1
-        if not f.num.is_zero:
-            assert poly_gcd(f.num, f.den).degree == 0
+        num, den = f.pair
+        assert den[-1] > 0 and math.gcd(*num, *den) == 1
+        if num:
+            assert poly_gcd(Poly(num), Poly(den)).degree == 0
 
 
 def test_evaluate_finite_points():
@@ -294,8 +308,8 @@ def test_substitute_reciprocal_is_involution_random():
 
 def test_rational_string_round_trip():
     for s in ("0", "7", "-3", "1/5", "-1/2", "22/7"):
-        assert format_rational(parse_rational(s)) == s
-    assert format_rational(Fraction(6, 4)) == "3/2"
+        assert str(parse_rational(s)) == s
+    assert str(parse_rational("6/4")) == "3/2"
 
 
 def test_ratfunc_json_round_trip():
@@ -362,7 +376,7 @@ def test_evaluate_rejects_an_unreduced_function():
     f = RatFunc((1,), X1)
     # bypass the reduction the constructor performs: (x - 1) / (x - 1)
     f.pair = ((-1, 1), (-1, 1))
-    assert f.num == f.den == Poly(X1)
+    assert str(f) == "(x - 1) / (x - 1)"
     with pytest.raises(ArithmeticError):
         evaluate(f, 1)
 
@@ -381,10 +395,7 @@ def test_gcd_falls_through_when_the_prime_divides_a_leading_coefficient():
     assert poly_gcd(Poly(mul(shared, [1, 1])), Poly(mul(shared, [2, 1]))) == Poly(
         (Fraction(-1, _P), 1)
     )
-    assert squarefree_decomposition(Poly(mul(a, [-2, 1]))) == [
-        (Poly((Fraction(1, _P), 1)), 1),
-        (Poly((-2, 1)), 2),
-    ]
+    assert squarefree_decomposition(Poly(mul(a, [-2, 1]))) == [([1, _P], 1), ([-2, 1], 2)]
 
 
 def test_gcd_falls_through_when_coprime_inputs_share_a_factor_mod_p():
@@ -394,7 +405,7 @@ def test_gcd_falls_through_when_coprime_inputs_share_a_factor_mod_p():
     xp = [-_P, 1]
     assert poly_gcd(Poly(X), Poly(xp)) == Poly((1,))
     assert poly_gcd(Poly(mul(X, X1)), Poly(mul(xp, X1))) == Poly(X1)
-    assert squarefree_decomposition(Poly(mul(X, power(xp, 2)))) == [(Poly(X), 1), (Poly(xp), 2)]
+    assert squarefree_decomposition(Poly(mul(X, power(xp, 2)))) == [(X, 1), (xp, 2)]
 
 
 def test_the_modular_exit_decides_every_shipped_map(monkeypatch):
@@ -433,17 +444,24 @@ def _monic_from_sympy(q) -> Poly:
     return Poly([Fraction(int(c), lead) for c in reversed(q.all_coeffs())])
 
 
-def _sympy_sqf(sympy, p: Poly) -> list[tuple[Poly, int]]:
-    # sympy's factors, in this package's form: monic, by increasing multiplicity
+def _primitive_from_sympy(q) -> list[int]:
+    cs = [int(c) for c in reversed(q.all_coeffs())]
+    g = math.gcd(*cs) if cs[-1] > 0 else -math.gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _sympy_sqf(sympy, p: Poly) -> list[tuple[list[int], int]]:
+    # sympy's factors, in this package's form: primitive integer lists with
+    # a positive lead, by increasing multiplicity
     _, factors = _to_sympy(sympy, p).sqf_list()
-    return sorted(((_monic_from_sympy(f), m) for f, m in factors), key=lambda fm: fm[1])
+    return sorted(((_primitive_from_sympy(f), m) for f, m in factors), key=lambda fm: fm[1])
 
 
 def _assert_matches_sympy(sympy, p: Poly, q: Poly) -> None:
     dec = squarefree_decomposition(p)
     assert dec == _sympy_sqf(sympy, p)
     assert [m for _, m in dec] == sorted({m for _, m in dec})
-    assert all(f.coeffs[-1] == 1 and f.degree > 0 for f, _ in dec)
+    assert all(len(f) > 1 and {type(c) for c in f} == {int} for f, _ in dec)
     g = sympy.gcd(_to_sympy(sympy, p), _to_sympy(sympy, q))
     assert poly_gcd(p, q) == _monic_from_sympy(g)
 
@@ -479,12 +497,12 @@ def test_squarefree_and_gcd_match_sympy_on_every_family_fiber():
         maps = [single_cycle_polynomial(d, k) for k in range(1, d - 1)]
         maps += [symmetric_single_cycle(d, k) for k in range(1, (d - 1) // 2 + 1)]
         for m in maps:
-            num, den = m.f.num, m.f.den
+            num, den = (list(u) for u in m.f.pair)
             # the map's own num and den are coprime; the unreduced pair is not
-            assert poly_gcd(num, den) == Poly((1,))
-            for fiber in (num, Poly(sub(num.coeffs, den.coeffs)), den):
-                if fiber.degree > 0:
-                    _assert_matches_sympy(sympy, fiber, Poly(derivative(fiber.coeffs)))
+            assert poly_gcd(Poly(num), Poly(den)) == Poly((1,))
+            for fiber in (num, sub(num, den), den):
+                if len(fiber) > 1:
+                    _assert_matches_sympy(sympy, Poly(fiber), Poly(derivative(fiber)))
 
 
 # ---- the (x - 1)^m split ahead of Yun -----------------------------------------
@@ -503,12 +521,12 @@ R_NEAR = mul([1, 1], power([-2, 1], 2), power([-HALF, 1], 3))
         (mul(X, power(X1, 2), power([1, 1], 2)), [(X, 1), (mul(X1, [1, 1]), 2)]),
         (
             mul(power(X, 3), X1, R_NEAR),
-            [(mul(X1, [1, 1]), 1), ([-2, 1], 2), (mul(X, [-HALF, 1]), 3)],
+            [(mul(X1, [1, 1]), 1), ([-2, 1], 2), (mul(X, [-1, 2]), 3)],
         ),
         # Fraction coefficients and a non-monic lead
         (
             mul([Fraction(-7, 3)], X, power(X1, 4), [Fraction(-2, 5), 1]),
-            [(mul(X, [Fraction(-2, 5), 1]), 1), (X1, 4)],
+            [(mul(X, [-2, 5]), 1), (X1, 4)],
         ),
         # a pure power of x - 1, leaving nothing for Yun
         (power(X1, 6), [(X1, 6)]),
@@ -518,7 +536,7 @@ R_NEAR = mul([1, 1], power([-2, 1], 2), power([-HALF, 1], 3))
 )
 def test_squarefree_splits_off_x_minus_1(p, expected):
     p = Poly(p)
-    assert squarefree_decomposition(p) == [(Poly(f), m) for f, m in expected]
+    assert squarefree_decomposition(p) == expected
     sympy = pytest.importorskip("sympy")
     assert squarefree_decomposition(p) == _sympy_sqf(sympy, p)
 

@@ -168,7 +168,7 @@ def test_polynomial_family_worked_example():
     assert m.factored_form() == "x^3 * (6x^2 - 15x + 10)"
     # derivative confirms the only finite critical points are 0 and 1
     x, x1 = [0, 1], [-1, 1]
-    assert Poly(derivative(m.f.num.coeffs)) == Poly(mul([30], power(x, 2), power(x1, 2)))
+    assert derivative(list(m.f.pair[0])) == mul([30], power(x, 2), power(x1, 2))
     assert m.profile.over0 == (3, 1, 1)
     assert m.profile.over1 == (3, 1, 1)
     assert m.profile.over_inf == (5,)
@@ -253,17 +253,23 @@ def test_both_families_are_the_one_map_of_their_type():
     # their params, and its map is the one they assemble
     for d in range(3, 41):
         members = [
-            (single_cycle_polynomial(d, k), MapParams(*poly_params(d, k)))
-            for k in range(1, d - 1)
+            (single_cycle_polynomial(d, k), poly_params(d, k)) for k in range(1, d - 1)
         ] + [
-            (symmetric_single_cycle(d, k),
-             MapParams(None, tuple(map(Fraction, symmetric_coeffs(d, k)))))
+            (symmetric_single_cycle(d, k), (None, tuple(map(Fraction, symmetric_coeffs(d, k)))))
             for k in range(1, (d - 1) // 2 + 1)
         ]
-        for m, params in members:
-            assert m.params == params
-            num, den = params.closed_form()
-            assert m.f == RatFunc((0,) * (d - m.k) + num.coeffs, den.coeffs)
+        for m, (c, a) in members:
+            assert m.params == MapParams(c, a)
+            # c (a0 x^k + ... + a_k) over 1, or den = sum (-1)^i a_i x^i
+            # reversed over den, each times x^(d-k)
+            if c is not None:
+                num, den = [c * x for x in reversed(a)], [1]
+            else:
+                den = [(-1) ** i * x for i, x in enumerate(a)]
+                num = den[::-1]
+            assert m.f == RatFunc([0] * (d - m.k) + num, den)
+            text = f"x^{d - m.k} * ({Poly(num)})"
+            assert m.factored_form() == (text if c is not None else f"{text} / ({Poly(den)})")
     # the construction gives every type its map; the same map claimed as
     # another type of its degree fails
     for d in range(3, 13):
@@ -538,8 +544,43 @@ def test_composite_single_cycle_maps_have_the_predicted_profile():
             swapped = _composite_fibers(cf, cg.d, (cg.e1, cg.e0, cg.e_inf))
             assert prof.fibers != swapped
             swapped_checked += 1
-        num, den = fg.num, fg.den
-        i = rng.randrange(num.degree + 1)
-        bumped = [c + (j == i) for j, c in enumerate(num.coeffs)]
-        assert not ramification_profile(RatFunc(bumped, den.coeffs)).is_belyi
+        num, den = fg.pair
+        i = rng.randrange(len(num))
+        bumped = [c + (j == i) for j, c in enumerate(num)]
+        assert not ramification_profile(RatFunc(bumped, den)).is_belyi
     assert swapped_checked > 0
+
+
+# x -> 1 - x swaps 0 and 1, and x -> 1/x swaps 0 and inf
+ONE_MINUS_X, ONE_OVER_X = RatFunc([1, -1]), RatFunc([1], [0, 1])
+
+
+def _conjugates_are_the_permuted_maps(f: RatFunc, ct: CombinatorialType, maps: dict) -> bool:
+    # 1 - f(1 - x) is the map of (d; e1, e0, eInf), and 1/f(1/x) that of
+    # (d; eInf, e1, e0), when f is the map of ct
+    d, (e0, e1, e_inf) = ct.d, ct.indices
+    swap_0_1 = maps[CombinatorialType(d, e1, e0, e_inf)]
+    swap_0_inf = maps[CombinatorialType(d, e_inf, e1, e0)]
+    return (compose(ONE_MINUS_X, compose(f, ONE_MINUS_X)) == swap_0_1
+            and compose(ONE_OVER_X, compose(f, ONE_OVER_X)) == swap_0_inf)
+
+
+def test_the_map_of_a_type_is_s3_equivariant():
+    # an oracle that shares no code with Yun or the certificate: the
+    # normalized map of a type is unique, so the Mobius maps that permute
+    # 0, 1 and inf carry it to the map of the permuted type
+    types = [ct for d in range(3, 17) for ct in valid_types(d)]
+    assert len(types) == 770
+    maps = {ct: families._single_cycle_map(ct) for ct in types}
+    for ct in types:
+        assert _conjugates_are_the_permuted_maps(maps[ct], ct, maps), ct
+    # negative controls on a seeded sample: the map of the type before it
+    # in its degree, and a single-coefficient perturbation of f
+    rng = random.Random(2021)
+    for ct in rng.sample(types, 100):
+        ts = valid_types(ct.d)
+        assert not _conjugates_are_the_permuted_maps(maps[ts[ts.index(ct) - 1]], ct, maps)
+        num, den = maps[ct].pair
+        i = rng.randrange(len(num))
+        bumped = RatFunc([c + (j == i) for j, c in enumerate(num)], den)
+        assert not _conjugates_are_the_permuted_maps(bumped, ct, maps)

@@ -199,21 +199,36 @@ def chebyshev_gensys(d: int) -> GeneratingSystem:
 def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
     """The standard representative triple of a combinatorial type.
 
-    sigma0 is the descending cycle (d, d-1, ..., d-e0+1) on the top e0
-    points and sigma1 the ascending cycle (1, 2, ..., e1) on the bottom e1
-    points.  The supports overlap in e0 + e1 - d >= 1 points, so the pair is
-    transitive.  sigmaInf is (1, e1+1, ..., d, d-e0+1, d-e0, ..., 2), one
-    cycle of length 1 + (d-e1) + (d-e0) = eInf, because its two runs are
-    disjoint when e0 + e1 > d; so the triple has type ct and genus zero.
-    The relative orientation matters: with both cycles ascending the
-    product is a full d-cycle instead, which has the wrong genus whenever
-    eInf < d.
+    With lo = d - e0 + 1, the triple is built from its image tuples
+    (sigma(1), ..., sigma(d)):
+
+        sigma0    = (1, ..., lo-1, d, lo, ..., d-1)
+        sigma1    = (2, ..., e1, 1, e1+1, ..., d)
+        sigmaInf  = (e1+1, 1, ..., lo-1, lo+1, ..., e1, e1+2, ..., d, lo)
+                    when e1 < d, and (lo, 1, ..., lo-1, lo+1, ..., d)
+                    when e1 = d,
+
+    which are the cycles sigma0 = (d, d-1, ..., lo) on the top e0 points,
+    sigma1 = (1, 2, ..., e1) on the bottom e1 points and
+    sigmaInf = (1, e1+1, ..., d, lo, lo-1, ..., 2).  The supports of
+    sigma0 and sigma1 overlap in e0 + e1 - d >= 1 points, so the pair is
+    transitive, and sigmaInf's two runs are disjoint because lo <= e1, so
+    it is one cycle of length 1 + (d-e1) + (d-e0) = eInf: the triple has
+    type ct and genus zero.  ``Permutation`` checks that each tuple is a
+    bijection, and ``GeneratingSystem`` that sigma0 sigma1 sigmaInf = id
+    and that the pair is transitive.  The relative orientation matters:
+    with both cycles ascending the product is a full d-cycle instead,
+    which has the wrong genus whenever eInf < d.
     """
-    d, e0, e1 = ct.d, ct.e0, ct.e1
-    s0 = Permutation.from_cycles(d, [range(d, d - e0, -1)])
-    s1 = Permutation.from_cycles(d, [range(1, e1 + 1)])
-    runs = (*range(e1 + 1, d + 1), *range(d - e0 + 1, 1, -1))
-    return GeneratingSystem(s0, s1, Permutation.from_cycles(d, [(1, *runs)]))
+    d, e1 = ct.d, ct.e1
+    lo = d - ct.e0 + 1
+    s0 = (*range(1, lo), d, *range(lo, d))
+    s1 = (*range(2, e1 + 1), 1, *range(e1 + 1, d + 1))
+    if e1 < d:
+        s_inf = (e1 + 1, *range(1, lo), *range(lo + 1, e1 + 1), *range(e1 + 2, d + 1), lo)
+    else:
+        s_inf = (lo, *range(1, lo), *range(lo + 1, d + 1))
+    return GeneratingSystem(Permutation(s0), Permutation(s1), Permutation(s_inf))
 
 
 def equivalent(a: GeneratingSystem, b: GeneratingSystem) -> bool:

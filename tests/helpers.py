@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from belyi import (
+    CombinatorialType,
     GeneratingSystem,
     Permutation,
     Poly,
@@ -180,6 +181,17 @@ def random_gensys(rng: random.Random, dmin: int = 3, dmax: int = 10) -> Generati
         s1 = random_permutation(rng, d)
         if is_transitive([s0, s1]):
             return make_gensys(s0, s1)
+
+
+def stated_canonical_triple(ct: CombinatorialType) -> GeneratingSystem:
+    """Oracle for ``canonical_single_cycle``: the triple built from its
+    stated cycles sigma0 = (d d-1 ... d-e0+1), sigma1 = (1 2 ... e1) and
+    sigmaInf = (1 e1+1 ... d d-e0+1 d-e0 ... 2)."""
+    d, e0, e1 = ct.d, ct.e0, ct.e1
+    s0 = Permutation.from_cycles(d, [range(d, d - e0, -1)])
+    s1 = Permutation.from_cycles(d, [range(1, e1 + 1)])
+    runs = (*range(e1 + 1, d + 1), *range(d - e0 + 1, 1, -1))
+    return GeneratingSystem(s0, s1, Permutation.from_cycles(d, [(1, *runs)]))
 
 
 def random_single_cycle_pair(

@@ -22,7 +22,7 @@ from belyi import (
     power_gensys,
     valid_types,
 )
-from helpers import random_gensys, random_permutation
+from helpers import random_gensys, random_permutation, stated_canonical_triple
 
 
 def test_type_validation():
@@ -170,6 +170,34 @@ def test_canonical_triple_large_overlap_example():
     # points 4 and 5 sit in both supports but end up fixed by the product
     assert gs.sigma_inf(4) == 4
     assert gs.sigma_inf(5) == 5
+
+
+def test_canonical_triple_matches_its_stated_cycles():
+    # the builder writes image tuples; the oracle builds the same triple
+    # from the three cycles the docstring states (4,872 types)
+    for d in range(3, 31):
+        for ct in valid_types(d):
+            assert canonical_single_cycle(ct) == stated_canonical_triple(ct), ct
+
+
+@pytest.mark.parametrize(
+    "ct, black, white, sigma_inf",
+    [
+        # e0 = d, so lo = 1 and sigma0 moves every point
+        (CombinatorialType(5, 5, 2, 4), [[1, 5, 4, 3, 2]], [[1, 2], [3], [4], [5]],
+         ((1, 3, 4, 5), (2,))),
+        # e1 = d: sigmaInf's other branch, with no ascending run
+        (CombinatorialType(5, 2, 5, 4), [[1], [2], [3], [4, 5]], [[1, 2, 3, 4, 5]],
+         ((1, 4, 3, 2), (5,))),
+        # e0 + e1 = d + 1: the supports share one point and eInf = d
+        (CombinatorialType(5, 4, 2, 5), [[1], [2, 5, 4, 3]], [[1, 2], [3], [4], [5]],
+         ((1, 3, 4, 5, 2),)),
+    ],
+)
+def test_canonical_triple_at_the_closed_form_boundaries(ct, black, white, sigma_inf):
+    gs = canonical_single_cycle(ct)
+    assert Dessin(gs).to_json() == {"d": 5, "black": black, "white": white}
+    assert gs.sigma_inf.cycles() == sigma_inf
 
 
 def test_canonical_triple_realizes_every_type():

@@ -11,6 +11,7 @@ from .exact import (
     RatFunc,
     parse_rational,
     poly_gcd,
+    poly_text,
     squarefree_decomposition,
 )
 from .perm import (
@@ -61,6 +62,7 @@ __all__ = [
     "RatFunc",
     "parse_rational",
     "poly_gcd",
+    "poly_text",
     "squarefree_decomposition",
     "CycleType",
     "DegreeMismatchError",

@@ -78,7 +78,9 @@ class TriptychRecord:
 
         - typed records: each fiber is (e, 1, ..., 1), so the map has a
           single ramification point of the type's index over each of 0, 1
-          and inf;
+          and inf, and its monodromy is the triple's class, since a type
+          has exactly one class of triples (counted by the Frobenius
+          formula for every type with d <= 22 in the tests);
         - power records: cycle types (d), (1^d), (d) make the dessin a star;
         - Chebyshev records: a transitive triple with cycle types in {1, 2}
           over 0 and 1 and sigmaInf a d-cycle makes the dessin a path;

@@ -1,13 +1,13 @@
-"""Exact scalars, the polynomial display value, and rational functions.
+"""Exact scalars, the integer polynomial, its printer, and rational functions.
 
-Coefficients are ints and `fractions.Fraction`s.  A `Poly` is a dense
-tuple of Fraction coefficients (ascending degree, no trailing zeros) with
-no arithmetic of its own: it is what is printed, and what squarefree
-decomposition and gcd take.  The work is done on ascending lists of
-integer coefficients, and squarefree decomposition returns its factors as
-such lists.  A rational function is stored reduced, as one pair of integer
-coefficient tuples with no common content and a positive leading
-denominator coefficient, and printed with a monic denominator.  Only
+The work is done on ascending lists of integer coefficients.  A `Poly` is a
+dense tuple of int coefficients (ascending degree, no trailing zeros) with
+no arithmetic of its own: it is what squarefree decomposition and gcd take,
+and squarefree decomposition returns its factors as integer lists.
+`poly_text` prints an ascending list of integer and rational coefficients.
+A rational function is stored reduced, as one pair of integer coefficient
+tuples with no common content and a positive leading denominator
+coefficient, and printed with a monic denominator.  Only
 `RatFunc.from_json` reads "p/q" strings.  Nothing in this module touches
 floating point, so every identity checked downstream is exact.
 """
@@ -65,46 +65,57 @@ def check_stored(data: dict, derived: dict, source: str) -> None:
             raise ValueError(f"stored {key} {stored} disagrees with {want}, derived from {source}")
 
 
-def _exact_kinds(cs: list) -> set[type]:
-    # the coefficients' types, found in C; only ints and Fractions pass
-    kinds = set(map(type, cs))
-    if not kinds <= {int, Fraction}:
-        bad = next(c for c in cs if type(c) not in (int, Fraction))
-        raise ValueError(f"not an int or Fraction: {bad!r}")
-    return kinds
+def poly_text(coeffs: Sequence[int | Fraction]) -> str:
+    """The polynomial with ascending coefficients ``coeffs`` (ints and
+    Fractions), printed from its leading term down; "0" when all are zero."""
+    parts: list[str] = []
+    for p in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[p]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if p == 0:
+            body = str(mag)
+        else:
+            xp = "x" if p == 1 else f"x^{p}"
+            if mag == 1:
+                body = xp
+            elif mag.denominator == 1:
+                body = f"{mag}{xp}"
+            else:
+                body = f"({mag}){xp}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 class Poly:
-    """Dense univariate polynomial over the rationals, as displayed and
-    compared.
+    """Dense univariate polynomial over the integers, as squarefree
+    decomposition and gcd take it.
 
-    Coefficients are stored ascending by degree with trailing zeros stripped;
-    the zero polynomial is the empty tuple.  Instances are treated as
-    immutable and are hashable.
+    Coefficients are ints, stored ascending by degree with trailing zeros
+    stripped; the zero polynomial is the empty tuple.  Any other
+    coefficient, a rational one included, raises ValueError.  Instances
+    are treated as immutable and are hashable.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
-        # stored as Fractions, the one type that readers of coeffs see
-        if not _exact_kinds(cs) <= {Fraction}:
-            cs = list(map(Fraction, cs))
+        if not set(map(type, cs)) <= {int}:
+            bad = next(c for c in cs if type(c) is not int)
+            raise ValueError(f"not an int: {bad!r}")
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[int, ...] = tuple(cs)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -112,44 +123,8 @@ class Poly:
     def __hash__(self) -> int:
         return hash(("Poly", self.coeffs))
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for p in range(self.degree, -1, -1):
-            c = self.coeffs[p]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if p == 0:
-                body = str(mag)
-            else:
-                xp = "x" if p == 1 else f"x^{p}"
-                if mag == 1:
-                    body = xp
-                elif mag.denominator == 1:
-                    body = f"{mag}{xp}"
-                else:
-                    body = f"({mag}){xp}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
-
     def __repr__(self) -> str:
-        return f"Poly({str(self)!r})"
-
-
-def _int_primitive(p: Poly) -> list[int]:
-    # scale to integer coefficients and strip the content
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    if den == 1:
-        ints = [c.numerator for c in p.coeffs]
-    else:
-        ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+        return f"Poly({poly_text(self.coeffs)!r})"
 
 
 def _derivative(u: list[int]) -> list[int]:
@@ -278,35 +253,35 @@ def _int_gcd_at_nonzero(u: list[int], v: list[int]) -> list[int]:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, via a primitive remainder sequence
-    over the integers, skipped when the inputs are coprime modulo a prime."""
-    if a.is_zero and b.is_zero:
+    """Primitive greatest common divisor with a positive leading coefficient,
+    via a primitive remainder sequence over the integers, skipped when the
+    inputs are coprime modulo a prime."""
+    u, v = list(a.coeffs), list(b.coeffs)
+    if not u and not v:
         raise ValueError("gcd of two zero polynomials")
-    if a.is_zero or b.is_zero:
-        g = _int_primitive(a or b)
-    else:
-        g = _int_gcd(_int_primitive(a), _int_primitive(b))
-    return Poly([Fraction(c, g[-1]) for c in g])
+    g = _int_gcd(u, v) if u and v else u or v
+    content = math.gcd(*g) if g[-1] > 0 else -math.gcd(*g)
+    return Poly([c // content for c in g])
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[list[int], int]]:
     """Yun's squarefree decomposition.
 
     Returns squarefree factors with their multiplicities, ordered by
-    strictly increasing multiplicity, such that p = c * prod(f**m) for a
-    rational c.  Each factor is an ascending list of integer coefficients,
+    strictly increasing multiplicity, such that p = c * prod(f**m) for an
+    integer c.  Each factor is an ascending list of integer coefficients,
     primitive, with a positive leading coefficient.  Factors of degree zero
     are omitted; a constant input decomposes into the empty product.
 
-    The work is done on primitive integer coefficient lists.  Powers x^m
-    and (x - 1)^m1 are split off first, by a shift and by exact synthetic
-    division while the coefficients sum to zero, so Yun's loop only sees
-    roots other than 0 and 1.  On a fiber of a map normalized at 0 and 1
+    The content of p comes off, then powers x^m and (x - 1)^m1 are split
+    off, by a shift and by exact synthetic division while the coefficients
+    sum to zero, so Yun's loop only sees roots other than 0 and 1.  On a fiber of a map normalized at 0 and 1
     that rest is often squarefree, which the mod-p test proves at once.
     """
-    if p.is_zero:
+    if not p.coeffs:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    u = _int_primitive(p)
+    content = math.gcd(*p.coeffs)
+    u = [c // content for c in p.coeffs]
     m = 0
     while u[m] == 0:
         m += 1
@@ -355,7 +330,11 @@ class RatFunc:
 
     def __init__(self, num: Sequence[int | Fraction], den: Sequence[int | Fraction] = (1,)):
         n, d = list(num), list(den)
-        if Fraction in _exact_kinds(n + d):
+        kinds = set(map(type, n + d))
+        if not kinds <= {int, Fraction}:
+            bad = next(c for c in n + d if type(c) not in (int, Fraction))
+            raise ValueError(f"not an int or Fraction: {bad!r}")
+        if Fraction in kinds:
             # clear both denominators at once
             scale = math.lcm(*(c.denominator for c in n + d))
             n = [c.numerator * (scale // c.denominator) for c in n]
@@ -425,8 +404,8 @@ class RatFunc:
 
     def __str__(self) -> str:
         lead = self.pair[1][-1]
-        num, den = (Poly([Fraction(c, lead) for c in u]) for u in self.pair)
-        return str(num) if den.degree == 0 else f"({num}) / ({den})"
+        num, den = (poly_text([Fraction(c, lead) for c in u]) for u in self.pair)
+        return num if len(self.pair[1]) == 1 else f"({num}) / ({den})"
 
     def __repr__(self) -> str:
         return f"RatFunc({str(self)!r})"

@@ -8,9 +8,10 @@ Wronskian N'D - ND' is c x^(e0-1) (x-1)^(e1-1), which pins its profile to
 its type.  The power and Chebyshev maps sit at the boundary of that class
 (two, respectively degenerate, critical values) and are not normalized at
 0 and 1; they and custom maps get their profile from the degrees of the
-integer squarefree factors of the three fiber polynomials.  `FAMILIES`
-gives each family's builder and triple, and `family_map_for_type` a
-type's map.
+integer squarefree factors of the three fiber polynomials.  Yun sees the
+Wronskian and the fibers as integer `Poly`s, with no Fraction on the way;
+a member's closed form is printed by `poly_text`.  `FAMILIES` gives each
+family's builder and triple, and `family_map_for_type` a type's map.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .exact import (
     check_stored,
     json_field,
     parse_int,
+    poly_text,
     squarefree_decomposition,
 )
 from .gensys import (
@@ -199,9 +201,9 @@ class BelyiMap:
         c, a = self.params.c, self.params.a
         head = f"x^{self.degree - self.k}"
         if c is not None:
-            return f"{head} * ({Poly([c * x for x in reversed(a)])})"
+            return f"{head} * ({poly_text([c * x for x in reversed(a)])})"
         den = [(-1) ** i * x for i, x in enumerate(a)]
-        return f"{head} * ({Poly(den[::-1])}) / ({Poly(den)})"
+        return f"{head} * ({poly_text(den[::-1])}) / ({poly_text(den)})"
 
     def to_json(self) -> dict:
         out: dict = {"family": self.family, "d": self.degree, "k": self.k}
@@ -256,18 +258,17 @@ class BelyiMap:
             raise ValueError(f"map nested too deeply to read: {exc}") from None
 
 
-def verify_single_cycle(
-    m: "BelyiMap | RatFunc",
-    claimed: "CombinatorialType | tuple[int, int, int]",
-) -> tuple[bool, str]:
+def verify_single_cycle(m: BelyiMap, claimed: CombinatorialType) -> tuple[bool, str]:
     """Check that a map is Belyi with exactly one ramification point per
-    fiber, of the claimed indices (e0, e1, eInf).
+    fiber, of the claimed type's indices (e0, e1, eInf).
 
     Returns (ok, diagnostic); the diagnostic names the first failing
     condition, e.g. "e_inf mismatch: expected 4, found 5".
     """
-    prof = m.profile if isinstance(m, BelyiMap) else ramification_profile(m)
-    e0, e1, e_inf = claimed.indices if isinstance(claimed, CombinatorialType) else claimed
+    if not isinstance(m, BelyiMap) or not isinstance(claimed, CombinatorialType):
+        raise TypeError(f"need a BelyiMap and a CombinatorialType, not {m!r} and {claimed!r}")
+    prof = m.profile
+    e0, e1, e_inf = claimed.indices
     if not prof.is_belyi:
         return False, (
             f"not Belyi: total ramification {prof.total_ramification}"

@@ -58,7 +58,7 @@ class CombinatorialType:
     @classmethod
     def from_indices(cls, e0: int, e1: int, e_inf: int) -> "CombinatorialType":
         """Infer the degree from the index sum e0 + e1 + eInf = 2d + 1."""
-        total = e0 + e1 + e_inf
+        total = sum(map(parse_int, (e0, e1, e_inf)))
         if total % 2 == 0:
             raise InvalidTypeError(
                 f"indices ({e0}, {e1}, {e_inf}) sum to {total},"

@@ -43,18 +43,27 @@ INFINITY = ProjectivePoint(None)
 
 
 # Oracle arithmetic on ascending lists of int or Fraction coefficients, the
-# zero polynomial being []: wrap a result in Poly to compare or print it.
+# zero polynomial being []: print a result with poly_text, and clear its
+# denominators with `cleared` to hand it to Yun or gcd.
 
 
-def _trimmed(out: list) -> list:
+def trimmed(out: list) -> list:
+    """The list with its trailing zeros stripped, in place."""
     while out and out[-1] == 0:
         out.pop()
     return out
 
 
+def cleared(p: list) -> Poly:
+    """p times the lcm of its denominators: an integer Poly with the same
+    roots, of the same multiplicities."""
+    scale = math.lcm(*(c.denominator for c in p))
+    return Poly([int(c * scale) for c in p])
+
+
 def add(*ps: list) -> list:
     """The sum of coefficient lists, trailing zeros stripped."""
-    return _trimmed([sum(cs) for cs in zip_longest(*ps, fillvalue=0)])
+    return trimmed([sum(cs) for cs in zip_longest(*ps, fillvalue=0)])
 
 
 def sub(p: list, q: list) -> list:
@@ -71,7 +80,7 @@ def mul(*ps: list) -> list:
             for j, b in enumerate(p):
                 acc[i + j] += a * b
         out = acc
-    return _trimmed(out)
+    return trimmed(out)
 
 
 def power(p: list, n: int) -> list:
@@ -164,13 +173,14 @@ def closure_is_transitive(perms: list[Permutation]) -> bool:
     return len(seen) == perms[0].degree
 
 
-def random_poly(rng: random.Random, max_degree: int = 6, span: int = 9) -> Poly:
+def random_poly(rng: random.Random, max_degree: int = 6, span: int = 9) -> list[Fraction]:
+    """Ascending Fraction coefficients, trailing zeros stripped."""
     deg = rng.randint(0, max_degree)
     coeffs = [
         Fraction(rng.randint(-span, span), rng.randint(1, 4))
         for _ in range(deg + 1)
     ]
-    return Poly(coeffs)
+    return trimmed(coeffs)
 
 
 def random_gensys(rng: random.Random, dmin: int = 3, dmax: int = 10) -> GeneratingSystem:
@@ -259,3 +269,97 @@ def compose(f: RatFunc, g: RatFunc) -> RatFunc:
 
     num, den = f.pair
     return RatFunc(homogenized(num), homogenized(den))
+
+
+# ---- the number of classes of a single-cycle type, by the Frobenius formula
+#
+# N_m, the number of triples of S_m in the classes (e0, 1^(m-e0)),
+# (e1, 1^(m-e1)) and (eInf, 1^(m-eInf)) with product 1, is
+# |C0||C1||Cinf| / m! * sum over lambda of chi(C0) chi(C1) chi(Cinf) / chi(1)
+# (Lando & Zvonkin, Graphs on Surfaces and Their Applications, 2004, ch. 1).
+# Each such triple moves one orbit, on which it is transitive, and fixes the
+# rest, so the transitive count is T_m = N_m - sum over m' < m of
+# C(m, m') T_m'.  A type's classes, weighted by 1 / |Aut|, number T_d / d!.
+
+
+def partitions(n: int, largest: int | None = None):
+    """The partitions of n, as descending tuples, in reverse lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+def hook_dimension(lam: tuple[int, ...]) -> int:
+    """chi^lambda(1) = n! / (the product of the hook lengths of lambda)."""
+    conj = [sum(1 for row in lam if row > j) for j in range(lam[0] if lam else 0)]
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hooks *= (row - j) + (conj[j] - i) - 1
+    return math.factorial(sum(lam)) // hooks
+
+
+def _height_sign(h: int) -> int:
+    return -1 if h % 2 else 1
+
+
+def single_cycle_characters(dmax: int, sign=_height_sign) -> dict[int, list[tuple[int, list[int]]]]:
+    """m -> [(chi^lambda(1), chi) for lambda a partition of m], 1 <= m <= dmax,
+    where chi[e] is chi^lambda on the class (e, 1^(m-e)).
+
+    By Murnaghan-Nakayama, chi[e] sums sign(height) * dim(lambda minus the
+    strip) over the border strips of size e.  With the beta-numbers
+    b_i = lambda_i + k - i of lambda's k parts, a strip of size e is a b_i
+    moved down to a free c = b_i - e, and its height h is the number of
+    beta-numbers it passes: parts i+1 .. i+h move up one place, each one
+    cell shorter, and what is left of part i follows them.
+    """
+    dims: dict[tuple[int, ...], int] = {(): 1}
+    table = {}
+    for m in range(1, dmax + 1):
+        rows = []
+        for lam in partitions(m):
+            k = len(lam)
+            beta = [part + k - 1 - i for i, part in enumerate(lam)]
+            chi = [0] * (m + 1)
+            for i, b in enumerate(beta):
+                h = 0
+                for c in range(b - 1, -1, -1):
+                    if i + 1 + h < k and beta[i + 1 + h] == c:
+                        h += 1  # c is taken: the strip passes it
+                        continue
+                    moved = tuple(part - 1 for part in lam[i + 1:i + 1 + h])
+                    mu = lam[:i] + moved + (c - (k - 1 - i - h),) + lam[i + 1 + h:]
+                    chi[b - c] += sign(h) * dims[tuple(p for p in mu if p)]
+            dims[lam] = hook_dimension(lam)
+            rows.append((dims[lam], chi))
+        table[m] = rows
+    return table
+
+
+def class_counts(passports, characters) -> dict[tuple[int, int, int, int], Fraction]:
+    """(d, e0, e1, eInf) -> T_d / d!, the classes of transitive triples of
+    S_d in the three single-cycle classes, each weighted by 1 / |Aut|.
+
+    Each chi / chi(1) is brought to the lcm L of the degree's chi(1), so
+    that N_m is one integer sum divided by L m! once.
+    """
+    scaled = {}
+    for m, rows in characters.items():
+        lcm = math.lcm(*(dim for dim, _ in rows))
+        scaled[m] = (lcm, [(lcm // dim, chi) for dim, chi in rows])
+    out = {}
+    for d, *es in passports:
+        e0, e1, e2 = es
+        transitive: dict[int, Fraction] = {}
+        for m in range(max(es), d + 1):
+            lcm, rows = scaled[m]
+            sizes = math.prod(math.factorial(m) // (e * math.factorial(m - e)) for e in es)
+            total = sum(q * chi[e0] * chi[e1] * chi[e2] for q, chi in rows)
+            n = Fraction(sizes * total, lcm * math.factorial(m))
+            transitive[m] = n - sum(math.comb(m, k) * t for k, t in transitive.items())
+        out[(d, *es)] = transitive[d] / math.factorial(d)
+    return out

@@ -1,6 +1,7 @@
 """Map families: exact coefficients, ramification profiles, verification."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -18,6 +19,7 @@ from belyi import (
     RatFunc,
     VerificationError,
     chebyshev_map,
+    poly_text,
     power_map,
     ramification_profile,
     single_cycle_polynomial,
@@ -85,9 +87,9 @@ def test_profile_fibers_sum_to_degree():
     done = 0
     while done < 80:
         num, den = random_poly(rng, 5), random_poly(rng, 5)
-        if den.is_zero:
+        if not den:
             continue
-        f = RatFunc(num.coeffs, den.coeffs)
+        f = RatFunc(num, den)
         if f.is_constant:
             continue
         done += 1
@@ -248,6 +250,18 @@ def test_symmetric_coefficients_match_the_product_form():
     )
 
 
+def test_printed_text_of_every_catalog_map_is_pinned():
+    # str(f) and the closed form of all 616 family maps with d <= 30, poly
+    # before symmetric at each degree: both printers at every member
+    h = hashlib.sha256()
+    for d in range(3, 31):
+        maps = [single_cycle_polynomial(d, k) for k in range(1, d - 1)]
+        maps += [symmetric_single_cycle(d, k) for k in range(1, (d - 1) // 2 + 1)]
+        for m in maps:
+            h.update(f"{m.f}\n{m.factored_form()}\n".encode())
+    assert h.hexdigest() == "c78005d7bff375cdf96b0f58da6cd54d7d54452683525f0a0fa1e3b0384a1b68"
+
+
 def test_both_families_are_the_one_map_of_their_type():
     # each family's own coefficient formulas are the oracle: a member has
     # their params, and its map is the one they assemble
@@ -268,16 +282,16 @@ def test_both_families_are_the_one_map_of_their_type():
                 den = [(-1) ** i * x for i, x in enumerate(a)]
                 num = den[::-1]
             assert m.f == RatFunc([0] * (d - m.k) + num, den)
-            text = f"x^{d - m.k} * ({Poly(num)})"
-            assert m.factored_form() == (text if c is not None else f"{text} / ({Poly(den)})")
+            text = f"x^{d - m.k} * ({poly_text(num)})"
+            assert m.factored_form() == (text if c is not None else f"{text} / ({poly_text(den)})")
     # the construction gives every type its map; the same map claimed as
     # another type of its degree fails
     for d in range(3, 13):
         types = valid_types(d)
         for i, ct in enumerate(types):
-            f = families._single_cycle_map(ct)
-            assert verify_single_cycle(f, ct) == (True, f"single-cycle of type {ct.indices}")
-            assert not verify_single_cycle(f, types[i - 1])[0]
+            m = BelyiMap(families._single_cycle_map(ct))
+            assert verify_single_cycle(m, ct) == (True, f"single-cycle of type {ct.indices}")
+            assert not verify_single_cycle(m, types[i - 1])[0]
 
 
 def test_single_cycle_map_reduces_its_integer_pair_as_ratfunc_does(monkeypatch):
@@ -356,12 +370,12 @@ def test_certificate_refuses_what_is_not_the_map_of_its_type():
             assert families._certified_profile(RatFunc(num, den), ct) is None
             g = RatFunc(num, add(den, [0] * rng.randrange(len(den)) + [1]))
             assert families._certified_profile(g, ct) is None
-            assert not verify_single_cycle(g, ct)[0]
+            assert not verify_single_cycle(BelyiMap(g), ct)[0]
     # the Chebyshev d = 3 map has the profile of (3; 2, 2, 3), but is not
     # normalized at 0 and 1
-    cheb, ct = chebyshev_map(3).f, CombinatorialType(3, 2, 2, 3)
+    cheb, ct = chebyshev_map(3), CombinatorialType(3, 2, 2, 3)
     assert verify_single_cycle(cheb, ct)[0]
-    assert families._certified_profile(cheb, ct) is None
+    assert families._certified_profile(cheb.f, ct) is None
 
 
 def test_symmetric_family_self_reciprocal():
@@ -400,21 +414,32 @@ def test_verify_single_cycle_diagnostics():
     assert ok
     assert diag == "single-cycle of type (3, 3, 5)"
 
-    ok, diag = verify_single_cycle(m, (3, 3, 4))
+    ok, diag = verify_single_cycle(m, CombinatorialType(4, 3, 3, 3))
     assert not ok
-    assert diag == "e_inf mismatch: expected 4, found 5"
+    assert diag == "e_inf mismatch: expected 3, found 5"
 
-    ok, diag = verify_single_cycle(RatFunc((0, 1, 1)), (2, 2, 2))
+    ok, diag = verify_single_cycle(BelyiMap(RatFunc((0, 1, 1))), CombinatorialType(3, 2, 2, 3))
     assert not ok
     assert diag == "not Belyi: total ramification 1 < 2"
 
-    ok, diag = verify_single_cycle(power_map(5), (5, 2, 5))
+    ok, diag = verify_single_cycle(power_map(5), CombinatorialType(5, 5, 2, 4))
     assert not ok
     assert diag == "fiber for e1 has 0 ramification points, need exactly 1"
 
-    ok, diag = verify_single_cycle(chebyshev_map(6), (2, 2, 6))
+    ok, diag = verify_single_cycle(chebyshev_map(6), CombinatorialType(6, 2, 5, 6))
     assert not ok
     assert diag == "fiber for e0 has 3 ramification points, need exactly 1"
+
+
+def test_verify_single_cycle_takes_only_a_map_and_a_type():
+    # a tuple is not a claimed type, however its entries look, and a bare
+    # rational function is not a map
+    m = single_cycle_polynomial(5, 2)
+    for claimed in (("a", 3, 5), (3, 3, 5), (3, 3, 4), None, {"e0": 3, "e1": 3, "eInf": 5}):
+        with pytest.raises(TypeError):
+            verify_single_cycle(m, claimed)
+    with pytest.raises(TypeError):
+        verify_single_cycle(m.f, CombinatorialType(5, 3, 3, 5))
 
 
 def test_belyi_map_json_round_trip():

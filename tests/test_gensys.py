@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +24,13 @@ from belyi import (
     power_gensys,
     valid_types,
 )
-from helpers import random_gensys, random_permutation, stated_canonical_triple
+from helpers import (
+    class_counts,
+    random_gensys,
+    random_permutation,
+    single_cycle_characters,
+    stated_canonical_triple,
+)
 
 
 def test_type_validation():
@@ -49,6 +57,10 @@ def test_type_from_indices():
         CombinatorialType.from_indices(2, 2, 2)  # even sum, no degree fits
     with pytest.raises(InvalidTypeError):
         CombinatorialType.from_indices(3, 3, 7)  # d = 6 but e_inf = 7 > d
+    # each index must be an int before the degree is inferred from their sum
+    for bad in (("3", "3", "5"), (None, 3, 5), (3.0, 3, 5), (True, 3, 5), (3, 3, [5])):
+        with pytest.raises(ValueError, match="not an integer"):
+            CombinatorialType.from_indices(*bad)
 
 
 def test_valid_types_counts():
@@ -312,3 +324,46 @@ def test_canonical_representatives_are_unique_up_to_degree_5():
                 assert counts == (d - ct.e1, d - ct.e0, ct.e0 + ct.e1 - d)
                 assert ds._bfs_diameter_vertices() == shape.diameter_vertices <= 4
         assert found == dict.fromkeys(canonical, math.factorial(d))
+
+
+def test_every_type_to_degree_22_has_exactly_one_class():
+    # The Frobenius count in tests/helpers.py shares no code with the triple
+    # builders.  Every type of degree <= 22 is realized by one class of
+    # transitive triples, weighted 1 / |Aut| = 1, so each catalog record
+    # stands for its whole class and validate()'s one equality decides.
+    types = [(ct.d, *ct.indices) for d in range(3, 23) for ct in valid_types(d)]
+    assert len(types) == 1960
+    assert set(class_counts(types, single_cycle_characters(22)).values()) == {1}
+
+
+def _brute_force_class_counts(d: int) -> dict[tuple[int, int, int, int], Fraction]:
+    # transitive single-cycle triples of S_d, by passport, over d!
+    single = [p for p in map(Permutation, itertools.permutations(range(1, d + 1)))
+              if len(p.nontrivial_cycles()) == 1]
+    found = Counter()
+    for s0, s1 in itertools.product(single, repeat=2):
+        s_inf = (s0 * s1).inverse()
+        if len(s_inf.nontrivial_cycles()) == 1 and is_transitive([s0, s1]):
+            found[(d, *(len(s.nontrivial_cycles()[0]) for s in (s0, s1, s_inf)))] += 1
+    return {key: Fraction(n, math.factorial(d)) for key, n in found.items()}
+
+
+def test_the_class_count_refutes_its_negative_controls():
+    characters = single_cycle_characters(10)
+    # genus 1, index sum 2d + 3: the count is not 1 everywhere, and the
+    # (3; 3, 3, 3) class has the automorphism group Z/3
+    genus1 = [(d, e0, e1, 2 * d + 3 - e0 - e1)
+              for d in range(3, 11) for e0 in range(2, d + 1) for e1 in range(2, d + 1)
+              if 2 <= 2 * d + 3 - e0 - e1 <= d]
+    counts = class_counts(genus1, characters)
+    assert len(genus1) == 120
+    assert set(counts.values()) != {1}
+    assert counts[(3, 3, 3, 3)] == Fraction(1, 3) and counts[(5, 4, 4, 5)] == 3
+    # brute force over S_d x S_d agrees on every passport, of every genus
+    for d in (4, 5):
+        brute = _brute_force_class_counts(d)
+        assert class_counts(brute, characters) == brute
+    # Murnaghan-Nakayama with every strip counted positive
+    types = [(ct.d, *ct.indices) for d in range(3, 11) for ct in valid_types(d)]
+    wrong = class_counts(types, single_cycle_characters(10, sign=lambda h: 1))
+    assert set(wrong.values()) != {1}

@@ -54,13 +54,24 @@ def json_field(data: object, key: str, what: str) -> object:
     return data[key]
 
 
+# one encoder for every stored-field check; json.dumps(sort_keys=True)
+# builds a new one on each call
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def check_stored(data: dict, derived: dict, source: str) -> None:
     """Raise ValueError unless ``data`` stores each field of ``derived`` as
     it is, compared as sorted-key JSON text, so that a rotated cycle, 0.0
-    or false cannot pass for what the writer derives from ``source``."""
+    or false cannot pass for what the writer derives from ``source``.
+
+    The fields are encoded together, as one list in ``derived``'s order, and
+    only a mismatch is traced to its first field.  A JSON text parses one
+    way only, so the lists' texts agree exactly when each field's does.
+    """
+    if _sorted_json([data.get(key) for key in derived]) == _sorted_json(list(derived.values())):
+        return
     for key, value in derived.items():
-        stored = json.dumps(data.get(key), sort_keys=True)
-        want = json.dumps(value, sort_keys=True)
+        stored, want = _sorted_json(data.get(key)), _sorted_json(value)
         if stored != want:
             raise ValueError(f"stored {key} {stored} disagrees with {want}, derived from {source}")
 

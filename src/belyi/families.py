@@ -259,8 +259,8 @@ class BelyiMap:
 
 
 def verify_single_cycle(m: BelyiMap, claimed: CombinatorialType) -> tuple[bool, str]:
-    """Check that a map is Belyi with exactly one ramification point per
-    fiber, of the claimed type's indices (e0, e1, eInf).
+    """Check that a map is Belyi of the claimed type's degree, with exactly
+    one ramification point per fiber, of its indices (e0, e1, eInf).
 
     Returns (ok, diagnostic); the diagnostic names the first failing
     condition, e.g. "e_inf mismatch: expected 4, found 5".
@@ -274,6 +274,8 @@ def verify_single_cycle(m: BelyiMap, claimed: CombinatorialType) -> tuple[bool, 
             f"not Belyi: total ramification {prof.total_ramification}"
             f" < {2 * prof.degree - 2}"
         )
+    if prof.degree != claimed.d:
+        return False, f"degree mismatch: expected {claimed.d}, found {prof.degree}"
     for name, fiber, expected in (
         ("e0", prof.over0, e0),
         ("e1", prof.over1, e1),

@@ -57,18 +57,23 @@ class Permutation:
     def from_cycles(cls, d: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         """Build from disjoint cycles; unmentioned points stay fixed."""
         images = list(range(1, d + 1))
-        seen: set[int] = set()
+        # seen[x] marks point x; a degree below 1 marks none, and the
+        # empty image list then fails in __init__
+        seen = bytearray(max(d, 0) + 1)
         for cyc in _cycle_tuples(cycles):
             if not cyc:
                 raise ValueError("empty cycle")
             for x in cyc:
-                if not 1 <= parse_int(x) <= d:
-                    raise ValueError(f"point {x} outside 1..{d}")
-                if x in seen:
+                if type(x) is not int or not 0 < x <= d or seen[x]:
+                    # name the fault: a non-int, a point out of range, a repeat
+                    if not 1 <= parse_int(x) <= d:
+                        raise ValueError(f"point {x} outside 1..{d}")
                     raise ValueError(f"point {x} repeated across cycles")
-                seen.add(x)
-            for i, x in enumerate(cyc):
-                images[x - 1] = cyc[(i + 1) % len(cyc)]
+                seen[x] = 1
+            prev = cyc[-1]
+            for x in cyc:
+                images[prev - 1] = x
+                prev = x
         return cls(images)
 
     @property

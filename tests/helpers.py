@@ -1,9 +1,10 @@
 """Seeded random generators, the projective evaluation of rational
-functions and the polynomial arithmetic of the test oracles, shared across
-the test modules."""
+functions, the polynomial arithmetic of the test oracles and the earlier
+implementations kept as oracles, shared across the test modules."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import deque
@@ -20,6 +21,7 @@ from belyi import (
     is_transitive,
     make_gensys,
 )
+from belyi.exact import parse_int
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,41 @@ def stated_canonical_triple(ct: CombinatorialType) -> GeneratingSystem:
     return GeneratingSystem(s0, s1, Permutation.from_cycles(d, [(1, *runs)]))
 
 
+def stated_from_cycles(d: int, cycles) -> Permutation:
+    """Oracle for ``Permutation.from_cycles``: each point checked by
+    ``parse_int``, against 1..d and against a set of the points seen, and
+    each cycle's images written only once all its points pass."""
+    images = list(range(1, d + 1))
+    seen: set[int] = set()
+    try:
+        cycles = [tuple(c) for c in cycles]
+    except TypeError:
+        raise ValueError(f"cycles must be a list of lists, not {cycles!r}") from None
+    for cyc in cycles:
+        if not cyc:
+            raise ValueError("empty cycle")
+        for x in cyc:
+            if not 1 <= parse_int(x) <= d:
+                raise ValueError(f"point {x} outside 1..{d}")
+            if x in seen:
+                raise ValueError(f"point {x} repeated across cycles")
+            seen.add(x)
+        for i, x in enumerate(cyc):
+            images[x - 1] = cyc[(i + 1) % len(cyc)]
+    return Permutation(images)
+
+
+def stored_field_oracle(data: dict, derived: dict, source: str) -> None:
+    """Oracle for ``check_stored``: each field of ``derived`` and its stored
+    copy in ``data`` encoded on their own by ``json.dumps(sort_keys=True)``,
+    in ``derived``'s order, and the first that differs named."""
+    for key, value in derived.items():
+        stored = json.dumps(data.get(key), sort_keys=True)
+        want = json.dumps(value, sort_keys=True)
+        if stored != want:
+            raise ValueError(f"stored {key} {stored} disagrees with {want}, derived from {source}")
+
+
 def random_single_cycle_pair(
     rng: random.Random, dmin: int = 3, dmax: int = 12
 ) -> GeneratingSystem:
@@ -236,6 +273,14 @@ def json_paths(value, path=()):
     elif isinstance(value, list):
         for i, item in enumerate(value):
             yield from json_paths(item, path + (i,))
+
+
+def nested_list(depth: int) -> list:
+    """[[...[]...]], ``depth`` lists deep, built without recursion."""
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 def shape_oracle(ds) -> dict | None:

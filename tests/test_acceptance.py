@@ -271,7 +271,7 @@ def test_criterion_09_negative_controls(capsys, tmp_path):
         good.write_text(json.dumps(single_cycle_polynomial(5, 2).to_json()))
         assert main(["verify", str(good), "--type", "3,3,3"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL - e_inf mismatch: expected 3, found 5" in out
+        assert "FAIL - degree mismatch: expected 4, found 5" in out
         assert main(["verify", str(good), "--type", "3,3,4"]) == 2  # no such type
         assert "which is even: no integer degree fits" in capsys.readouterr().err
 

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import io
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -29,7 +30,7 @@ from belyi import (
     write_catalog,
 )
 from belyi.families import FAMILIES, FAMILY_TAGS
-from helpers import MAP_LABELS, json_paths
+from helpers import MAP_LABELS, json_paths, nested_list, stored_field_oracle
 
 
 def test_family_map_for_type_polynomial_side():
@@ -463,6 +464,118 @@ def test_a_record_whose_map_has_non_list_coefficients_is_refused():
             bad["map"]["f"][key] = value
             with pytest.raises(ValueError, match="coefficients must be lists"):
                 TriptychRecord.from_json(bad)
+
+
+def _drifts(value):
+    """What a stored value drifts to: JSON equal to it in Python but not as
+    text (0.0 for 0, 1 for true), other scalars, a rotated or shortened
+    list, and an object with a field dropped."""
+    out = [None, 0, 0.0, 1, 1.0, False, True, "0", [], {}]
+    if type(value) is int:
+        out += [value + 1, float(value)]
+    if isinstance(value, list) and len(value) > 1:
+        out += [value[1:] + value[:1], value[:-1]]
+    if isinstance(value, dict) and value:
+        out.append(dict(list(value.items())[1:]))
+    return out
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _drifted(good):
+    """Copies of ``good`` with one value drifted, or one field deleted or
+    added."""
+    for path in list(json_paths(good))[1:]:
+        parent = _parent(good, path)
+        for value in _drifts(parent[path[-1]]):
+            data = copy.deepcopy(good)
+            _parent(data, path)[path[-1]] = value
+            yield data
+        if isinstance(parent, dict):
+            data = copy.deepcopy(good)
+            del _parent(data, path)[path[-1]]
+            yield data
+    yield {**good, "extra": [1]}
+
+
+def _read(reader, data):
+    """The record ``reader`` reads back, as JSON, or its ValueError's message."""
+    try:
+        return reader.from_json(data).to_json()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "reader, good, named",
+    [
+        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), {"type", "dessin", "invariants", "params", "f"}),
+        (TriptychRecord, TriptychRecord.for_type(CombinatorialType(6, 3, 4, 6)).to_json(), {"type", "dessin", "invariants", "params", "f"}),
+        (TriptychRecord, TriptychRecord.for_type(CombinatorialType(5, 3, 4, 4)).to_json(), {"type", "dessin", "invariants"}),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), {"params", "f", "type", "extra"}),
+        (BelyiMap, TriptychRecord.for_family("symmetric", 7, 2).to_json()["map"], {"params", "f", "type", "extra"}),
+    ],
+    ids=["poly-record", "map-record", "mapless-record", "poly-map", "symmetric-map"],
+)
+def test_stored_field_check_matches_the_per_field_oracle(reader, good, named, monkeypatch):
+    # every field drifted one at a time: each reader gives the record or
+    # the message it gave when each field was encoded on its own
+    cases = list(_drifted(good))
+    got = [_read(reader, data) for data in cases]
+    for module in ("belyi.catalog", "belyi.families"):
+        monkeypatch.setattr(sys.modules[module], "check_stored", stored_field_oracle)
+    want = [_read(reader, data) for data in cases]
+    assert got == want
+    assert {w.split()[1] for w in want if isinstance(w, str) and w.startswith("stored ")} == named
+
+
+def test_the_first_drifted_field_in_derived_order_is_named():
+    data = TriptychRecord.for_family("poly", 5, 2).to_json()
+    data["invariants"]["genus"] = 0.0
+    data["type"]["e0"] = 3.0
+    with pytest.raises(ValueError, match=r"^stored type \{.*\} disagrees with \{.*\}, derived from gensys$"):
+        TriptychRecord.from_json(data)
+
+
+def test_a_drifted_field_before_a_field_nested_too_deep_reads_as_nested_too_deep():
+    # the stored fields are encoded together, so the deep field's
+    # RecursionError comes before the first field is compared on its own
+    data = TriptychRecord.for_family("poly", 5, 2).to_json()
+    data["type"]["e0"] = 3.0
+    data["invariants"] = nested_list(100_000)
+    with pytest.raises(ValueError, match=r"^record nested too deeply to read: "):
+        TriptychRecord.from_json(data)
+    m = single_cycle_polynomial(5, 2).to_json()
+    m["params"]["c"] = "31"
+    m["type"] = nested_list(100_000)
+    with pytest.raises(ValueError, match=r"^map nested too deeply to read: "):
+        BelyiMap.from_json(m)
+
+
+@pytest.mark.parametrize(
+    "reader, good, key, value",
+    [
+        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), "type", {"d": 5, "e0": 3, "e1": 3, "eInf": 5.0}),
+        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), "dessin", None),
+        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), "invariants", {}),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "params", {"c": "31", "a": ["1/5", "-1/2", "1/3"]}),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "f", {"num": ["0", "0", "0", "10", "-15", "7"], "den": ["1"]}),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "type", None),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "extra", False),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), 1, 2),
+    ],
+    ids=["record-type", "record-dessin", "record-invariants", "map-params", "map-f", "map-type", "map-extra", "map-int-key"],
+)
+def test_each_stored_field_is_checked(reader, good, key, value):
+    # one fixed case per field: the fuzzes draw other examples as other
+    # test modules are collected.  A key json.load never gives, such as 1,
+    # is named too: the fields are encoded as a list, so no key is sorted
+    with pytest.raises(ValueError, match=f"^stored {key} "):
+        reader.from_json({**good, key: value})
 
 
 def test_iter_catalog_order_and_size():

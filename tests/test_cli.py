@@ -20,7 +20,7 @@ from belyi import (
     symmetric_single_cycle,
 )
 from belyi.cli import FAIL, INTERNAL, PASS, USAGE, _indented_json, main
-from helpers import MAP_LABELS, json_paths
+from helpers import MAP_LABELS, json_paths, nested_list
 
 POLY_5_2_TEXT = """\
 family: single-cycle polynomial
@@ -130,7 +130,7 @@ def test_verify_explicit_type_overrides(capsys, good_map):
     # (4; 3, 3, 3) is a type, of another degree than the (5; 3, 3, 5) map
     assert main(["verify", good_map, "--type", "3,3,3"]) == FAIL
     out = capsys.readouterr().out
-    assert "claimed type (3, 3, 3): FAIL - e_inf mismatch: expected 3, found 5" in out
+    assert "claimed type (3, 3, 3): FAIL - degree mismatch: expected 4, found 5" in out
 
 
 @pytest.mark.parametrize(
@@ -167,14 +167,6 @@ def test_verify_parse_error(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "parse error" in err
     assert "line 1 column 28" in err
-
-
-def _nested(depth: int) -> list:
-    # [[...[]...]], built without recursion
-    value: list = []
-    for _ in range(depth):
-        value = [value]
-    return value
 
 
 @pytest.mark.parametrize(
@@ -226,7 +218,7 @@ def test_a_value_nested_too_deep_is_a_malformed_record(case, capsys, tmp_path, m
     parent = data
     for step in outer:
         parent = parent[step]
-    parent[key] = _nested(100_000)
+    parent[key] = nested_list(100_000)
     with pytest.raises(ValueError, match="nested too deeply"):
         reader.from_json(data)
     path = tmp_path / "deep.json"
@@ -727,7 +719,7 @@ PINNED_CUSTOM_VERIFY = {
     "x^2": (CUSTOM_MAP["f"], [], PASS,
             "6f201cd56af3ca5001effdc6d5fad9e9fc43016d87bcf1d13f4a17fd908c91bb"),
     "x^2-typed": (CUSTOM_MAP["f"], ["--type", "2,2,3"], FAIL,
-                  "26393aee81c285fba59bc73581b28683fba0ce49ce41b05788affbb1ee417c29"),
+                  "8530d150d1932939cd2e8d3492dcef30ae3946d4f3ec8854c286adfc22fb2e00"),
     "unreduced-3x^2": ({"num": ["0", "0", "2"], "den": ["2/3"]}, [], PASS,
                        "6f201cd56af3ca5001effdc6d5fad9e9fc43016d87bcf1d13f4a17fd908c91bb"),
     "x^3-3x": ({"num": ["0", "-3", "0", "1"], "den": ["1"]}, [], FAIL,

@@ -416,7 +416,7 @@ def test_verify_single_cycle_diagnostics():
 
     ok, diag = verify_single_cycle(m, CombinatorialType(4, 3, 3, 3))
     assert not ok
-    assert diag == "e_inf mismatch: expected 3, found 5"
+    assert diag == "degree mismatch: expected 4, found 5"
 
     ok, diag = verify_single_cycle(BelyiMap(RatFunc((0, 1, 1))), CombinatorialType(3, 2, 2, 3))
     assert not ok

@@ -10,7 +10,7 @@ from belyi import (
     Permutation,
     is_transitive,
 )
-from helpers import closure_is_transitive, random_permutation
+from helpers import closure_is_transitive, random_permutation, stated_from_cycles
 
 
 def test_compose_is_left_to_right():
@@ -95,6 +95,79 @@ def test_from_cycles_validation():
         Permutation.from_cycles(3, [(1, 2), (2, 9), ()])
     # an empty list of cycles is the identity
     assert Permutation.from_cycles(3, []) == Permutation.identity(3)
+
+
+def test_from_cycles_below_degree_one():
+    for d in (0, -1, -2, -3):
+        with pytest.raises(ValueError, match=r"^degree must be at least 1$"):
+            Permutation.from_cycles(d, [])
+    with pytest.raises(ValueError, match=r"^point 1 outside 1\.\.-3$"):
+        Permutation.from_cycles(-3, [(1,)])
+
+
+def test_from_cycles_names_a_bool_point():
+    with pytest.raises(ValueError, match=r"^not an integer: True$"):
+        Permutation.from_cycles(3, [(True, 2)])
+    with pytest.raises(ValueError, match=r"^not an integer: False$"):
+        Permutation.from_cycles(3, [(1, 2), (3, False)])
+
+
+def _outcome(build, d, cycles):
+    """The images that ``build`` gives, or the message of its ValueError."""
+    try:
+        return build(d, cycles).images
+    except ValueError as exc:
+        return str(exc)
+
+
+def _random_cycles(rng, d):
+    """The cycles of a random permutation of 1..d, each in a random
+    rotation and in random order, with some fixed points left out."""
+    cycles = [list(c) for c in random_permutation(rng, d).cycles()]
+    cycles = [c for c in cycles if len(c) > 1 or rng.random() < 0.5]
+    for c in cycles:
+        r = rng.randrange(len(c))
+        c[:] = c[r:] + c[:r]
+    rng.shuffle(cycles)
+    return cycles
+
+
+def _with_fault(rng, d, cycles):
+    """``cycles`` with one more fault: a point off either end of 1..d or
+    not an int, a repeated point, an empty cycle, or a cycle that is not a
+    sequence."""
+    (kind,) = rng.choices(range(4), weights=(2, 3, 3, 1))
+    lists = [c for c in cycles if isinstance(c, list) and c]
+    if kind == 0 or not lists:
+        cycles.insert(rng.randrange(len(cycles) + 1), [])
+    elif kind == 1:
+        c = rng.choice(lists)
+        bad = [0, -1, d + 1, 10**30, True, False, 2.0, "3", None, [1]]
+        c[rng.randrange(len(c))] = rng.choice(bad)
+    elif kind == 2:
+        c = rng.choice(lists)
+        c.insert(rng.randrange(len(c) + 1), rng.choice(c))
+    else:
+        cycles.insert(rng.randrange(len(cycles) + 1), rng.choice([5, None]))
+    return cycles
+
+
+def test_from_cycles_matches_the_stated_oracle():
+    # the same images, or the same message for the first fault in reading
+    # order, as the point-by-point checks kept in helpers
+    rng = random.Random(2024)
+    for _ in range(400):
+        d = rng.randint(1, 20)
+        cycles = _random_cycles(rng, d)
+        assert _outcome(Permutation.from_cycles, d, cycles) == stated_from_cycles(d, cycles).images
+        for _ in range(rng.randint(1, 3)):
+            cycles = _with_fault(rng, d, cycles)
+            want = _outcome(stated_from_cycles, d, cycles)
+            assert isinstance(want, str)
+            assert _outcome(Permutation.from_cycles, d, cycles) == want
+    for d in (0, -1, -2, -3):
+        for cycles in ([], [(1,)], [()], [(0,)], [("1",)], [5]):
+            assert _outcome(Permutation.from_cycles, d, cycles) == _outcome(stated_from_cycles, d, cycles)
 
 
 def test_degree_mismatch():

@@ -20,6 +20,10 @@ from .exact import check_stored, json_field
 from .families import FAMILIES, BelyiMap, VerificationError, family_map_for_type
 from .gensys import CombinatorialType, GeneratingSystem, canonical_single_cycle, valid_types
 
+# the text of a record: one compact JSON line, as the catalog stores each
+# record and as `belyi construct --format json` prints one
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 @dataclass(frozen=True)
 class TriptychRecord:
@@ -154,6 +158,6 @@ def write_catalog(dmax: int, out: IO[str]) -> dict[int, int]:
     counts: dict[int, int] = {}
     for rec in iter_catalog(dmax):
         d = rec.gensys.degree
-        out.write(json.dumps(rec.to_json(), separators=(",", ":")) + "\n")
+        out.write(compact_json(rec.to_json()) + "\n")
         counts[d] = counts.get(d, 0) + 1
     return counts

@@ -18,9 +18,8 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, repeat
 
-from .catalog import TriptychRecord, write_catalog
+from .catalog import TriptychRecord, compact_json, write_catalog
 from .dessin import dessin_from_gensys
 from .families import FAMILIES, BelyiMap, VerificationError, verify_single_cycle
 from .gensys import CombinatorialType, canonical_single_cycle
@@ -61,44 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(run=_cmd_enumerate)
     return parser
-
-
-_STR = json.encoder.encode_basestring_ascii
-
-
-def _indented_json(v: object, indent: str = "\n") -> str:
-    """json.dumps(v, indent=2) for what the CLI prints: dicts with string
-    keys, lists, strings, ints, bools and None.  json's indent encoder is
-    pure Python; this builds each container with one str.join."""
-    inner = indent + "  "
-    if type(v) is dict:
-        if not v:
-            return "{}"
-        items = (_STR(k) + ": " + _indented_json(x, inner) for k, x in v.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if type(v) in (list, tuple):
-        if not v:
-            return "[]"
-        kinds = set(map(type, v))
-        if kinds == {str}:
-            items = map(_STR, v)
-        elif kinds == {int}:
-            items = map(int.__repr__, v)
-        elif kinds == {list} and [] not in v and set(map(type, chain.from_iterable(v))) == {int}:
-            # a permutation's cycles: each row is joined in C, and the seam
-            # between two rows closes one and opens the next
-            deeper = inner + "  "
-            rows = map(("," + deeper).join, map(map, repeat(int.__repr__), v))
-            seam = inner + "]," + inner + "[" + deeper
-            return "[" + inner + "[" + deeper + seam.join(rows) + inner + "]" + indent + "]"
-        else:
-            items = (_indented_json(x, inner) for x in v)
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if type(v) is str:
-        return _STR(v)
-    if type(v) is int:
-        return int.__repr__(v)
-    return json.dumps(v)
 
 
 def _parse_indices(spec: str) -> tuple[int, int, int]:
@@ -146,14 +107,10 @@ def _print_record_text(rec: TriptychRecord, family: str) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if FAMILIES[args.family].takes_k != (args.k is not None):
-        need = "required" if args.k is None else "not taken"
-        print(f"construct: --k is {need} for this family", file=sys.stderr)
-        return USAGE
     rec = TriptychRecord.for_family(args.family, args.d, args.k)
     rec.validate()
     if args.format == "json":
-        print(_indented_json(rec.to_json()))
+        print(compact_json(rec.to_json()))
     elif args.format == "dot":
         print(rec.dessin.to_dot(), end="")
     else:
@@ -228,7 +185,7 @@ def _cmd_dessin(args: argparse.Namespace) -> int:
     ct = CombinatorialType.from_indices(e0, e1, e_inf)
     ds = dessin_from_gensys(canonical_single_cycle(ct))
     if args.format == "json":
-        print(_indented_json(ds.to_json()))
+        print(compact_json(ds.to_json()))
     else:
         print(ds.to_dot(), end="")
     return PASS

@@ -166,7 +166,7 @@ class Dessin:
         return best + 1
 
     def shape(self) -> DessinShape | None:
-        """Leaf/edge counts for a two-hub dessin, None otherwise (NotTwoHub).
+        """Leaf/edge counts for a two-hub dessin, None otherwise.
 
         Requires exactly one black and one white vertex of degree >= 2; all
         other vertices are leaves.  The dessin is connected, so no edge

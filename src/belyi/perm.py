@@ -152,12 +152,17 @@ class Permutation:
         return [list(c) for c in self.cycles()]
 
     @classmethod
-    def from_json(cls, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        """The permutation of these cycles, whose degree is the number of
-        points given: from_cycles rejects repeats and points outside 1..d,
-        so the cycles must cover 1..d, fixed points included."""
-        cycles = _cycle_tuples(cycles)
-        return cls.from_cycles(sum(len(c) for c in cycles), cycles)
+    def from_json(cls, cycles: Sequence[Sequence[int]]) -> "Permutation":
+        """The permutation of these cycles, a JSON list of lists, whose
+        degree is the number of points given: from_cycles rejects repeats
+        and points outside 1..d, so the cycles must cover 1..d, fixed points
+        included."""
+        # the points are counted in place; from_cycles copies each cycle once
+        try:
+            d = sum(map(len, cycles))
+        except TypeError:
+            raise ValueError(f"cycles must be a list of lists, not {cycles!r}") from None
+        return cls.from_cycles(d, cycles)
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, d={self.degree})"

@@ -13,13 +13,17 @@ import pytest
 
 from belyi import (
     BelyiMap,
+    CombinatorialType,
     TriptychRecord,
+    canonical_single_cycle,
     chebyshev_map,
+    dessin_from_gensys,
     power_map,
     single_cycle_polynomial,
     symmetric_single_cycle,
+    write_catalog,
 )
-from belyi.cli import FAIL, INTERNAL, PASS, USAGE, _indented_json, main
+from belyi.cli import FAIL, INTERNAL, PASS, USAGE, main
 from helpers import MAP_LABELS, json_paths, nested_list
 
 POLY_5_2_TEXT = """\
@@ -102,14 +106,15 @@ def test_construct_dot(capsys):
 
 def test_construct_missing_k(capsys):
     assert main(["construct", "poly", "--d", "5"]) == USAGE
-    assert "--k is required" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: the single-cycle polynomial family needs parameter k\n"
 
 
-@pytest.mark.parametrize("family", ["power", "chebyshev"])
-def test_construct_refuses_a_stray_k(capsys, family):
+@pytest.mark.parametrize("family, name", [("power", "power map"), ("chebyshev", "chebyshev")],
+                         ids=["power", "chebyshev"])
+def test_construct_refuses_a_stray_k(capsys, family, name):
     assert main(["construct", family, "--d", "5", "--k", "3"]) == USAGE
     captured = capsys.readouterr()
-    assert "--k is not taken" in captured.err
+    assert captured.err == f"error: the {name} family takes no parameter k\n"
     assert captured.out == ""
 
 
@@ -531,52 +536,50 @@ def test_dessin_json(capsys):
     assert [3, 10, 9, 8, 7, 6, 5, 4] in data["black"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["construct", "symmetric", "--d", "40", "--k", "7"],
-    ["construct", "poly", "--d", "5", "--k", "2"],
-    ["construct", "power", "--d", "3"],
-    ["construct", "chebyshev", "--d", "4"],
-    ["dessin", "3,3,5"],
-    ["dessin", "8,5,8"],
-    ["dessin", "2,2,3"],
-    ["dessin", "4,4,5"],
-])
-def test_json_output_is_what_json_dumps_indents(capsys, argv):
-    assert main(argv + ["--format", "json"]) == PASS
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("family", ["poly", "symmetric"])
+def test_construct_json_is_the_catalog_line_of_its_type(capsys, family):
+    # every member with d <= 12 prints the line the catalog stores for its
+    # type, and every catalog map of the family is one of them
+    catalog = io.StringIO()
+    write_catalog(12, catalog)
+    lines = {}
+    for line in catalog.getvalue().splitlines():
+        record = json.loads(line)
+        t = record["type"]
+        lines[t["e0"], t["e1"], t["eInf"]] = line, record["map"]
+    printed = set()
+    for d in range(3, 13):
+        for k in range(1, d - 1 if family == "poly" else (d + 1) // 2):
+            e = (d - k, k + 1, d) if family == "poly" else (d - k, 2 * k + 1, d - k)
+            assert main(["construct", family, "--d", str(d), "--k", str(k), "--format", "json"]) == PASS
+            assert capsys.readouterr().out == lines[e][0] + "\n"
+            printed.add(e)
+    tag = "single-cycle-poly" if family == "poly" else "symmetric-single-cycle"
+    assert printed == {e for e, (_, m) in lines.items() if m is not None and m["family"] == tag}
+
+
+@pytest.mark.parametrize("family", ["power", "chebyshev"])
+@pytest.mark.parametrize("d", [3, 4, 12])
+def test_construct_json_is_one_line_that_reads_back(capsys, family, d):
+    assert main(["construct", family, "--d", str(d), "--format", "json"]) == PASS
     out = capsys.readouterr().out
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    line = out.removesuffix("\n")
+    assert "\n" not in line and line + "\n" == out
+    record = TriptychRecord.from_json(json.loads(line))
+    record.validate()
+    assert _compact(record.to_json()) == line
 
 
-INDENTED_JSON_EXAMPLES = [
-    None, True, False, 0, -7, 2**64 + 1, -(2**70), "", "plain", "\x00\x1f\n\t\"\\", "é ü ✓ 𝔽",
-    [], {}, [[]], [{}], {"": {}}, {"a": []}, [[], [1]], [[1, 2], [3]], [[1], [True]],
-    [True, 1, None], [1, "1"], [[1, [2]]], ([1, 2], (3,)), {"é": ["x", 2], "k": {"n": [[5]]}},
-]
-
-
-@pytest.mark.parametrize("value", INDENTED_JSON_EXAMPLES)
-def test_indented_json_fixed_examples(value):
-    assert _indented_json(value) == json.dumps(value, indent=2)
-
-
-def test_indented_json_matches_json_dumps():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    scalars = (st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**80)
-               | st.text() | st.sampled_from(["\x00\x1f\x7f", "é ü ✓ 𝔽", "\"\\/"]))
-    int_lists = st.lists(st.lists(st.integers() | st.booleans(), max_size=4), max_size=4)
-    values = st.recursive(
-        scalars | int_lists,
-        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
-        max_leaves=20,
-    )
-
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-    @hypothesis.given(values)
-    def check(v):
-        assert _indented_json(v) == json.dumps(v, indent=2)
-
-    check()
+@pytest.mark.parametrize("spec", ["3,3,5", "8,5,8", "2,2,3", "4,4,5"])
+def test_dessin_json_is_the_compact_dessin(capsys, spec):
+    assert main(["dessin", spec, "--format", "json"]) == PASS
+    ct = CombinatorialType.from_indices(*map(int, spec.split(",")))
+    want = dessin_from_gensys(canonical_single_cycle(ct)).to_json()
+    assert capsys.readouterr().out == _compact(want) + "\n"
 
 
 def test_dessin_impossible_type(capsys):
@@ -674,19 +677,19 @@ def test_a_reader_that_closed_stdout_gets_exit_141_and_no_message(unbuffered, ar
 # format, and `verify` on the map record that `construct --format json` prints
 PINNED_STDOUT = {
     ("poly", "text"): "7cc0e71ee1344df17132918940cc5d22a52a8dc563d8ae4c4b8a45b1f2b794f0",
-    ("poly", "json"): "cf104ca62c0910da4d84544ad27b62908651e84963bd5299d47c450f2bda2880",
+    ("poly", "json"): "4753d67d95dc5607dc8882714cb9efba586d1717354db867702b5ab2805aa92f",
     ("poly", "dot"): "e8759d4f5ce2132b902306c38363785e733df2029978706c0719d7ea7dbf13d3",
     ("poly", "verify"): "a4ed259255b0894149f0fd5bf6ae556409e91f5a61e68ab203c0269a1a5be1ee",
     ("symmetric", "text"): "f7110d6e0652e3b747eec7f8c7086cdf618ed64a9da00ce509657ec566ca6283",
-    ("symmetric", "json"): "3da9ec5f445198a1dc319eeac24920c2d214fb53d34a5ec818935860649e6b40",
+    ("symmetric", "json"): "aecf8020cbcc8061d78f48bb220387d5c997bd3ec6e1b08e88a580a6a6e03e05",
     ("symmetric", "dot"): "b4d4796ac480a0079bdfe7e7817233d727391899efc948464f3c79b91c6df4ee",
     ("symmetric", "verify"): "3bb1ec5ad9203ad0c0c2ef2ca2b47658db8fa42052127ef91aaaf9eb53f45b6e",
     ("power", "text"): "f754016b406ca8c72ca9d6405a47433abb727b38a4566e6a9d6f086efc1c18e8",
-    ("power", "json"): "3242ddec23d2ec1b684609f3c22f538c781792729dfdf41aa48d686b603e1947",
+    ("power", "json"): "45ef59e9cbdc8fc9ed86637a656a6017417b46e66ce30f096d7387bf6b171683",
     ("power", "dot"): "828d4b043ac8a7985ee13efc8056f52ae00e91a1f309fb2f8d7bf5ebbdb9ed55",
     ("power", "verify"): "96b3386a4dcb2dce7aa70ac0f999d005e540d525c921a6ee12debb9d55ddd066",
     ("chebyshev", "text"): "02032ec811de7c53704930a6a6307315ef1775703538a4c1ac60bf35792b4b92",
-    ("chebyshev", "json"): "3754a7d3b32ae5c3f457547f06cca72f8d5f0c737bb7f4a6fb07870438ae1888",
+    ("chebyshev", "json"): "e219dc4d52aa989054b8df5c9546775d9291a1dc2661e6ebca011ff5ed1863cf",
     ("chebyshev", "dot"): "4c90e2d0db5afd89ee8e1328b6f61d3676d9bd0fcdd45f1dd61ccaf0d0d8bee9",
     ("chebyshev", "verify"): "66312cd063c2443bc0663ba0deecab9f4ecae0ae51bb9f9717b0ba8de2428b4c",
 }

@@ -26,6 +26,7 @@ from .gensys import (
     InvalidTypeError,
     NotTransitiveError,
     canonical_single_cycle,
+    canonical_triples,
     chebyshev_gensys,
     equivalent,
     make_gensys,
@@ -37,7 +38,6 @@ from .dessin import (
     DessinShape,
     dessin_from_gensys,
     gensys_from_dessin,
-    isomorphic,
 )
 from .families import (
     BelyiMap,
@@ -73,6 +73,7 @@ __all__ = [
     "InvalidTypeError",
     "NotTransitiveError",
     "canonical_single_cycle",
+    "canonical_triples",
     "chebyshev_gensys",
     "equivalent",
     "make_gensys",
@@ -82,7 +83,6 @@ __all__ = [
     "DessinShape",
     "dessin_from_gensys",
     "gensys_from_dessin",
-    "isomorphic",
     "BelyiMap",
     "MapParams",
     "ParameterOutOfRangeError",

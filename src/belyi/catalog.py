@@ -18,11 +18,12 @@ from typing import IO, Iterator
 from .dessin import Dessin, DessinShape
 from .exact import check_stored, json_field
 from .families import FAMILIES, BelyiMap, VerificationError, family_map_for_type
-from .gensys import CombinatorialType, GeneratingSystem, canonical_single_cycle, valid_types
+from .gensys import CombinatorialType, GeneratingSystem, canonical_single_cycle, canonical_triples
 
 # the text of a record: one compact JSON line, as the catalog stores each
-# record and as `belyi construct --format json` prints one
-compact_json = json.JSONEncoder(separators=(",", ":")).encode
+# record and as `belyi construct --format json` prints one.  A record's
+# JSON is built fresh by to_json, so it holds no cycle to scan for.
+compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 @dataclass(frozen=True)
@@ -145,16 +146,23 @@ class TriptychRecord:
 
 def iter_catalog(dmax: int) -> Iterator[TriptychRecord]:
     """Validated records for every type with 3 <= d <= dmax, sorted by
-    (d, e0, e1)."""
+    (d, e0, e1).
+
+    Each degree's triples come from one ``canonical_triples(d)`` call, so
+    the records of a degree share their sigma0 and sigma1 objects: each is
+    built, checked and walked for its cycles once per degree, not once per
+    record.  Each record is the one ``TriptychRecord.for_type`` builds.
+    """
     for d in range(3, dmax + 1):
-        for ct in valid_types(d):
-            rec = TriptychRecord.for_type(ct)
+        for ct, gs in canonical_triples(d):
+            rec = TriptychRecord(gs, family_map_for_type(ct))
             rec.validate()
             yield rec
 
 
 def write_catalog(dmax: int, out: IO[str]) -> dict[int, int]:
-    """Write the catalog as JSON Lines; returns per-degree record counts."""
+    """Write the records of ``iter_catalog(dmax)`` as JSON Lines, one
+    ``compact_json`` line each, streamed; returns per-degree record counts."""
     counts: dict[int, int] = {}
     for rec in iter_catalog(dmax):
         d = rec.gensys.degree

@@ -8,8 +8,7 @@ system: its vertices are the canonical cycles of sigma0 and sigma1, so equal
 dessins are equal triples.
 
 Orientation convention: the stored cyclic order is abstract; reversing every
-cycle on both sides yields the mirror dessin, which is a different (possibly
-isomorphic) object.
+cycle on both sides yields the mirror dessin, which is a different object.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gensys import GeneratingSystem, NotTransitiveError, equivalent, make_gensys
+from .gensys import GeneratingSystem, NotTransitiveError, make_gensys
 from .perm import Permutation, _cycle_tuples
 
 
@@ -216,10 +215,3 @@ def dessin_from_gensys(gs: GeneratingSystem) -> Dessin:
 def gensys_from_dessin(ds: Dessin) -> GeneratingSystem:
     """Exact inverse of dessin_from_gensys."""
     return ds.gensys
-
-
-def isomorphic(a: Dessin, b: Dessin) -> bool:
-    """Dessin isomorphism, delegated to generating-system equivalence."""
-    if a.d != b.d:
-        return False
-    return equivalent(a.gensys, b.gensys)

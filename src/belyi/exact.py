@@ -55,8 +55,10 @@ def json_field(data: object, key: str, what: str) -> object:
 
 
 # one encoder for every stored-field check; json.dumps(sort_keys=True)
-# builds a new one on each call
-_sorted_json = json.JSONEncoder(sort_keys=True).encode
+# builds a new one on each call.  With no circular-reference scan, a
+# self-referential value raises RecursionError, as a value nested too
+# deeply does, and the readers turn both into ValueError.
+_sorted_json = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def check_stored(data: dict, derived: dict, source: str) -> None:

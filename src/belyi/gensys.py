@@ -8,6 +8,7 @@ identity under the left-to-right composition convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .exact import json_field, parse_int
 from .perm import DegreeMismatchError, Permutation, is_transitive
@@ -196,6 +197,22 @@ def chebyshev_gensys(d: int) -> GeneratingSystem:
     return GeneratingSystem(s0, s1, s_inf)
 
 
+def _sigma0_images(d: int, e0: int) -> tuple[int, ...]:
+    lo = d - e0 + 1
+    return (*range(1, lo), d, *range(lo, d))
+
+
+def _sigma1_images(d: int, e1: int) -> tuple[int, ...]:
+    return (*range(2, e1 + 1), 1, *range(e1 + 1, d + 1))
+
+
+def _sigma_inf_images(d: int, e0: int, e1: int) -> tuple[int, ...]:
+    lo = d - e0 + 1
+    if e1 < d:
+        return (e1 + 1, *range(1, lo), *range(lo + 1, e1 + 1), *range(e1 + 2, d + 1), lo)
+    return (lo, *range(1, lo), *range(lo + 1, d + 1))
+
+
 def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
     """The standard representative triple of a combinatorial type.
 
@@ -220,15 +237,29 @@ def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
     with both cycles ascending the product is a full d-cycle instead,
     which has the wrong genus whenever eInf < d.
     """
-    d, e1 = ct.d, ct.e1
-    lo = d - ct.e0 + 1
-    s0 = (*range(1, lo), d, *range(lo, d))
-    s1 = (*range(2, e1 + 1), 1, *range(e1 + 1, d + 1))
-    if e1 < d:
-        s_inf = (e1 + 1, *range(1, lo), *range(lo + 1, e1 + 1), *range(e1 + 2, d + 1), lo)
-    else:
-        s_inf = (lo, *range(1, lo), *range(lo + 1, d + 1))
-    return GeneratingSystem(Permutation(s0), Permutation(s1), Permutation(s_inf))
+    d, e0, e1 = ct.d, ct.e0, ct.e1
+    return GeneratingSystem(
+        Permutation(_sigma0_images(d, e0)),
+        Permutation(_sigma1_images(d, e1)),
+        Permutation(_sigma_inf_images(d, e0, e1)),
+    )
+
+
+def canonical_triples(d: int) -> Iterator[tuple[CombinatorialType, GeneratingSystem]]:
+    """Every type of degree d with its canonical triple, in ``valid_types``
+    order.
+
+    sigma0 depends only on (d, e0) and sigma1 only on (d, e1), so each is
+    built once per call, and every triple of this call with that e0 or e1
+    holds the same ``Permutation``, whose cycles are then walked once.
+    Nothing outlives the call.
+    """
+    es = range(2, d + 1)
+    sigma0 = {e: Permutation(_sigma0_images(d, e)) for e in es}
+    sigma1 = {e: Permutation(_sigma1_images(d, e)) for e in es}
+    for ct in valid_types(d):
+        s_inf = Permutation(_sigma_inf_images(d, ct.e0, ct.e1))
+        yield ct, GeneratingSystem(sigma0[ct.e0], sigma1[ct.e1], s_inf)
 
 
 def equivalent(a: GeneratingSystem, b: GeneratingSystem) -> bool:

@@ -103,10 +103,6 @@ class Permutation:
             inv[j - 1] = i
         return Permutation(inv)
 
-    def conjugate(self, t: "Permutation") -> "Permutation":
-        """t^-1 * self * t under the left-to-right convention."""
-        return t.inverse() * self * t
-
     @property
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self.images, start=1))

@@ -159,6 +159,11 @@ def random_permutation(rng: random.Random, d: int) -> Permutation:
     return Permutation(imgs)
 
 
+def conjugate(p: Permutation, t: Permutation) -> Permutation:
+    """t^-1 * p * t under the left-to-right convention: p relabeled by t."""
+    return t.inverse() * p * t
+
+
 def closure_is_transitive(perms: list[Permutation]) -> bool:
     """Oracle for ``is_transitive``: breadth-first closure of the point 1
     under the generators and their inverses."""

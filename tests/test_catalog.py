@@ -30,7 +30,7 @@ from belyi import (
     write_catalog,
 )
 from belyi.families import FAMILIES, FAMILY_TAGS
-from helpers import MAP_LABELS, json_paths, nested_list, stored_field_oracle
+from helpers import MAP_LABELS, conjugate, json_paths, nested_list, stored_field_oracle
 
 
 def test_family_map_for_type_polynomial_side():
@@ -239,7 +239,7 @@ def test_record_json_rejects_a_drifted_dessin():
     assert good.to_json()["dessin"]["black"] == [[1], [2], [3, 5, 4]]
     # a relabeled copy of the same dessin: every invariant still agrees
     t = Permutation.from_cycles(5, [(1, 2)])
-    relabeled = make_gensys(good.gensys.sigma0.conjugate(t), good.gensys.sigma1.conjugate(t))
+    relabeled = make_gensys(conjugate(good.gensys.sigma0, t), conjugate(good.gensys.sigma1, t))
     for other in (
         TriptychRecord.for_type(CombinatorialType(5, 4, 2, 5)).dessin.to_json(),  # another type
         dessin_from_gensys(relabeled).to_json(),
@@ -556,6 +556,21 @@ def test_a_drifted_field_before_a_field_nested_too_deep_reads_as_nested_too_deep
         BelyiMap.from_json(m)
 
 
+def test_a_self_referential_field_reads_as_nested_too_deep():
+    # a value that holds itself, which json.load never returns but a caller
+    # may pass: the encoder recurses until Python's limit, as on a deep value
+    inv: dict = {}
+    inv["x"] = inv
+    data = TriptychRecord.for_family("poly", 5, 2).to_json()
+    data["invariants"] = inv
+    with pytest.raises(ValueError, match=r"^record nested too deeply to read: "):
+        TriptychRecord.from_json(data)
+    m = single_cycle_polynomial(5, 2).to_json()
+    m["type"] = inv
+    with pytest.raises(ValueError, match=r"^map nested too deeply to read: "):
+        BelyiMap.from_json(m)
+
+
 @pytest.mark.parametrize(
     "reader, good, key, value",
     [
@@ -588,6 +603,17 @@ def test_iter_catalog_order_and_size():
     assert keys == sorted(keys)
     assert keys[0] == (3, 2, 2)
     assert keys[-1] == (5, 5, 4)
+
+
+def test_iter_catalog_builds_each_sigma0_and_sigma1_once_per_degree():
+    # 4,872 distinct sigmaInf, and one sigma0 and one sigma1 for each
+    # (d, e) with 2 <= e <= d: 2 * 434 more, where one per record slot
+    # would be 3 * 4,872 = 14,616
+    recs = list(iter_catalog(30))
+    assert len(recs) == 4872
+    assert len({id(s) for r in recs for s in r.gensys.triple}) == 5740
+    for r in recs:
+        assert r == TriptychRecord.for_type(r.ctype)
 
 
 def test_write_catalog_counts_and_lines():

@@ -12,13 +12,11 @@ from belyi import (
     chebyshev_gensys,
     dessin_from_gensys,
     gensys_from_dessin,
-    isomorphic,
     power_gensys,
     valid_types,
 )
 from helpers import (
     random_gensys,
-    random_permutation,
     random_single_cycle_pair,
     shape_oracle,
 )
@@ -266,28 +264,6 @@ def test_dessins_without_two_hubs_use_the_search(monkeypatch):
         assert ds.shape() is None
         assert ds.diameter_vertices() == diameter
     assert calls == [star, path, two_black_hubs]
-
-
-def test_isomorphic_relabeling():
-    rng = random.Random(404)
-    for _ in range(30):
-        gs = random_gensys(rng, dmax=8)
-        ds = dessin_from_gensys(gs)
-        t = random_permutation(rng, gs.degree)
-        relabeled = Dessin.from_cycles(
-            gs.degree,
-            [tuple(t(x) for x in c) for c in ds.black],
-            [tuple(t(x) for x in c) for c in ds.white],
-        )
-        assert isomorphic(ds, relabeled)
-    assert not isomorphic(
-        dessin_from_gensys(power_gensys(4)),
-        dessin_from_gensys(chebyshev_gensys(4)),
-    )
-    assert not isomorphic(
-        dessin_from_gensys(power_gensys(3)),
-        dessin_from_gensys(power_gensys(4)),
-    )
 
 
 def test_json_round_trip():

@@ -17,6 +17,7 @@ from belyi import (
     NotTransitiveError,
     Permutation,
     canonical_single_cycle,
+    canonical_triples,
     chebyshev_gensys,
     equivalent,
     is_transitive,
@@ -26,6 +27,7 @@ from belyi import (
 )
 from helpers import (
     class_counts,
+    conjugate,
     random_gensys,
     random_permutation,
     single_cycle_characters,
@@ -192,6 +194,28 @@ def test_canonical_triple_matches_its_stated_cycles():
             assert canonical_single_cycle(ct) == stated_canonical_triple(ct), ct
 
 
+def test_canonical_triples_share_sigma0_and_sigma1_within_one_call():
+    for d in range(3, 31):
+        pairs = list(canonical_triples(d))
+        assert [ct for ct, _ in pairs] == valid_types(d)
+        sigma0, sigma1 = {}, {}
+        for ct, gs in pairs:
+            assert gs == canonical_single_cycle(ct), ct
+            assert gs.sigma0 is sigma0.setdefault(ct.e0, gs.sigma0), ct
+            assert gs.sigma1 is sigma1.setdefault(ct.e1, gs.sigma1), ct
+        # every index 2..d occurs on each side
+        assert sorted(sigma0) == sorted(sigma1) == list(range(2, d + 1))
+    assert list(canonical_triples(2)) == []
+
+
+def test_canonical_triples_share_no_object_across_calls():
+    # nothing outlives a call: a second call builds every permutation anew
+    first, second = list(canonical_triples(12)), list(canonical_triples(12))
+    assert first == second
+    ids = {id(s) for _, gs in first for s in gs.triple}
+    assert not ids & {id(s) for _, gs in second for s in gs.triple}
+
+
 @pytest.mark.parametrize(
     "ct, black, white, sigma_inf",
     [
@@ -250,7 +274,7 @@ def test_gensys_json_round_trip_random():
 
 def _conjugated(gs: GeneratingSystem, t: Permutation) -> GeneratingSystem:
     return GeneratingSystem(
-        gs.sigma0.conjugate(t), gs.sigma1.conjugate(t), gs.sigma_inf.conjugate(t)
+        conjugate(gs.sigma0, t), conjugate(gs.sigma1, t), conjugate(gs.sigma_inf, t)
     )
 
 
@@ -277,7 +301,7 @@ def _brute_force_equivalent(a: GeneratingSystem, b: GeneratingSystem) -> bool:
     d = a.degree
     for images in itertools.permutations(range(1, d + 1)):
         t = Permutation(images)
-        if a.sigma0.conjugate(t) == b.sigma0 and a.sigma1.conjugate(t) == b.sigma1:
+        if conjugate(a.sigma0, t) == b.sigma0 and conjugate(a.sigma1, t) == b.sigma1:
             return True
     return False
 

@@ -357,7 +357,7 @@ class RatFunc:
                 u.pop()
         # cancel the gcd and the content, with lc(D) > 0
         if not d:
-            raise ZeroDivisionError("zero denominator")
+            raise ValueError("zero denominator")
         if not n:
             n, d = [], [1]
         else:
@@ -411,8 +411,6 @@ class RatFunc:
             return [parse_rational(s) for s in cs]
 
         den = coeffs("den")
-        if not any(den):
-            raise ValueError("zero denominator")
         return cls(coeffs("num"), den)
 
     def __str__(self) -> str:

@@ -119,14 +119,14 @@ class GeneratingSystem:
         return (self.sigma0, self.sigma1, self.sigma_inf)
 
     def genus(self) -> int:
-        """Genus from the cycle-count Euler formula 2 - 2g = c0 + c1 + cInf - d."""
-        euler = sum(s.num_cycles() for s in self.triple) - self.degree
-        if euler % 2:
-            raise RuntimeError("odd Euler characteristic for a permutation triple")
-        g = (2 - euler) // 2
-        if g < 0:
-            raise RuntimeError("negative genus")
-        return g
+        """Genus from the cycle-count Euler formula 2 - 2g = c0 + c1 + cInf - d.
+
+        The count needs no check of its own.  The product is the identity,
+        so the three signs (-1)^(d - c) multiply to 1 and c0 + c1 + cInf - d
+        is even; the group is transitive, so the surface is connected and
+        g >= 0.  __post_init__ has checked both.
+        """
+        return (2 + self.degree - sum(s.num_cycles() for s in self.triple)) // 2
 
     def single_cycle_type(self) -> CombinatorialType | None:
         """The type (d; e0, e1, eInf) when each sigma has exactly one

@@ -180,6 +180,38 @@ def closure_is_transitive(perms: list[Permutation]) -> bool:
     return len(seen) == perms[0].degree
 
 
+def minimal_block(gens, a: int, b: int) -> frozenset[int]:
+    """The block holding a and b in the finest block system of the group
+    that ``gens``, image tuples on 1..d, generate in which a and b share a
+    block (Atkinson's algorithm, with union-find).
+
+    Each pair of classes merged is queued, and each generator's images of
+    a queued pair are merged in turn, so the partition ends invariant under
+    every generator, hence under the finite group they generate.  A
+    transitive group is primitive when the block of every pair (1, b) is
+    the whole point set.
+    """
+    parent = list(range(len(gens[0]) + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    parent[b] = a
+    queue = [(a, b)]
+    while queue:
+        x, y = queue.pop()
+        for g in gens:
+            u, v = find(g[x - 1]), find(g[y - 1])
+            if u != v:
+                parent[v] = u
+                queue.append((u, v))
+    root = find(a)
+    return frozenset(x for x in range(1, len(parent)) if find(x) == root)
+
+
 def random_poly(rng: random.Random, max_degree: int = 6, span: int = 9) -> list[Fraction]:
     """Ascending Fraction coefficients, trailing zeros stripped."""
     deg = rng.randint(0, max_degree)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -38,6 +39,7 @@ from helpers import (
     poly_params,
     power,
     product,
+    random_poly,
     sub,
     substitute_reciprocal,
     symmetric_coeffs,
@@ -149,6 +151,26 @@ def test_chebyshev_map_degree_three():
     assert evaluate(m.f, -1) == ProjectivePoint.of(0)
     with pytest.raises(ParameterOutOfRangeError):
         chebyshev_map(2)
+
+
+def test_chebyshev_map_is_factored_only_when_its_profile_is_read(monkeypatch):
+    calls = []
+    yun = families.squarefree_decomposition
+
+    def counting(p):
+        calls.append(p)
+        return yun(p)
+
+    monkeypatch.setattr(families, "squarefree_decomposition", counting)
+    for d in range(3, 61):
+        m = chebyshev_map(d)
+        assert calls == []
+        num, den = m.f.pair
+        assert len(den) == 1  # D is the constant 1 or 2, which has no roots
+        assert m.profile.is_belyi
+        # N and N - D are factored, once each
+        assert calls == [Poly(num), Poly(sub(list(num), list(den)))]
+        calls.clear()
 
 
 def test_chebyshev_interior_double_points():
@@ -536,11 +558,32 @@ def test_belyi_map_is_a_frozen_dataclass_with_a_cached_profile(monkeypatch):
               "claimed_type": m.claimed_type, "params": m.params}
     same = BelyiMap(**fields)
     assert same == m and hash(same) == hash(m)
-    others = {"f": RatFunc((0,) * 7 + (1,)), "family": "custom", "k": 2,
+    others = {"f": RatFunc((0,) * 7 + (1,)), "family": "symmetric-single-cycle", "k": 2,
               "claimed_type": CombinatorialType(7, 5, 3, 7), "params": None}
     for name, value in others.items():
         assert value != fields[name]
         assert BelyiMap(**dict(fields, **{name: value})) != m
+    # the same fields tagged custom are refused: a custom map has no params or k
+    with pytest.raises(ValueError, match="params given for a custom map"):
+        BelyiMap(**dict(fields, family="custom"))
+
+
+def test_a_custom_map_holds_only_what_its_reader_reads():
+    f = single_cycle_polynomial(7, 3).f
+    with pytest.raises(ValueError, match="^k given for a custom map$"):
+        BelyiMap(f, "custom", 7)
+    params = MapParams(None, (Fraction(1),))
+    with pytest.raises(ValueError, match="^params given for a custom map$"):
+        BelyiMap(f, params=params)
+    # so every custom map it builds is one the reader reads back
+    rng = random.Random(2027)
+    for i in range(200):
+        den = random_poly(rng) or [1]
+        f = RatFunc(random_poly(rng), den)
+        types = valid_types(f.degree)
+        claimed = rng.choice(types) if types and i % 2 else None
+        m = BelyiMap(f, claimed_type=claimed)
+        assert BelyiMap.from_json(json.loads(json.dumps(m.to_json()))) == m
 
 
 def _composite_fibers(cf: CombinatorialType, d_g: int, g_indices) -> tuple:

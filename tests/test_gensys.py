@@ -28,6 +28,7 @@ from belyi import (
 from helpers import (
     class_counts,
     conjugate,
+    minimal_block,
     random_gensys,
     random_permutation,
     single_cycle_characters,
@@ -132,6 +133,62 @@ def test_genus_of_double_five_cycle_is_two():
     assert gs.sigma_inf.cycle_type() == (5,)
     assert gs.genus() == 2
     assert gs.single_cycle_type() is None  # single cycles, wrong genus
+
+
+def test_a_checked_triple_has_an_even_non_negative_genus_count():
+    triples = [gs for d in range(2, 31) for _, gs in canonical_triples(d)]
+    assert len(triples) == 4872
+    triples += [power_gensys(d) for d in range(1, 31)]
+    triples += [chebyshev_gensys(d) for d in range(3, 31)]
+    rng = random.Random(2027)
+    triples += [random_gensys(rng) for _ in range(500)]
+    for gs in triples:
+        # 2 - 2g = c0 + c1 + cInf - d, so 2g = 2 + d - (c0 + c1 + cInf)
+        count = 2 + gs.degree - sum(s.num_cycles() for s in gs.triple)
+        assert count % 2 == 0 and count >= 0
+        assert gs.genus() == count // 2
+
+
+def test_the_genus_count_rests_on_the_two_checks_of_a_triple():
+    # product one but intransitive: the count gives g = -1, and
+    # transitivity is the check that refuses it
+    s0 = Permutation.from_cycles(6, [(1, 2, 3), (4, 5, 6)])
+    triple = (s0, s0.inverse(), Permutation.identity(6))
+    assert (triple[0] * triple[1] * triple[2]).is_identity
+    assert 2 + 6 - sum(s.num_cycles() for s in triple) == -2
+    with pytest.raises(NotTransitiveError):
+        GeneratingSystem(*triple)
+    # transitive but product not one: the count is odd, and the product
+    # check refuses it
+    triple = (Permutation.from_cycles(2, [(1, 2)]), Permutation.identity(2), Permutation.identity(2))
+    assert 2 + 2 - sum(s.num_cycles() for s in triple) == -1
+    with pytest.raises(ValueError, match="is not the identity"):
+        GeneratingSystem(*triple)
+
+
+def _is_primitive(gs: GeneratingSystem) -> bool:
+    gens = [gs.sigma0.images, gs.sigma1.images]
+    return all(len(minimal_block(gens, 1, b)) == gs.degree for b in range(2, gs.degree + 1))
+
+
+def test_every_canonical_triple_to_degree_20_generates_a_primitive_group():
+    triples = [gs for d in range(3, 21) for _, gs in canonical_triples(d)]
+    assert len(triples) == 1482
+    assert all(map(_is_primitive, triples))
+
+
+def test_the_power_and_chebyshev_triples_are_primitive_exactly_at_prime_degree():
+    # the cyclic group of order d, and the dihedral group of order 2d on the
+    # d-gon's vertices: each has a block of size p for every prime p | d
+    def is_prime(d):
+        return d > 1 and all(d % p for p in range(2, math.isqrt(d) + 1))
+
+    # on the 12-gon the points 4 apart form one block of the rotations
+    assert minimal_block([power_gensys(12).sigma0.images], 1, 5) == {1, 5, 9}
+    for d in range(2, 60):
+        assert _is_primitive(power_gensys(d)) == is_prime(d), d
+    for d in range(3, 41):
+        assert _is_primitive(chebyshev_gensys(d)) == is_prime(d), d
 
 
 def test_power_gensys():

@@ -130,10 +130,15 @@ class TriptychRecord:
     def from_json(cls, data: dict) -> "TriptychRecord":
         """Read a record from its triple and map, and check its map's type
         and its stored type, dessin and invariants against the ones derived
-        from the triple; raises ValueError when they differ, or when a value
-        is nested past Python's recursion limit."""
+        from the triple; raises ValueError when they differ, when the record
+        has a field to_json does not write, or when a value is nested past
+        Python's recursion limit."""
         try:
             gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
+            # a field the writer never writes would be lost by to_json
+            for key in data:
+                if key not in ("type", "map", "gensys", "dessin", "invariants"):
+                    raise ValueError(f"record has unknown field {key!r}")
             m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
             rec = cls(gs, m)
             if m is not None and m.claimed_type not in (None, rec.ctype):

@@ -260,22 +260,27 @@ class BelyiMap:
             raise ValueError(f"map nested too deeply to read: {exc}") from None
 
 
-def verify_single_cycle(m: BelyiMap, claimed: CombinatorialType) -> tuple[bool, str]:
+def verify_single_cycle(m: BelyiMap, claimed: CombinatorialType | None) -> tuple[bool, str]:
     """Check that a map is Belyi of the claimed type's degree, with exactly
-    one ramification point per fiber, of its indices (e0, e1, eInf).
+    one ramification point per fiber, of its indices (e0, e1, eInf).  With
+    claimed=None only the Belyi property is checked: (True, "Belyi").
 
     Returns (ok, diagnostic); the diagnostic names the first failing
     condition, e.g. "e_inf mismatch: expected 4, found 5".
     """
-    if not isinstance(m, BelyiMap) or not isinstance(claimed, CombinatorialType):
-        raise TypeError(f"need a BelyiMap and a CombinatorialType, not {m!r} and {claimed!r}")
+    if not isinstance(m, BelyiMap) or not isinstance(claimed, (CombinatorialType, type(None))):
+        raise TypeError(
+            f"need a BelyiMap and a CombinatorialType or None, not {m!r} and {claimed!r}"
+        )
     prof = m.profile
-    e0, e1, e_inf = claimed.indices
     if not prof.is_belyi:
         return False, (
             f"not Belyi: total ramification {prof.total_ramification}"
             f" < {2 * prof.degree - 2}"
         )
+    if claimed is None:
+        return True, "Belyi"
+    e0, e1, e_inf = claimed.indices
     if prof.degree != claimed.d:
         return False, f"degree mismatch: expected {claimed.d}, found {prof.degree}"
     for name, fiber, expected in (

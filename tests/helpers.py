@@ -212,6 +212,115 @@ def minimal_block(gens, a: int, b: int) -> frozenset[int]:
     return frozenset(x for x in range(1, len(parent)) if find(x) == root)
 
 
+def closure_order(gens) -> int:
+    """Oracle for ``group_order``: the order of the group that ``gens``,
+    image tuples on 1..d, generate, by listing every element breadth-first
+    from the identity.  In a finite group the inverses are products of the
+    generators, so right multiplication by the generators reaches all."""
+    seen = {tuple(range(1, len(gens[0]) + 1))}
+    queue = deque(seen)
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = tuple(g[i - 1] for i in x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen)
+
+
+def group_order(gens) -> int:
+    """The order of the group that ``gens``, image tuples on 1..d, generate,
+    by deterministic Schreier-Sims.
+
+    Level l holds a base point, generators that fix the base points before
+    it, and a transversal: for each point p of the base point's orbit under
+    them, an element u_p (with its inverse) taking the base point to p.  A
+    Schreier generator u_p s u_{s(p)}^-1 fixes the base point; each is sifted
+    through the levels below, and a residue that is not the identity joins
+    every level down to where it stopped, and work resumes there.  The
+    transversals only grow, so a pair (p, s) once sifted to the identity
+    stays sifted.  When no pair is left, the generators at each level
+    generate the stabilizer of the base points before it (Schreier's lemma),
+    and the order is the product of the orbit lengths.
+    """
+    n = len(gens[0])
+    ident = tuple(range(n))
+
+    def mul(a, b):  # a, then b
+        return tuple(b[x] for x in a)
+
+    def inv(a):
+        out = [0] * n
+        for x, y in enumerate(a):
+            out[y] = x
+        return tuple(out)
+
+    base, strong, trans, orbits, sifted = [], [], [], [], []
+
+    def add_level(g):
+        b = next(x for x in range(n) if g[x] != x)
+        base.append(b)
+        strong.append([])
+        trans.append({b: (ident, ident)})
+        orbits.append([b])
+        sifted.append(set())
+
+    def add_strong(g, level):
+        strong[level].append(g)
+        orbit, tr = orbits[level], trans[level]
+        for p in orbit:  # the list grows as it is walked
+            u = tr[p][0]
+            for s in strong[level]:
+                q = s[p]
+                if q not in tr:
+                    v = mul(u, s)
+                    tr[q] = (v, inv(v))
+                    orbit.append(q)
+
+    def sift(g, level):
+        for j in range(level, len(base)):
+            u = trans[j].get(g[base[j]])
+            if u is None:
+                return g, j
+            g = mul(g, u[1])
+        return g, len(base)
+
+    gens = [tuple(x - 1 for x in g) for g in gens]
+    gens = [g for g in gens if g != ident]
+    if not gens:
+        return 1
+    add_level(gens[0])
+    for g in gens:
+        add_strong(g, 0)
+    level = 0
+    while level >= 0:
+        residue = None
+        for p in orbits[level]:
+            u = trans[level][p][0]
+            for k, s in enumerate(strong[level]):
+                if (p, k) in sifted[level]:
+                    continue
+                sifted[level].add((p, k))
+                y = mul(mul(u, s), trans[level][s[p]][1])
+                h, stop = sift(y, level + 1)
+                if h != ident:
+                    residue = h, stop
+                    break
+            if residue is not None:
+                break
+        if residue is None:
+            level -= 1
+            continue
+        h, stop = residue
+        if stop == len(base):
+            add_level(h)
+        for j in range(level + 1, stop + 1):
+            add_strong(h, j)
+        level = stop
+    return math.prod(map(len, orbits))
+
+
 def random_poly(rng: random.Random, max_degree: int = 6, span: int = 9) -> list[Fraction]:
     """Ascending Fraction coefficients, trailing zeros stripped."""
     deg = rng.randint(0, max_degree)

@@ -392,6 +392,15 @@ def test_record_json_rejects_a_record_that_is_not_an_object():
         TriptychRecord.from_json([data])
 
 
+def test_record_json_refuses_a_field_the_writer_does_not_write():
+    # to_json would drop it, so reading and writing the record back would
+    # lose it without a word
+    data = TriptychRecord.for_family("poly", 5, 2).to_json()
+    with pytest.raises(ValueError, match=r"^record has unknown field 'junk'$"):
+        TriptychRecord.from_json({**data, "junk": 1})
+    assert TriptychRecord.from_json(data).to_json() == data
+
+
 _MAP_LABELS = {("map", *label) for label in MAP_LABELS}
 
 

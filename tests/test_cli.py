@@ -151,7 +151,7 @@ def test_verify_refuses_a_type_that_does_not_exist(capsys, good_map, spec, messa
     # a usage error, like `belyi dessin` on the same spec, not a verdict
     assert main(["verify", good_map, "--type", spec]) == USAGE
     captured = capsys.readouterr()
-    assert "verify: bad --type: " in captured.err
+    assert "argument --type: " in captured.err
     assert message in captured.err
     assert captured.out == ""
 
@@ -492,6 +492,40 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     assert err == "internal error: RuntimeError('boom')\n"
 
 
+def test_a_map_that_fails_its_type_exits_internal(capsys, monkeypatch):
+    # the polynomial (7; 5, 3, 7) gets the map of (7; 4, 4, 7), which its
+    # constructor refuses: a fault in the library, not in the user's input
+    from belyi import families
+
+    build_map = families._single_cycle_map
+    monkeypatch.setattr(
+        families, "_single_cycle_map",
+        lambda ct: build_map(CombinatorialType(ct.d, ct.e0 - 1, ct.e1 + 1, ct.e_inf)),
+    )
+    assert main(["construct", "poly", "--d", "7", "--k", "2"]) == INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal invariant violation: single-cycle-poly map (d, k) = (7, 2)"
+        " is not the normalized map of type (5, 3, 7)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, argument",
+    [(["dessin", "3,3,4"], "typespec"), (["verify", "no-such-file.json", "--type", "3,3,4"], "--type")],
+    ids=["dessin", "verify"],
+)
+def test_a_bad_type_spec_is_a_usage_error_that_names_its_argument(capsys, argv, argument):
+    # argparse refuses it, before any file is opened
+    assert main(argv) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: belyi {argv[0]} ")
+    message = "indices (3, 3, 4) sum to 10, which is even: no integer degree fits"
+    assert captured.err.endswith(f"belyi {argv[0]}: error: argument {argument}: {message}\n")
+
+
 def test_verify_constant_map(capsys, tmp_path):
     path = tmp_path / "const.json"
     path.write_text('{"family":"custom","f":{"num":["2"],"den":["1"]}}')
@@ -502,7 +536,7 @@ def test_verify_constant_map(capsys, tmp_path):
 def test_verify_bad_type_argument(capsys, good_map):
     assert main(["verify", good_map, "--type", "3,3"]) == USAGE
     captured = capsys.readouterr()
-    assert "bad --type" in captured.err
+    assert "argument --type: " in captured.err
     assert captured.out == ""  # rejected before any profile is printed
 
 
@@ -517,7 +551,7 @@ def test_indices_must_be_ascii_digits(capsys, good_map, spec):
     assert captured.out == ""
     assert main(["verify", good_map, "--type", spec]) == USAGE
     captured = capsys.readouterr()
-    assert "bad --type" in captured.err
+    assert "argument --type: " in captured.err
     assert captured.out == ""
 
 

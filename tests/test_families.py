@@ -457,11 +457,17 @@ def test_verify_single_cycle_takes_only_a_map_and_a_type():
     # a tuple is not a claimed type, however its entries look, and a bare
     # rational function is not a map
     m = single_cycle_polynomial(5, 2)
-    for claimed in (("a", 3, 5), (3, 3, 5), (3, 3, 4), None, {"e0": 3, "e1": 3, "eInf": 5}):
+    for claimed in (("a", 3, 5), (3, 3, 5), (3, 3, 4), {"e0": 3, "e1": 3, "eInf": 5}):
         with pytest.raises(TypeError):
             verify_single_cycle(m, claimed)
     with pytest.raises(TypeError):
         verify_single_cycle(m.f, CombinatorialType(5, 3, 3, 5))
+
+
+def test_verify_single_cycle_without_a_claim_checks_only_the_belyi_property():
+    assert verify_single_cycle(power_map(5), None) == (True, "Belyi")
+    not_belyi = BelyiMap(RatFunc((0, 1, 1)))  # x^2 + x
+    assert verify_single_cycle(not_belyi, None) == (False, "not Belyi: total ramification 1 < 2")
 
 
 def test_belyi_map_json_round_trip():

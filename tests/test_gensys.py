@@ -27,7 +27,9 @@ from belyi import (
 )
 from helpers import (
     class_counts,
+    closure_order,
     conjugate,
+    group_order,
     minimal_block,
     random_gensys,
     random_permutation,
@@ -189,6 +191,39 @@ def test_the_power_and_chebyshev_triples_are_primitive_exactly_at_prime_degree()
         assert _is_primitive(power_gensys(d)) == is_prime(d), d
     for d in range(3, 41):
         assert _is_primitive(chebyshev_gensys(d)) == is_prime(d), d
+
+
+def test_every_type_to_degree_12_generates_the_alternating_or_symmetric_group():
+    # by parity, except the S3 orbit of (6; 4, 4, 5): PGL(2, 5) on the six
+    # points of the projective line over F_5.  An order that differs across
+    # a type's S3 orbit would be a fault in group_order, since relabelling
+    # 0, 1 and inf does not change the group
+    orders = {}
+    for d in range(3, 13):
+        for ct, gs in canonical_triples(d):
+            gens = [gs.sigma0.images, gs.sigma1.images]
+            orders[d, *ct.indices] = group_order(gens)
+            if d <= 7:
+                assert orders[d, *ct.indices] == closure_order(gens), ct
+    assert len(orders) == 330
+    for (d, *indices), order in orders.items():
+        if d == 6 and sorted(indices) == [4, 4, 5]:
+            assert order == 120
+        else:
+            assert order == math.factorial(d) // (2 if all(e % 2 for e in indices) else 1)
+        assert {orders[d, *p] for p in itertools.permutations(indices)} == {order}
+
+
+def test_group_order_matches_closure_and_the_cyclic_and_dihedral_controls():
+    rng = random.Random(15)
+    for _ in range(60):
+        # pairs of any permutations: intransitive and trivial groups too
+        d = rng.randint(1, 6)
+        gens = [random_permutation(rng, d).images for _ in range(2)]
+        assert group_order(gens) == closure_order(gens), gens
+    for d in range(3, 25):
+        for gs, order in ((power_gensys(d), d), (chebyshev_gensys(d), 2 * d)):
+            assert group_order([gs.sigma0.images, gs.sigma1.images]) == order
 
 
 def test_power_gensys():
@@ -369,14 +404,25 @@ def test_equivalent_matches_brute_force():
         a = random_gensys(rng, dmin=3, dmax=6)
         if rng.random() < 0.5:
             # same-degree independent triple; usually inequivalent
-            while True:
-                b = random_gensys(rng, dmin=a.degree, dmax=a.degree)
-                break
+            b = random_gensys(rng, dmin=a.degree, dmax=a.degree)
         else:
             b = _conjugated(a, random_permutation(rng, a.degree))
         got = equivalent(a, b)
         assert got == _brute_force_equivalent(a, b)
         assert got == equivalent(b, a)  # symmetry
+
+
+def test_equivalent_refuses_a_same_passport_pair_with_no_conjugator():
+    # both genus 0 with cycle types ((2, 2, 1), (4, 1), (4, 1)), yet no
+    # conjugator maps one onto the other: every seed of the search fails
+    s0 = Permutation.from_cycles(5, [[2, 3], [4, 5]])
+    a = make_gensys(s0, Permutation.from_cycles(5, [[1, 2, 3, 4]]))
+    b = make_gensys(s0, Permutation.from_cycles(5, [[1, 2, 4, 5]]))
+    for gs in (a, b):
+        assert [s.cycle_type() for s in gs.triple] == [(2, 2, 1), (4, 1), (4, 1)]
+        assert gs.genus() == 0
+    assert equivalent(a, b) is False
+    assert _brute_force_equivalent(a, b) is False
 
 
 def test_canonical_representatives_are_unique_up_to_degree_5():

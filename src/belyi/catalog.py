@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterator
 
 from .dessin import Dessin, DessinShape
-from .exact import check_stored, json_field
+from .exact import check_stored, json_field, json_object
 from .families import FAMILIES, BelyiMap, VerificationError, family_map_for_type
 from .gensys import CombinatorialType, GeneratingSystem, canonical_single_cycle, canonical_triples
 
@@ -134,11 +134,8 @@ class TriptychRecord:
         has a field to_json does not write, or when a value is nested past
         Python's recursion limit."""
         try:
+            json_object(data, "record", ("type", "map", "gensys", "dessin", "invariants"))
             gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
-            # a field the writer never writes would be lost by to_json
-            for key in data:
-                if key not in ("type", "map", "gensys", "dessin", "invariants"):
-                    raise ValueError(f"record has unknown field {key!r}")
             m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
             rec = cls(gs, m)
             if m is not None and m.claimed_type not in (None, rec.ctype):

@@ -19,7 +19,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -44,11 +44,20 @@ def parse_int(v: object) -> int:
     return v
 
 
-def json_field(data: object, key: str, what: str) -> object:
-    """``data[key]`` where ``data`` is the JSON object named ``what``; a
-    value that is not an object, or one without ``key``, raises ValueError."""
+def json_object(data: object, what: str, fields: Container) -> dict:
+    """``data`` as the JSON object named ``what``, whose writer writes only
+    ``fields``; a non-object, or a key that writing back would drop, raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be an object, not {data!r}")
+    for key in data:
+        if key not in fields:
+            raise ValueError(f"{what} has unknown field {key!r}")
+    return data
+
+
+def json_field(data: dict, key: str, what: str) -> object:
+    """``data[key]`` where ``data`` is the JSON object named ``what``, as
+    ``json_object`` returns it; one without ``key`` raises ValueError."""
     if key not in data:
         raise ValueError(f"{what} has no {key!r} field")
     return data[key]
@@ -403,6 +412,7 @@ class RatFunc:
         denominator."""
         if not isinstance(data, dict) or "num" not in data or "den" not in data:
             raise ValueError(f"a rational function needs num and den, not {data!r}")
+        json_object(data, "f", ("num", "den"))
 
         def coeffs(key: str) -> list[Fraction]:
             cs = data[key]

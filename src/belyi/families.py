@@ -29,6 +29,7 @@ from .exact import (
     _wronskian,
     check_stored,
     json_field,
+    json_object,
     parse_int,
     poly_text,
     squarefree_decomposition,
@@ -223,12 +224,13 @@ class BelyiMap:
         disagrees with the map.
 
         A member of a named family is its (family, d, k): it is rebuilt from
-        them, and every stored field, and every field the writer writes,
-        must be what the rebuilt map writes.  A custom map is read from f,
-        with an optional stated degree and claimed type and no params or k.
-        A value nested past Python's recursion limit is malformed too.
+        them, and it must store the fields the rebuilt map writes, as it
+        writes them, and no other.  A custom map is read from f, with an
+        optional stated degree and claimed type and no params or k.  A value
+        nested past Python's recursion limit is malformed too.
         """
         try:
+            json_object(data, "map", ("family", "d", "k", "params", "f", "type"))
             f = json_field(data, "f", "map")
             family = data.get("family", "custom")
             k = None if data.get("k") is None else parse_int(data["k"])
@@ -237,15 +239,15 @@ class BelyiMap:
                 d, ct = data.get("d"), data.get("type")
                 if d is not None and parse_int(d) != f.degree:
                     raise ValueError(f"stated degree {d} != map degree {f.degree}")
-                if data.get("params") is not None:
-                    raise ValueError("params given for a custom map")
-                return cls(f, family, k, None if ct is None else CombinatorialType.from_json(ct))
+                ct = None if ct is None else CombinatorialType.from_json(ct)
+                return cls(f, family, k, ct, data.get("params"))
             fam = next((x for x in FAMILIES.values() if x.tag == family), None)
             if fam is None:
                 raise ValueError(f"unknown family tag {family!r}")
             d = parse_int(json_field(data, "d", "map"))
             # the stated d bounds what the builder allocates, so it must match
             # the stored f before anything of degree d is built
+            json_object(f, "f", ("num", "den"))
             coeffs = [json_field(f, key, "f") for key in ("num", "den")]
             if not all(isinstance(c, list) for c in coeffs):
                 raise ValueError(f"coefficients must be lists, not {f!r}")
@@ -253,7 +255,8 @@ class BelyiMap:
             if stored != d:
                 raise ValueError(f"stated degree {d} != {stored}, the stored f's")
             m = fam.member(d, k)
-            check_stored(data, {**dict.fromkeys(data), **m.to_json()}, f"({family}, {d}, {k})")
+            derived = m.to_json()
+            check_stored(json_object(data, "map", derived), derived, f"({family}, {d}, {k})")
             return m
         except RecursionError as exc:
             # json.load returns values nested deeper than repr and json.dumps go

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .exact import json_field, parse_int
+from .exact import json_field, json_object, parse_int
 from .perm import DegreeMismatchError, Permutation, is_transitive
 
 
@@ -72,7 +72,9 @@ class CombinatorialType:
 
     @classmethod
     def from_json(cls, data: dict) -> "CombinatorialType":
-        return cls(*(json_field(data, key, "type") for key in ("d", "e0", "e1", "eInf")))
+        fields = ("d", "e0", "e1", "eInf")
+        json_object(data, "type", fields)
+        return cls(*(json_field(data, key, "type") for key in fields))
 
     def __str__(self) -> str:
         return f"({self.e0}, {self.e1}, {self.e_inf})"
@@ -153,13 +155,10 @@ class GeneratingSystem:
     def from_json(cls, data: dict) -> "GeneratingSystem":
         """Read a triple; its degree comes from the points its cycles give,
         and a stated ``d`` that differs raises ValueError."""
+        json_object(data, "gensys", ("d", "sigma0", "sigma1", "sigmaInf"))
         d = parse_int(json_field(data, "d", "gensys"))
-        gs = cls(
-            *(
-                Permutation.from_json(json_field(data, key, "gensys"))
-                for key in ("sigma0", "sigma1", "sigmaInf")
-            )
-        )
+        cycles = (json_field(data, key, "gensys") for key in ("sigma0", "sigma1", "sigmaInf"))
+        gs = cls(*map(Permutation.from_json, cycles))
         if gs.degree != d:
             raise ValueError(f"gensys states d = {d} but its cycles cover 1..{gs.degree}")
         return gs

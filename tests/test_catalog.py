@@ -12,6 +12,7 @@ import pytest
 from belyi import (
     BelyiMap,
     CombinatorialType,
+    GeneratingSystem,
     ParameterOutOfRangeError,
     Permutation,
     RatFunc,
@@ -29,6 +30,7 @@ from belyi import (
     valid_types,
     write_catalog,
 )
+from belyi.catalog import compact_json
 from belyi.families import FAMILIES, FAMILY_TAGS
 from helpers import MAP_LABELS, conjugate, json_paths, nested_list, stored_field_oracle
 
@@ -254,6 +256,22 @@ def test_record_json_rejects_a_drifted_dessin():
             TriptychRecord.from_json(data)
 
 
+def test_a_stored_cycle_is_read_in_the_triple_and_compared_in_the_dessin():
+    # the triple is the record's data: its cycles are parsed, so any
+    # rotation or order of them reads back to the writer's line.  The
+    # dessin is derived from it and compared as text, so the same
+    # rotation there is refused
+    line = compact_json(TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json())
+    data = json.loads(line)
+    assert data["gensys"]["sigma0"] == data["dessin"]["black"] == [[1], [2], [3, 5, 4]]
+    data["gensys"]["sigma0"] = [[4, 3, 5], [2], [1]]
+    assert compact_json(TriptychRecord.from_json(data).to_json()) == line
+    data = json.loads(line)
+    data["dessin"]["black"] = [[4, 3, 5], [2], [1]]
+    with pytest.raises(ValueError, match=r"^stored dessin "):
+        TriptychRecord.from_json(data)
+
+
 @pytest.mark.parametrize(
     "path, value, message",
     [
@@ -401,6 +419,35 @@ def test_record_json_refuses_a_field_the_writer_does_not_write():
     assert TriptychRecord.from_json(data).to_json() == data
 
 
+_FAMILY_RECORDS = {
+    family: TriptychRecord.for_family(family, 7, k)
+    for family, k in [("poly", 2), ("symmetric", 2), ("power", None), ("chebyshev", None)]
+}
+_SYMMETRIC = _FAMILY_RECORDS["symmetric"]
+# every writer of a JSON object: name -> (its reader, an object it writes)
+WRITERS = {
+    "typed-record": (TriptychRecord, TriptychRecord.for_type(CombinatorialType(6, 3, 4, 6))),
+    "mapless-record": (TriptychRecord, TriptychRecord.for_type(CombinatorialType(5, 3, 4, 4))),
+    **{f"{family}-record": (TriptychRecord, rec) for family, rec in _FAMILY_RECORDS.items()},
+    **{f"{family}-map": (BelyiMap, rec.bmap) for family, rec in _FAMILY_RECORDS.items()},
+    "custom-map": (BelyiMap, BelyiMap(_SYMMETRIC.bmap.f, claimed_type=_SYMMETRIC.ctype)),
+    "gensys": (GeneratingSystem, _SYMMETRIC.gensys),
+    "type": (CombinatorialType, _SYMMETRIC.ctype),
+    "f": (RatFunc, _SYMMETRIC.bmap.f),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_every_reader_refuses_a_field_its_writer_does_not_write(writer):
+    # one rule for every JSON object: what the writer writes reads back,
+    # and a field it never writes is refused by name, even as null
+    reader, obj = WRITERS[writer]
+    data = obj.to_json()
+    assert reader.from_json(data).to_json() == data
+    with pytest.raises(ValueError, match=r" has unknown field 'zz'$"):
+        reader.from_json({**data, "zz": None})
+
+
 _MAP_LABELS = {("map", *label) for label in MAP_LABELS}
 
 
@@ -525,8 +572,8 @@ def _read(reader, data):
         (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), {"type", "dessin", "invariants", "params", "f"}),
         (TriptychRecord, TriptychRecord.for_type(CombinatorialType(6, 3, 4, 6)).to_json(), {"type", "dessin", "invariants", "params", "f"}),
         (TriptychRecord, TriptychRecord.for_type(CombinatorialType(5, 3, 4, 4)).to_json(), {"type", "dessin", "invariants"}),
-        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), {"params", "f", "type", "extra"}),
-        (BelyiMap, TriptychRecord.for_family("symmetric", 7, 2).to_json()["map"], {"params", "f", "type", "extra"}),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), {"params", "f", "type"}),
+        (BelyiMap, TriptychRecord.for_family("symmetric", 7, 2).to_json()["map"], {"params", "f", "type"}),
     ],
     ids=["poly-record", "map-record", "mapless-record", "poly-map", "symmetric-map"],
 )
@@ -581,24 +628,24 @@ def test_a_self_referential_field_reads_as_nested_too_deep():
 
 
 @pytest.mark.parametrize(
-    "reader, good, key, value",
+    "reader, good, key, value, message",
     [
-        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), "type", {"d": 5, "e0": 3, "e1": 3, "eInf": 5.0}),
-        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), "dessin", None),
-        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), "invariants", {}),
-        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "params", {"c": "31", "a": ["1/5", "-1/2", "1/3"]}),
-        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "f", {"num": ["0", "0", "0", "10", "-15", "7"], "den": ["1"]}),
-        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "type", None),
-        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "extra", False),
-        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), 1, 2),
+        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), "type", {"d": 5, "e0": 3, "e1": 3, "eInf": 5.0}, "^stored type "),
+        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), "dessin", None, "^stored dessin "),
+        (TriptychRecord, TriptychRecord.for_family("poly", 5, 2).to_json(), "invariants", {}, "^stored invariants "),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "params", {"c": "31", "a": ["1/5", "-1/2", "1/3"]}, "^stored params "),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "f", {"num": ["0", "0", "0", "10", "-15", "7"], "den": ["1"]}, "^stored f "),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "type", None, "^stored type "),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), "extra", False, "^map has unknown field 'extra'"),
+        (BelyiMap, single_cycle_polynomial(5, 2).to_json(), 1, 2, "^map has unknown field 1"),
     ],
     ids=["record-type", "record-dessin", "record-invariants", "map-params", "map-f", "map-type", "map-extra", "map-int-key"],
 )
-def test_each_stored_field_is_checked(reader, good, key, value):
+def test_each_stored_field_is_checked(reader, good, key, value, message):
     # one fixed case per field: the fuzzes draw other examples as other
-    # test modules are collected.  A key json.load never gives, such as 1,
-    # is named too: the fields are encoded as a list, so no key is sorted
-    with pytest.raises(ValueError, match=f"^stored {key} "):
+    # test modules are collected.  A field the writer never writes is
+    # named too, a key json.load never gives, such as 1, among them
+    with pytest.raises(ValueError, match=message):
         reader.from_json({**good, key: value})
 
 

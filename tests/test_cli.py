@@ -199,7 +199,7 @@ DEEP_READS = {
     "custom-num-element": (BelyiMap, "custom", ("f", "num", 1)),
     "custom-type": (BelyiMap, "custom", ("type",)),
     "custom-d": (BelyiMap, "custom", ("d",)),
-    "family-extra-field": (BelyiMap, "family", ("extra",)),
+    "family-extra-field": (BelyiMap, "family", ("params", "extra")),
     "record-gensys": (TriptychRecord, "record", ("gensys",)),
     "record-sigma0": (TriptychRecord, "record", ("gensys", "sigma0")),
     "record-sigma0-cycle": (TriptychRecord, "record", ("gensys", "sigma0", 2)),
@@ -246,6 +246,18 @@ def test_verify_malformed_record(capsys, tmp_path):
     path.write_text('{"family": "custom"}')
     assert main(["verify", str(path)]) == USAGE
     assert "malformed map record" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_misspelled_field(capsys, tmp_path):
+    # with "type" spelled right the claim fails (exit 1); misspelled, it
+    # must not be dropped, leaving a map with no claim to pass
+    path = tmp_path / "tpye.json"
+    f = {"num": ["0", "0", "0", "10", "-15", "6"], "den": ["1"]}
+    path.write_text(json.dumps({"family": "custom", "f": f, "tpye": {"d": 5, "e0": 2, "e1": 4, "eInf": 5}}))
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verify: malformed map record: map has unknown field 'tpye'\n"
 
 
 @pytest.mark.parametrize(
@@ -386,7 +398,7 @@ CUSTOM_MAP = {"family": "custom", "f": {"num": ["0", "0", "1"], "den": ["1"]}}
         (lambda m: {**CUSTOM_MAP, "f": {"num": ["1/0"], "den": ["1"]}},
          "zero denominator in '1/0'"),
         (lambda m: {**m, "type": {**m["type"], "e1": 4}}, "stored type .* disagrees with"),
-        (lambda m: {**m, "extra": [1]}, r"stored extra \[1\] disagrees with null"),
+        (lambda m: {**m, "extra": [1]}, "^map has unknown field 'extra'$"),
     ],
     ids=[
         "family-list",

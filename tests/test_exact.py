@@ -16,6 +16,7 @@ from belyi import (
     poly_text,
     squarefree_decomposition,
 )
+from belyi.exact import _exact_quo, _wronskian
 from helpers import (
     INFINITY,
     ProjectivePoint,
@@ -96,6 +97,25 @@ def test_gcd_scaling_invariance_random():
         lhs = poly_gcd(Poly(mul(a, g)), Poly(mul(b, g)))
         # the common factor g must divide the gcd
         assert poly_gcd(lhs, Poly(g)) == poly_gcd(Poly(g), Poly())
+
+
+def test_exact_quotient_refuses_a_divisor_that_leaves_a_remainder():
+    # a remainder met inside the loop, then one left in the low terms
+    with pytest.raises(ArithmeticError):
+        _exact_quo([1, 1], [0, 2])
+    with pytest.raises(ArithmeticError):
+        _exact_quo([1, 0, 1], [1, 1])
+
+
+def test_squarefree_decomposition_of_zero_rejected():
+    with pytest.raises(ValueError, match="^zero polynomial "):
+        squarefree_decomposition(Poly([0, 0]))
+
+
+def test_wronskian_strips_trailing_zeros():
+    # u'v - uv': x and 1 + x give 1; the second pair's x^3 terms cancel
+    assert _wronskian([0, 1], [1, 1]) == [1]
+    assert _wronskian([1, 2, 3], [4, 5, 6]) == [3, 12, 3]
 
 
 def test_squarefree_decomposition_basic():

@@ -18,7 +18,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import accumulate, zip_longest
+from itertools import accumulate, compress, count, zip_longest
 from typing import Container, Iterable, Sequence
 
 
@@ -222,23 +222,36 @@ def _coprime_mod_p(u: list[int], v: list[int]) -> bool:
     keeps its degree modulo _P and divides both images there, so its degree
     is at most that of the gcd modulo _P: a constant there proves u and v
     coprime.  False means only "not proven"; the caller then runs the PRS.
-    _P is below 2^30, so a residue is one CPython digit and a product of
-    two is two: the Euclid loop multiplies machine-sized integers, where a
-    61-bit prime's products take five digits.
+    Only the degrees of the remainders matter, so each may be scaled by a
+    unit.  In a normal sequence each division has two quotient terms, and
+    lc(b)^2 a mod b is formed in one pass with no inverse, a's entries
+    reduced once per division, not once per step.  _P is below 2^30, so a
+    residue is one CPython digit and a product of two is two: the loop
+    multiplies machine-sized integers, where a 61-bit prime's products
+    take five digits.
     """
     if u[-1] % _P == 0 or v[-1] % _P == 0:
         return False
     a = [c % _P for c in u]
     b = [c % _P for c in v]
     while len(b) > 1:
-        # a <- a mod b over GF(_P)
-        inv = pow(b[-1], -1, _P)
-        db = len(b) - 1
-        for k in range(len(a) - 1 - db, -1, -1):
-            c = a[k + db] * inv % _P
-            if c:
-                a[k:k + db] = [(x - c * y) % _P for x, y in zip(a[k:k + db], b)]
-        del a[db:]
+        lb = b[-1]
+        if len(a) == len(b) + 1:
+            # lb^2 a - (q1 x + q0) b: zip drops its top term and pop the next, both zero
+            q1 = lb * a[-1] % _P
+            q0 = (lb * a[-2] - a[-1] * b[-2]) % _P
+            l2 = lb * lb % _P
+            a = [(l2 * x - q1 * y - q0 * z) % _P for x, y, z in zip(a, [0] + b, b)]
+            a.pop()
+        else:
+            # a mod b, one step per quotient term
+            inv = pow(lb, -1, _P)
+            db = len(b) - 1
+            for k in range(len(a) - 1 - db, -1, -1):
+                c = a[k + db] * inv % _P
+                if c:
+                    a[k:k + db] = [(x - c * y) % _P for x, y in zip(a[k:k + db], b)]
+            del a[db:]
         while a and a[-1] == 0:
             a.pop()
         a, b = b, a
@@ -252,8 +265,8 @@ def _int_gcd(u: list[int], v: list[int]) -> list[int]:
     when U(0) and V(0) are nonzero, so the modular test and the PRS see
     only U and V.
     """
-    a = next(i for i, c in enumerate(u) if c)
-    b = next(i for i, c in enumerate(v) if c)
+    a = next(compress(count(), u))
+    b = next(compress(count(), v))
     return [0] * min(a, b) + _int_gcd_at_nonzero(u[a:], v[b:])
 
 
@@ -286,6 +299,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly([c // content for c in g])
 
 
+def _divide_out_x_minus_1(r: list[int]) -> tuple[list[int], int]:
+    """(q, m) with r = (x - 1)^m q and q(1) nonzero, or q a constant, where
+    r and q are descending coefficient lists and r is nonzero.
+
+    On descending coefficients, accumulate(r) is the quotient by x - 1
+    followed by the remainder r(1): one pass per division, which tests for
+    the root and divides it out at once.
+    """
+    m = 0
+    while len(r) > 1:
+        q = list(accumulate(r))
+        if q.pop():
+            break
+        r = q
+        m += 1
+    return r, m
+
+
 def squarefree_decomposition(p: Poly) -> list[tuple[list[int], int]]:
     """Yun's squarefree decomposition.
 
@@ -296,23 +327,17 @@ def squarefree_decomposition(p: Poly) -> list[tuple[list[int], int]]:
     are omitted; a constant input decomposes into the empty product.
 
     The content of p comes off, then powers x^m and (x - 1)^m1 are split
-    off, by a shift and by exact synthetic division while the coefficients
-    sum to zero, so Yun's loop only sees roots other than 0 and 1.  On a fiber of a map normalized at 0 and 1
-    that rest is often squarefree, which the mod-p test proves at once.
+    off, by a slice and by synthetic division on the reversed coefficients,
+    so Yun's loop only sees roots other than 0 and 1.  On a fiber of a map
+    normalized at 0 and 1 that rest is often squarefree, which the mod-p
+    test proves at once.
     """
     if not p.coeffs:
         raise ValueError("zero polynomial has no squarefree decomposition")
     content = math.gcd(*p.coeffs)
-    u = [c // content for c in p.coeffs]
-    m = 0
-    while u[m] == 0:
-        m += 1
-    u = u[m:]
-    m1 = 0
-    while len(u) > 1 and sum(u) == 0:
-        # u(1) = 0: u / (x - 1), whose coefficients are the tail sums of u
-        u = list(accumulate(reversed(u[1:])))[::-1]
-        m1 += 1
+    m = next(compress(count(), p.coeffs))
+    r, m1 = _divide_out_x_minus_1([c // content for c in reversed(p.coeffs[m:])])
+    u = r[::-1]
     factors: dict[int, list[int]] = {}  # multiplicity -> integer factor
     if len(u) > 1:
         du = _derivative(u)
@@ -395,11 +420,13 @@ class RatFunc:
 
     def to_json(self) -> dict:
         """{"num": [...], "den": [...]}, each coefficient of the monic form
-        as "p/q" or "p", written from one gcd with lc(D)."""
+        as "p/q" or "p", a nonzero one written from one gcd with lc(D)."""
         n, d = self.pair
         lead = d[-1]
 
         def text(c: int) -> str:
+            if not c:
+                return "0"
             g = math.gcd(c, lead)
             return str(c // g) if g == lead else f"{c // g}/{lead // g}"
 
@@ -410,9 +437,9 @@ class RatFunc:
         """Read {"num": [...], "den": [...]}, ascending lists of "p" or "p/q"
         strings; raises ValueError on a malformed object or a zero
         denominator."""
-        if not isinstance(data, dict) or "num" not in data or "den" not in data:
-            raise ValueError(f"a rational function needs num and den, not {data!r}")
         json_object(data, "f", ("num", "den"))
+        if "num" not in data or "den" not in data:
+            raise ValueError(f"a rational function needs num and den, not {data!r}")
 
         def coeffs(key: str) -> list[Fraction]:
             cs = data[key]

@@ -105,7 +105,7 @@ class RamificationProfile:
 
     @property
     def total_ramification(self) -> int:
-        return sum(e - 1 for fib in self.fibers for e in fib)
+        return sum(map(sum, self.fibers)) - sum(map(len, self.fibers))
 
     @property
     def is_belyi(self) -> bool:
@@ -342,14 +342,23 @@ def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
     Graves-Morris, Pade Approximants, 2nd ed., 1996).  It is built over the
     integers, as u = perm(d, m) P and v = perm(e0-1, n) Q, and the pair
     (x^e0 v(1) u, u(1) v) is reduced once, with no Fraction on the way.
+    Their coefficients u_j = (-1)^j binom(m, j) perm(d-e1+j, j) perm(d, m-j)
+    and v_j = (-1)^j binom(n, j) perm(d, j) perm(e0-1-j, n-j) come from
+    their term ratios, one small product and one exact division each:
+
+        u_j = -u_(j-1) (m-j+1)(d-e1+j) / (j (d-m+j)),
+        v_j = -v_(j-1) (n-j+1)(d-j+1) / (j (e0-j)).
     """
     d, e0, e1, e_inf = ct.d, ct.e0, ct.e1, ct.e_inf
     m, n = d - e0, d - e_inf
-    u = [(-1) ** j * math.comb(m, j) * math.perm(d - e1 + j, j) * math.perm(d, m - j)
-         for j in range(m + 1)]
-    v = [(-1) ** j * math.comb(n, j) * math.perm(d, j) * math.perm(e0 - 1 - j, n - j)
-         for j in range(n + 1)]
-    return RatFunc([0] * e0 + [sum(v) * x for x in u], [sum(u) * x for x in v])
+    u = [math.perm(d, m)]
+    for j in range(1, m + 1):
+        u.append(-u[-1] * (m - j + 1) * (d - e1 + j) // (j * (d - m + j)))
+    v = [math.perm(e0 - 1, n)]
+    for j in range(1, n + 1):
+        v.append(-v[-1] * (n - j + 1) * (d - j + 1) // (j * (e0 - j)))
+    u1, v1 = sum(u), sum(v)
+    return RatFunc([0] * e0 + [v1 * x for x in u], [u1 * x for x in v])
 
 
 # x, x - 1 and x^2 - x: the primitive factors of a certified Wronskian

@@ -10,7 +10,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 
 from belyi import (
     CombinatorialType,
@@ -21,7 +21,7 @@ from belyi import (
     is_transitive,
     make_gensys,
 )
-from belyi.exact import parse_int
+from belyi.exact import _P, parse_int
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,58 @@ def symmetric_coeffs(d: int, k: int) -> tuple[int, ...]:
     return tuple(
         kf * math.comb(d, i) * math.comb(d - k - i - 1, k - i) for i in range(k + 1)
     )
+
+
+def single_cycle_closed_form(ct: CombinatorialType) -> tuple[list[int], list[int]]:
+    """u = perm(d, m) P and v = perm(e0-1, n) Q of the map of type ct, from
+    the hypergeometric terms one comb and two perms at a time, kept as an
+    oracle for the term ratios:
+
+        u_j = (-1)^j binom(m, j) perm(d-e1+j, j) perm(d, m-j),
+        v_j = (-1)^j binom(n, j) perm(d, j) perm(e0-1-j, n-j).
+    """
+    d, e0, e1 = ct.d, ct.e0, ct.e1
+    m, n = d - e0, d - ct.e_inf
+    u = [(-1) ** j * math.comb(m, j) * math.perm(d - e1 + j, j) * math.perm(d, m - j)
+         for j in range(m + 1)]
+    v = [(-1) ** j * math.comb(n, j) * math.perm(d, j) * math.perm(e0 - 1 - j, n - j)
+         for j in range(n + 1)]
+    return u, v
+
+
+def split_x_minus_1_by_tail_sums(u: list[int]) -> tuple[list[int], int]:
+    """(w, m) with u = (x - 1)^m w, ascending lists, dividing while the
+    coefficients sum to zero, each quotient read off as the tail sums of u:
+    a sum, a slice, a reverse, an accumulate and a reverse per division,
+    kept as an oracle for the one-pass split."""
+    m = 0
+    while len(u) > 1 and sum(u) == 0:
+        u = list(accumulate(reversed(u[1:])))[::-1]
+        m += 1
+    return u, m
+
+
+def coprime_mod_p_per_step(u: list[int], v: list[int]) -> bool:
+    """Euclid over GF(_P), every entry reduced at every step and each
+    quotient coefficient scaled by the inverse of lc(b), kept as an oracle
+    for the fused divisions: True when the gcd modulo _P is a constant and
+    _P divides neither leading coefficient."""
+    if u[-1] % _P == 0 or v[-1] % _P == 0:
+        return False
+    a = [c % _P for c in u]
+    b = [c % _P for c in v]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _P)
+        db = len(b) - 1
+        for k in range(len(a) - 1 - db, -1, -1):
+            c = a[k + db] * inv % _P
+            if c:
+                a[k:k + db] = [(x - c * y) % _P for x, y in zip(a[k:k + db], b)]
+        del a[db:]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(b) == 1
 
 
 def random_permutation(rng: random.Random, d: int) -> Permutation:

@@ -431,6 +431,23 @@ def test_each_map_reader_guard_has_a_fixed_case(capsys, tmp_path, edit, message)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "record",
+    [{"family": "custom", "f": 5}, {**single_cycle_polynomial(5, 2).to_json(), "f": 5}],
+    ids=["custom", "family"],
+)
+def test_a_map_whose_f_is_not_an_object_is_refused_in_one_wording(capsys, tmp_path, record):
+    # a custom map reads f through RatFunc.from_json, a family member
+    # checks it before it builds; both name f the same way
+    with pytest.raises(ValueError, match="^f must be an object, not 5$"):
+        BelyiMap.from_json(record)
+    path = tmp_path / "f5.json"
+    path.write_text(json.dumps(record))
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "verify: malformed map record: f must be an object, not 5\n")
+
+
 def test_verify_fuzzed_map_records_exit_with_a_verdict_or_usage(tmp_path):
     # each record is a good one with one to three values replaced by other
     # JSON or deleted, half of them in the fields the reader rebuilds from;
@@ -755,6 +772,21 @@ def test_construct_and_verify_stdout_is_pinned(family, output, capsys, tmp_path)
         assert main(construct + [output]) == PASS
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[family, output]
+
+
+# sha256 of `construct --format json` stdout for members near d = 100,
+# where the coefficients run to hundreds of digits
+PINNED_HIGH_DEGREE_JSON = {
+    ("poly", 100, 49): "f7b520dfabed4b3e2d21b0d089b4a01fce00bfc7f5499aa04dfaa8bf0791591b",
+    ("symmetric", 99, 49): "e461ef732c16326650f9e7da95603cc7c16c491217c49fb995f387d16833f3bc",
+}
+
+
+@pytest.mark.parametrize("family, d, k", sorted(PINNED_HIGH_DEGREE_JSON))
+def test_construct_json_near_degree_100_is_pinned(family, d, k, capsys):
+    assert main(["construct", family, "--d", str(d), "--k", str(k), "--format", "json"]) == PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HIGH_DEGREE_JSON[family, d, k]
 
 
 # `verify` on custom maps, which are read through RatFunc.from_json where

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from belyi import (
+    CombinatorialType,
     Poly,
     RatFunc,
     parse_rational,
@@ -16,18 +17,21 @@ from belyi import (
     poly_text,
     squarefree_decomposition,
 )
-from belyi.exact import _exact_quo, _wronskian
+from belyi.exact import _P, _coprime_mod_p, _divide_out_x_minus_1, _exact_quo, _wronskian
+from belyi.families import _single_cycle_map
 from helpers import (
     INFINITY,
     ProjectivePoint,
     add,
     cleared,
+    coprime_mod_p_per_step,
     derivative,
     evaluate,
     mul,
     power,
     product,
     random_poly,
+    split_x_minus_1_by_tail_sums,
     sub,
     substitute_reciprocal,
     trimmed,
@@ -549,8 +553,11 @@ R_NEAR = mul([1, 1], power([-2, 1], 2), power([-HALF, 1], 3))
         # a pure power of x - 1, leaving nothing for Yun
         (power(X1, 6), [(X1, 6)]),
         (mul([Fraction(5, 2)], X1), [(X1, 1)]),
+        # thirty divisions by x - 1, then one linear factor for Yun
+        (mul(power(X, 5), power(X1, 30), [-3, 2]), [([-3, 2], 1), (X, 5), (X1, 30)]),
     ],
-    ids=["a-equals-b", "b-shared", "roots-near-0-and-1", "fractions", "pure", "linear"],
+    ids=["a-equals-b", "b-shared", "roots-near-0-and-1", "fractions", "pure", "linear",
+         "high-powers"],
 )
 def test_squarefree_splits_off_x_minus_1(p, expected):
     p = cleared(p)
@@ -583,3 +590,79 @@ def test_squarefree_with_x_and_x_minus_1_matches_sympy():
         assert [m for _, m in dec] == sorted({m for _, m in dec})
 
     check()
+
+
+# ---- the one-pass kernels against their earlier forms --------------------------
+
+
+def _split_one_pass(u: list[int]) -> tuple[list[int], int]:
+    # _divide_out_x_minus_1 on an ascending list, for the tail-sum oracle
+    q, m = _divide_out_x_minus_1(u[::-1])
+    return q[::-1], m
+
+
+@pytest.mark.parametrize(
+    "u, expected",
+    [
+        (power(X1, 60), ([1], 60)),
+        # x^5 (x - 1)^30 (2x - 3) once x^5 is off, as Yun splits it
+        (mul(power(X1, 30), [-3, 2]), ([-3, 2], 30)),
+        # g(1) = 3: nothing to divide
+        ([1, 1, 1], ([1, 1, 1], 0)),
+        ([7], ([7], 0)),
+    ],
+    ids=["(x-1)^60", "(x-1)^30(2x-3)", "g(1)-nonzero", "constant"],
+)
+def test_one_pass_x_minus_1_split_fixed_cases(u, expected):
+    assert _split_one_pass(u) == split_x_minus_1_by_tail_sums(u) == expected
+
+
+def test_one_pass_x_minus_1_split_on_every_family_wronskian():
+    # each member to d = 100, poly then symmetric: its Wronskian is
+    # c x^(e0-1) (x-1)^(e1-1), so both splits leave a constant
+    members = 0
+    for d in range(3, 101):
+        types = [(d - k, k + 1, d) for k in range(1, d - 1)]
+        types += [(d - k, 2 * k + 1, d - k) for k in range(1, (d - 1) // 2 + 1)]
+        for e0, e1, e_inf in types:
+            num, den = _single_cycle_map(CombinatorialType(d, e0, e1, e_inf)).pair
+            w = _wronskian(num, den)[e0 - 1:]
+            got = _split_one_pass(w)
+            assert got == split_x_minus_1_by_tail_sums(w)
+            assert len(got[0]) == 1 and got[1] == e1 - 1
+            members += 1
+    assert members == 7301
+
+
+def _random_int_poly(rng: random.Random, degree: int, bits: int) -> list[int]:
+    out = [rng.randint(-(1 << bits), 1 << bits) for _ in range(degree)]
+    return out + [rng.choice([-1, 1]) * rng.randint(1, 1 << bits)]
+
+
+def test_fused_mod_p_euclid_matches_the_per_step_form():
+    # random pairs at every degree gap, with small and multi-digit entries,
+    # plus the three ways the modular test says "not proven": a shared
+    # factor, _P dividing a leading coefficient, and factors that differ by
+    # a multiple of _P and so agree modulo _P
+    rng = random.Random(3001)
+    verdicts = {True: 0, False: 0}
+    for trial in range(1500):
+        bits = rng.choice([3, 20, 40, 90])
+        u = _random_int_poly(rng, rng.randint(0, 24), bits)
+        v = _random_int_poly(rng, rng.randint(0, 24), bits)
+        kind = trial % 4
+        if kind == 1:
+            g = _random_int_poly(rng, rng.randint(1, 4), bits)
+            u, v = mul(g, u), mul(g, v)
+        elif kind == 2:
+            u = u[:-1] + [u[-1] * _P]
+        elif kind == 3:
+            c = rng.randint(-50, 50)
+            u, v = mul([c - _P, 1], u), mul([c, 1], v)
+        got = _coprime_mod_p(u, v)
+        assert got == coprime_mod_p_per_step(u, v), (u, v)
+        assert got == _coprime_mod_p(v, u)
+        if kind:
+            assert not got
+        verdicts[got] += 1
+    assert verdicts[True] > 300 and verdicts[False] > 1000

@@ -40,6 +40,7 @@ from helpers import (
     power,
     product,
     random_poly,
+    single_cycle_closed_form,
     sub,
     substitute_reciprocal,
     symmetric_coeffs,
@@ -329,6 +330,24 @@ def test_single_cycle_map_reduces_its_integer_pair_as_ratfunc_does(monkeypatch):
         assert f.pair == RatFunc([Fraction(c, den[-1]) for c in num],
                                  [Fraction(c, den[-1]) for c in den]).pair
     assert len(types) == 4872
+
+
+def test_term_ratio_coefficients_are_the_closed_form(monkeypatch):
+    # every type to d = 30 and seeded types at d = 60, 80 and 100: the pair
+    # handed to RatFunc is the closed form's, and so is the reduced map
+    rng = random.Random(6080)
+    types = [ct for d in range(3, 31) for ct in valid_types(d)]
+    for d in (60, 80, 100):
+        types += rng.sample(valid_types(d), 15)
+    pairs = []
+    for ct in types:
+        u, v = single_cycle_closed_form(ct)
+        u1, v1 = sum(u), sum(v)
+        pairs.append(([0] * ct.e0 + [v1 * x for x in u], [u1 * x for x in v]))
+        assert families._single_cycle_map(ct).pair == RatFunc(*pairs[-1]).pair
+    monkeypatch.setattr(families, "RatFunc", lambda n, d: (n, d))
+    assert [families._single_cycle_map(ct) for ct in types] == pairs
+    assert len(types) == 4872 + 45
 
 
 def test_certified_profile_is_the_factored_profile(monkeypatch):

@@ -29,7 +29,8 @@ compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).enc
 @dataclass(frozen=True)
 class TriptychRecord:
     """One catalog entry: a triple and an optional map.  Its type, dessin and
-    invariants are derived from the triple once, at construction."""
+    invariants are derived from the triple once, at construction, and a map
+    that claims a type other than the triple's raises ValueError there."""
 
     gensys: GeneratingSystem
     bmap: BelyiMap | None = None
@@ -41,18 +42,17 @@ class TriptychRecord:
     is_belyi: bool | None = field(init=False)
 
     def __post_init__(self):
+        ctype = self.gensys.single_cycle_type()
+        if self.bmap is not None and self.bmap.claimed_type not in (None, ctype):
+            raise ValueError(f"map type {self.bmap.claimed_type} differs from record type {ctype}")
+        dessin = Dessin(self.gensys)
+        shape = dessin.shape()
         # frozen: each derived field is set once, here
-        object.__setattr__(self, "ctype", self.gensys.single_cycle_type())
-        object.__setattr__(self, "dessin", Dessin(self.gensys))
-        object.__setattr__(self, "genus", self.gensys.genus())
-        shape = self.dessin.shape()
-        object.__setattr__(self, "shape", shape)
-        diameter = (
-            self.dessin.diameter_vertices() if shape is None else shape.diameter_vertices
+        vars(self).update(
+            ctype=ctype, dessin=dessin, genus=self.gensys.genus(), shape=shape,
+            diameter=dessin.diameter_vertices() if shape is None else shape.diameter_vertices,
+            is_belyi=None if self.bmap is None else self.bmap.profile.is_belyi,
         )
-        object.__setattr__(self, "diameter", diameter)
-        is_belyi = None if self.bmap is None else self.bmap.profile.is_belyi
-        object.__setattr__(self, "is_belyi", is_belyi)
 
     @classmethod
     def for_type(cls, ct: CombinatorialType) -> "TriptychRecord":
@@ -73,19 +73,23 @@ class TriptychRecord:
         when they disagree.
 
         Nothing else can disagree: the type, dessin and invariants are
-        derived from the triple, and from_json checks stored copies.  The
-        map's ramification profile over 0, 1 and inf must equal the cycle
-        types of sigma0, sigma1 and sigmaInf, which is what Riemann's
-        existence theorem makes of a map and its monodromy.  A family
-        member's profile is the one its type gives, certified by its
-        Wronskian when it was built; a power or Chebyshev map's is
-        factored from its fibers.  That one equality loses nothing:
+        derived from the triple, the constructor refuses a map that claims
+        another type, and from_json checks stored copies.  The map's
+        ramification profile over 0, 1 and inf must equal the cycle types
+        of sigma0, sigma1 and sigmaInf, which is what Riemann's existence
+        theorem makes of a map and its monodromy.  A family member's profile
+        is certified by its Wronskian when it is built; other maps factor
+        their fibers.  That one equality loses nothing:
 
         - typed records: each fiber is (e, 1, ..., 1), so the map has a
           single ramification point of the type's index over each of 0, 1
-          and inf, and its monodromy is the triple's class, since a type
-          has exactly one class of triples (counted by the Frobenius
-          formula for every type with d <= 22 in the tests);
+          and inf, and its monodromy is the triple's class, as a type has
+          one class of triples.  Any of its triples is a double star whose
+          k = e0 + e1 - d parallel edges bound k faces of the sphere, and a
+          face holding l leaves is a cycle of sigmaInf of length l + 1.  As
+          sigmaInf has one nontrivial cycle, every leaf lies in its face, in
+          one corner of each hub, so the three counts fix the rotation
+          system (the tests' Frobenius count for d <= 22 is its oracle);
         - power records: cycle types (d), (1^d), (d) make the dessin a star;
         - Chebyshev records: a transitive triple with cycle types in {1, 2}
           over 0 and 1 and sigmaInf a d-cycle makes the dessin a path;
@@ -128,18 +132,16 @@ class TriptychRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriptychRecord":
-        """Read a record from its triple and map, and check its map's type
-        and its stored type, dessin and invariants against the ones derived
-        from the triple; raises ValueError when they differ, when the record
-        has a field to_json does not write, or when a value is nested past
-        Python's recursion limit."""
+        """Read a record from its triple and map, built as the constructor
+        builds it, and check its stored type, dessin and invariants against
+        the ones derived from the triple; raises ValueError when they differ,
+        when the record has a field to_json does not write, or when a value
+        is nested past Python's recursion limit."""
         try:
             json_object(data, "record", ("type", "map", "gensys", "dessin", "invariants"))
             gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
             m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
             rec = cls(gs, m)
-            if m is not None and m.claimed_type not in (None, rec.ctype):
-                raise ValueError(f"map type {m.claimed_type} differs from record type {rec.ctype}")
             check_stored(data, rec._derived_json(), "gensys")
         except RecursionError as exc:
             raise ValueError(f"record nested too deeply to read: {exc}") from None

@@ -63,6 +63,17 @@ def json_field(data: dict, key: str, what: str) -> object:
     return data[key]
 
 
+def ratfunc_lists(data: object) -> tuple[list, list]:
+    """f's num and den lists, their entries unread; a malformed f raises ValueError."""
+    json_object(data, "f", ("num", "den"))
+    if "num" not in data or "den" not in data:
+        raise ValueError(f"a rational function needs num and den, not {data!r}")
+    for cs in (data["num"], data["den"]):
+        if not isinstance(cs, list):
+            raise ValueError(f"coefficients must be a list of strings, not {cs!r}")
+    return data["num"], data["den"]
+
+
 # one encoder for every stored-field check; json.dumps(sort_keys=True)
 # builds a new one on each call.  With no circular-reference scan, a
 # self-referential value raises RecursionError, as a value nested too
@@ -437,18 +448,8 @@ class RatFunc:
         """Read {"num": [...], "den": [...]}, ascending lists of "p" or "p/q"
         strings; raises ValueError on a malformed object or a zero
         denominator."""
-        json_object(data, "f", ("num", "den"))
-        if "num" not in data or "den" not in data:
-            raise ValueError(f"a rational function needs num and den, not {data!r}")
-
-        def coeffs(key: str) -> list[Fraction]:
-            cs = data[key]
-            if not isinstance(cs, list):
-                raise ValueError(f"coefficients must be a list of strings, not {cs!r}")
-            return [parse_rational(s) for s in cs]
-
-        den = coeffs("den")
-        return cls(coeffs("num"), den)
+        num, den = ([parse_rational(s) for s in cs] for cs in ratfunc_lists(data))
+        return cls(num, den)
 
     def __str__(self) -> str:
         lead = self.pair[1][-1]

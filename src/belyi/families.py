@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -32,6 +32,7 @@ from .exact import (
     json_object,
     parse_int,
     poly_text,
+    ratfunc_lists,
     squarefree_decomposition,
 )
 from .gensys import (
@@ -73,7 +74,6 @@ FAMILIES = {
     "chebyshev": Family("chebyshev", "chebyshev", False, lambda d, k: chebyshev_map(d),
                         lambda m: chebyshev_gensys(m.degree)),
 }
-FAMILY_TAGS = tuple(f.tag for f in FAMILIES.values()) + ("custom",)
 
 
 class ParameterOutOfRangeError(ValueError):
@@ -166,25 +166,18 @@ class MapParams:
 class BelyiMap:
     """A rational map tagged with its family and claimed combinatorial type.
 
-    The profile is computed from the three fibers on first read and cached.
-    The two single-cycle family constructors certify their claimed type
-    eagerly, refuse to return a map that fails, and fill in the profile the
-    type determines, so that their maps are never factored.
+    ``BelyiMap(f, claimed_type=ct)`` is a custom map: only the builders
+    below set a family, k and params.  The profile is factored from the
+    three fibers on first read and cached, except for the two single-cycle
+    families' maps, whose builders certify their type eagerly, refuse a map
+    that fails, and fill in the profile the type determines.
     """
 
     f: RatFunc
-    family: str = "custom"
-    k: int | None = None
-    claimed_type: CombinatorialType | None = None
-    params: MapParams | None = None
-
-    def __post_init__(self):
-        if self.family not in FAMILY_TAGS:
-            raise ValueError(f"unknown family tag {self.family!r}")
-        if self.family == "custom" and self.params is not None:
-            raise ValueError("params given for a custom map")
-        if self.family == "custom" and self.k is not None:
-            raise ValueError("k given for a custom map")
+    claimed_type: CombinatorialType | None = field(default=None, kw_only=True)
+    family: str = field(default="custom", init=False)
+    k: int | None = field(default=None, init=False)
+    params: MapParams | None = field(default=None, init=False)
 
     @property
     def degree(self) -> int:
@@ -240,18 +233,17 @@ class BelyiMap:
                 if d is not None and parse_int(d) != f.degree:
                     raise ValueError(f"stated degree {d} != map degree {f.degree}")
                 ct = None if ct is None else CombinatorialType.from_json(ct)
-                return cls(f, family, k, ct, data.get("params"))
+                for key in ("params", "k"):
+                    if data.get(key) is not None:
+                        raise ValueError(f"{key} given for a custom map")
+                return cls(f, claimed_type=ct)
             fam = next((x for x in FAMILIES.values() if x.tag == family), None)
             if fam is None:
                 raise ValueError(f"unknown family tag {family!r}")
             d = parse_int(json_field(data, "d", "map"))
             # the stated d bounds what the builder allocates, so it must match
             # the stored f before anything of degree d is built
-            json_object(f, "f", ("num", "den"))
-            coeffs = [json_field(f, key, "f") for key in ("num", "den")]
-            if not all(isinstance(c, list) for c in coeffs):
-                raise ValueError(f"coefficients must be lists, not {f!r}")
-            stored = max(map(len, coeffs)) - 1
+            stored = max(map(len, ratfunc_lists(f))) - 1
             if stored != d:
                 raise ValueError(f"stated degree {d} != {stored}, the stored f's")
             m = fam.member(d, k)
@@ -283,23 +275,16 @@ def verify_single_cycle(m: BelyiMap, claimed: CombinatorialType | None) -> tuple
         )
     if claimed is None:
         return True, "Belyi"
-    e0, e1, e_inf = claimed.indices
     if prof.degree != claimed.d:
         return False, f"degree mismatch: expected {claimed.d}, found {prof.degree}"
-    for name, fiber, expected in (
-        ("e0", prof.over0, e0),
-        ("e1", prof.over1, e1),
-        ("e_inf", prof.over_inf, e_inf),
-    ):
+    for name, fiber, expected in zip(("e0", "e1", "e_inf"), prof.fibers, claimed.indices):
         ramified = [e for e in fiber if e >= 2]
         if len(ramified) != 1:
-            return False, (
-                f"fiber for {name} has {len(ramified)} ramification points,"
-                " need exactly 1"
-            )
+            return False, (f"fiber for {name} has {len(ramified)} ramification points,"
+                           " need exactly 1")
         if ramified[0] != expected:
             return False, f"{name} mismatch: expected {expected}, found {ramified[0]}"
-    return True, f"single-cycle of type ({e0}, {e1}, {e_inf})"
+    return True, f"single-cycle of type {claimed.indices}"
 
 
 # ---- families ---------------------------------------------------------------
@@ -309,7 +294,7 @@ def power_map(d: int) -> BelyiMap:
     """x^d: totally ramified over 0 and infinity, unramified over 1."""
     if d < 1:
         raise ParameterOutOfRangeError("power map needs d >= 1")
-    return BelyiMap(RatFunc([0] * d + [1], [1]), family="power")
+    return _family_map(RatFunc([0] * d + [1], [1]), "power")
 
 
 def _chebyshev_ints(n: int) -> list[int]:
@@ -329,7 +314,7 @@ def chebyshev_map(d: int) -> BelyiMap:
         raise ParameterOutOfRangeError("chebyshev map needs d >= 3")
     t = _chebyshev_ints(d)
     t[0] += 1
-    return BelyiMap(RatFunc(t, [2]), family="chebyshev")
+    return _family_map(RatFunc(t, [2]), "chebyshev")
 
 
 def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
@@ -388,6 +373,19 @@ def _certified_profile(f: RatFunc, ct: CombinatorialType) -> RamificationProfile
     return RamificationProfile(d, *((e,) + (1,) * (d - e) for e in ct.indices))
 
 
+def _family_map(
+    f: RatFunc, family: str, k: int | None = None, ct: CombinatorialType | None = None,
+    params: MapParams | None = None, prof: RamificationProfile | None = None,
+) -> BelyiMap:
+    """f as a member of the family tagged ``family``, and the one place that
+    sets the fields BelyiMap's constructor does not take, each once."""
+    m = BelyiMap(f, claimed_type=ct)
+    vars(m).update(family=family, k=k, params=params)
+    if prof is not None:
+        vars(m)["profile"] = prof  # where functools.cached_property keeps its value
+    return m
+
+
 def _family_member(
     family: str, ct: CombinatorialType, k: int, f: RatFunc, params: MapParams
 ) -> BelyiMap:
@@ -398,9 +396,7 @@ def _family_member(
         raise VerificationError(
             f"{family} map (d, k) = ({ct.d}, {k}) is not the normalized map of type {ct.indices}"
         )
-    m = BelyiMap(f, family, k, ct, params)
-    vars(m)["profile"] = prof  # where functools.cached_property keeps its value
-    return m
+    return _family_map(f, family, k, ct, params, prof)
 
 
 def single_cycle_polynomial(d: int, k: int) -> BelyiMap:

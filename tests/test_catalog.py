@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -31,7 +32,7 @@ from belyi import (
     write_catalog,
 )
 from belyi.catalog import compact_json
-from belyi.families import FAMILIES, FAMILY_TAGS
+from belyi.families import FAMILIES, MapParams, _single_cycle_map
 from helpers import MAP_LABELS, conjugate, json_paths, nested_list, stored_field_oracle
 
 
@@ -192,9 +193,14 @@ def test_validate_catches_wrong_type():
 def test_validate_catches_map_type_mismatch():
     good = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
     wrong_map = single_cycle_polynomial(5, 1)  # type (4, 2, 5)
-    rec = TriptychRecord(good.gensys, wrong_map)
+    # the same map with no claimed type is a record, and its profile is
+    # not the triple's cycle types
+    rec = TriptychRecord(good.gensys, BelyiMap(wrong_map.f))
     with pytest.raises(VerificationError):
         rec.validate()
+    # the family member claims its type, so the record is never built
+    with pytest.raises(ValueError, match=r"^map type \(4, 2, 5\) differs from record type \(3, 3, 5\)$"):
+        TriptychRecord(good.gensys, wrong_map)
 
 
 def test_record_json_round_trip():
@@ -210,6 +216,58 @@ def test_record_json_round_trip():
     assert back.dessin == rec.dessin
     assert back.ctype == rec.ctype
     assert back.bmap == rec.bmap
+
+
+def _read_back(obj):
+    return type(obj).from_json(json.loads(json.dumps(obj.to_json())))
+
+
+def test_everything_the_constructors_build_reads_back():
+    # the readers refuse only what no constructor builds: every family
+    # member with d <= 12 and its record, and records that pair a canonical
+    # triple with a custom map that claims the triple's type or no type
+    members = 0
+    for name, fam in FAMILIES.items():
+        for d in range(1, 13):
+            for k in range(1, d) if fam.takes_k else (None,):
+                try:
+                    rec = TriptychRecord.for_family(name, d, k)
+                except ParameterOutOfRangeError:
+                    continue
+                assert _read_back(rec.bmap) == rec.bmap
+                assert _read_back(rec) == rec
+                members += 1
+    assert members == 55 + 30 + 12 + 10  # poly, symmetric, power, chebyshev
+    records = 0
+    for ct in (ct for d in range(3, 9) for ct in valid_types(d)):
+        gs = canonical_single_cycle(ct)
+        f = _single_cycle_map(ct)
+        num, den = f.pair
+        bumped = RatFunc([c + (i == ct.e1 % len(num)) for i, c in enumerate(num)], den)
+        for g in (f, bumped):
+            for claimed in (ct, None):
+                rec = TriptychRecord(gs, BelyiMap(g, claimed_type=claimed))
+                assert _read_back(rec.bmap) == rec.bmap
+                assert _read_back(rec) == rec
+                assert rec.is_belyi == (g is f)
+                records += 1
+    assert records == 4 * 98
+
+
+def test_the_constructors_refuse_what_the_readers_refuse():
+    # a map's family, k and params are set only by the family builders
+    f = RatFunc([1, 0, 0, 1])
+    for keyword in ({"family": "power"}, {"k": 3}, {"params": MapParams(None, (Fraction(1),))}):
+        with pytest.raises(TypeError):
+            BelyiMap(f, **keyword)
+    with pytest.raises(TypeError):
+        BelyiMap(f, CombinatorialType(3, 2, 2, 3))
+    # a record refuses a map that claims another type when it is built,
+    # with the reader's words
+    ct = CombinatorialType(5, 3, 3, 5)
+    claims_another = BelyiMap(TriptychRecord.for_type(ct).bmap.f, claimed_type=CombinatorialType(5, 2, 4, 5))
+    with pytest.raises(ValueError, match=r"^map type \(2, 4, 5\) differs from record type \(3, 3, 5\)$"):
+        TriptychRecord(canonical_single_cycle(ct), claims_another)
 
 
 def test_record_json_rejects_drifted_invariants():
@@ -376,7 +434,7 @@ def test_record_type_is_derived_from_the_triple():
 
 def test_record_json_rejects_a_map_of_another_type():
     # validate() compares the map's profile with the cycle types only, so a
-    # map of another type must be refused on reading
+    # map of another type is refused when the record is built, read or not
     data = TriptychRecord.for_type(CombinatorialType.from_indices(3, 4, 6)).to_json()
     other = TriptychRecord.for_type(CombinatorialType.from_indices(4, 3, 6)).to_json()
     with pytest.raises(ValueError, match=r"map type \(4, 3, 6\) differs from record type \(3, 4, 6\)"):
@@ -471,7 +529,7 @@ def test_fuzzed_records_read_as_a_record_or_a_value_error():
         | st.integers()
         | st.floats()
         | st.text(max_size=4)
-        | st.sampled_from([*FAMILY_TAGS, "0", "-1", "2/3", "1/0"])
+        | st.sampled_from([*(f.tag for f in FAMILIES.values()), "custom", "0", "-1", "2/3", "1/0"])
     )
     values = st.recursive(
         scalars,
@@ -518,7 +576,7 @@ def test_a_record_whose_map_has_non_list_coefficients_is_refused():
         for value in (None, 5, True, 1.5):
             bad = copy.deepcopy(data)
             bad["map"]["f"][key] = value
-            with pytest.raises(ValueError, match="coefficients must be lists"):
+            with pytest.raises(ValueError, match=f"^coefficients must be a list of strings, not {value!r}$"):
                 TriptychRecord.from_json(bad)
 
 

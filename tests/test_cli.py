@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -365,7 +366,7 @@ def test_a_family_map_with_non_list_coefficients_is_refused(capsys, tmp_path, va
         for key in ("num", "den"):
             data = m.to_json()
             data["f"][key] = value
-            with pytest.raises(ValueError, match="coefficients must be lists"):
+            with pytest.raises(ValueError, match=f"^coefficients must be a list of strings, not {re.escape(repr(value))}$"):
                 BelyiMap.from_json(data)
             path.write_text(json.dumps(data))
             assert main(["verify", str(path)]) == USAGE
@@ -446,6 +447,31 @@ def test_a_map_whose_f_is_not_an_object_is_refused_in_one_wording(capsys, tmp_pa
     assert main(["verify", str(path)]) == USAGE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "verify: malformed map record: f must be an object, not 5\n")
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ({"num": ["1"]}, "a rational function needs num and den, not {'num': ['1']}"),
+        ({"num": "12", "den": ["1"]}, "coefficients must be a list of strings, not '12'"),
+        ({"num": ["1"], "den": None}, "coefficients must be a list of strings, not None"),
+        ({"num": ["1"], "den": ["1"], "x": 1}, "f has unknown field 'x'"),
+    ],
+    ids=["no-den", "num-a-string", "den-null", "extra-field"],
+)
+@pytest.mark.parametrize("family", [None, "poly"])
+def test_each_fault_in_the_shape_of_f_reads_one_way(capsys, tmp_path, f, message, family):
+    # a custom map reads f through RatFunc.from_json and a family member
+    # measures its stored degree; both take f's lists from one reader
+    record = {"family": "custom"} if family is None else single_cycle_polynomial(5, 2).to_json()
+    record = {**record, "f": f}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BelyiMap.from_json(record)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(record))
+    assert main(["verify", str(path)]) == USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"verify: malformed map record: {message}\n")
 
 
 def test_verify_fuzzed_map_records_exit_with_a_verdict_or_usage(tmp_path):

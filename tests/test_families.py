@@ -543,7 +543,8 @@ def test_belyi_map_json_checks_the_stated_degree_before_building():
 
 
 def test_belyi_map_misc():
-    with pytest.raises(ValueError):
+    # a map's family is set by its builder, never by the constructor
+    with pytest.raises(TypeError):
         BelyiMap(RatFunc((0, 1)), family="mystery")
     assert power_map(3).factored_form() is None
     m = BelyiMap(RatFunc((0, 0, 1)))
@@ -576,29 +577,37 @@ def test_belyi_map_is_a_frozen_dataclass_with_a_cached_profile(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         m.k = 2
-    with pytest.raises(ValueError, match="unknown family tag 'mystery'"):
+    with pytest.raises(TypeError):
         BelyiMap(m.f, family="mystery")
 
-    fields = {"f": m.f, "family": m.family, "k": m.k,
-              "claimed_type": m.claimed_type, "params": m.params}
-    same = BelyiMap(**fields)
+    # equality and hash read every field, the builder-set ones included
+    rebuilt = single_cycle_polynomial(7, 3)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    fields = {"f": m.f, "family": m.family, "k": m.k, "ct": m.claimed_type, "params": m.params}
+    same = families._family_map(**fields)
     assert same == m and hash(same) == hash(m)
     others = {"f": RatFunc((0,) * 7 + (1,)), "family": "symmetric-single-cycle", "k": 2,
-              "claimed_type": CombinatorialType(7, 5, 3, 7), "params": None}
+              "ct": CombinatorialType(7, 5, 3, 7), "params": None}
     for name, value in others.items():
         assert value != fields[name]
-        assert BelyiMap(**dict(fields, **{name: value})) != m
-    # the same fields tagged custom are refused: a custom map has no params or k
-    with pytest.raises(ValueError, match="params given for a custom map"):
-        BelyiMap(**dict(fields, family="custom"))
+        assert families._family_map(**dict(fields, **{name: value})) != m
+    # the same f and type as a custom map: no family, k or params
+    custom = BelyiMap(m.f, claimed_type=m.claimed_type)
+    assert (custom.family, custom.k, custom.params) == ("custom", None, None)
+    assert custom != m
+    with pytest.raises(TypeError):
+        BelyiMap(m.f, claimed_type=m.claimed_type, k=m.k, params=m.params)
 
 
 def test_a_custom_map_holds_only_what_its_reader_reads():
+    # the constructor takes no family, k or params, by keyword or position
     f = single_cycle_polynomial(7, 3).f
-    with pytest.raises(ValueError, match="^k given for a custom map$"):
+    with pytest.raises(TypeError):
         BelyiMap(f, "custom", 7)
+    with pytest.raises(TypeError):
+        BelyiMap(f, k=7)
     params = MapParams(None, (Fraction(1),))
-    with pytest.raises(ValueError, match="^params given for a custom map$"):
+    with pytest.raises(TypeError):
         BelyiMap(f, params=params)
     # so every custom map it builds is one the reader reads back
     rng = random.Random(2027)

@@ -134,17 +134,14 @@ class TriptychRecord:
     def from_json(cls, data: dict) -> "TriptychRecord":
         """Read a record from its triple and map, built as the constructor
         builds it, and check its stored type, dessin and invariants against
-        the ones derived from the triple; raises ValueError when they differ,
-        when the record has a field to_json does not write, or when a value
-        is nested past Python's recursion limit."""
-        try:
-            json_object(data, "record", ("type", "map", "gensys", "dessin", "invariants"))
-            gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
-            m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
-            rec = cls(gs, m)
-            check_stored(data, rec._derived_json(), "gensys")
-        except RecursionError as exc:
-            raise ValueError(f"record nested too deeply to read: {exc}") from None
+        the ones derived from the triple; raises ValueError, naming a bad
+        value in brief, when they differ, when a field is malformed or too
+        deep to read, or when the record has a field to_json does not write."""
+        json_object(data, "record", ("type", "map", "gensys", "dessin", "invariants"))
+        gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
+        m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
+        rec = cls(gs, m)
+        check_stored(data, rec._derived_json(), "gensys")
         return rec
 
 

@@ -137,8 +137,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return USAGE
-    except (UnicodeDecodeError, RecursionError) as exc:
-        # a file that is not UTF-8, or JSON nested deeper than Python recurses
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer past Python's digit limit, or too deep to recurse
         print(f"verify: cannot parse {args.input}: {exc}", file=sys.stderr)
         return USAGE
     try:

@@ -9,7 +9,8 @@ A rational function is stored reduced, as one pair of integer coefficient
 tuples with no common content and a positive leading denominator
 coefficient, and printed with a monic denominator.  Only
 `RatFunc.from_json` reads "p/q" strings.  Nothing in this module touches
-floating point, so every identity checked downstream is exact.
+floating point, so every identity checked downstream is exact.  Messages
+name a bad value by `brief_repr`, its repr cut short in length and depth.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import accumulate, compress, count, zip_longest
+from reprlib import repr as brief_repr
 from typing import Container, Iterable, Sequence
 
 
@@ -29,10 +31,10 @@ def parse_rational(s: str) -> Fraction:
     """Parse "p" or "p/q" (decimal integers, q nonzero) into a reduced
     Fraction; anything else, including non-strings, raises ValueError."""
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
-        raise ValueError(f"not a rational \"p\" or \"p/q\": {s!r}")
+        raise ValueError(f"not a rational \"p\" or \"p/q\": {brief_repr(s)}")
     num, _, den = s.partition("/")
     if den and int(den) == 0:
-        raise ValueError(f"zero denominator in {s!r}")
+        raise ValueError(f"zero denominator in {brief_repr(s)}")
     return Fraction(int(num), int(den or 1))
 
 
@@ -40,7 +42,7 @@ def parse_int(v: object) -> int:
     """A JSON integer as read by json.load; bool, float, str and anything
     else raise ValueError."""
     if type(v) is not int:
-        raise ValueError(f"not an integer: {v!r}")
+        raise ValueError(f"not an integer: {brief_repr(v)}")
     return v
 
 
@@ -48,10 +50,10 @@ def json_object(data: object, what: str, fields: Container) -> dict:
     """``data`` as the JSON object named ``what``, whose writer writes only
     ``fields``; a non-object, or a key that writing back would drop, raises ValueError."""
     if not isinstance(data, dict):
-        raise ValueError(f"{what} must be an object, not {data!r}")
+        raise ValueError(f"{what} must be an object, not {brief_repr(data)}")
     for key in data:
         if key not in fields:
-            raise ValueError(f"{what} has unknown field {key!r}")
+            raise ValueError(f"{what} has unknown field {brief_repr(key)}")
     return data
 
 
@@ -67,17 +69,17 @@ def ratfunc_lists(data: object) -> tuple[list, list]:
     """f's num and den lists, their entries unread; a malformed f raises ValueError."""
     json_object(data, "f", ("num", "den"))
     if "num" not in data or "den" not in data:
-        raise ValueError(f"a rational function needs num and den, not {data!r}")
+        raise ValueError(f"a rational function needs num and den, not {brief_repr(data)}")
     for cs in (data["num"], data["den"]):
         if not isinstance(cs, list):
-            raise ValueError(f"coefficients must be a list of strings, not {cs!r}")
+            raise ValueError(f"coefficients must be a list of strings, not {brief_repr(cs)}")
     return data["num"], data["den"]
 
 
 # one encoder for every stored-field check; json.dumps(sort_keys=True)
-# builds a new one on each call.  With no circular-reference scan, a
-# self-referential value raises RecursionError, as a value nested too
-# deeply does, and the readers turn both into ValueError.
+# builds a new one on each call.  It is the one reader step that recurses
+# into a stored value: with no circular-reference scan, a self-referential
+# value raises RecursionError there, as one nested too deeply does.
 _sorted_json = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
@@ -90,8 +92,11 @@ def check_stored(data: dict, derived: dict, source: str) -> None:
     only a mismatch is traced to its first field.  A JSON text parses one
     way only, so the lists' texts agree exactly when each field's does.
     """
-    if _sorted_json([data.get(key) for key in derived]) == _sorted_json(list(derived.values())):
-        return
+    try:
+        if _sorted_json([data.get(key) for key in derived]) == _sorted_json(list(derived.values())):
+            return
+    except RecursionError:
+        raise ValueError(f"stored {', '.join(derived)} nested too deeply to read") from None
     for key, value in derived.items():
         stored, want = _sorted_json(data.get(key)), _sorted_json(value)
         if stored != want:
@@ -140,7 +145,7 @@ class Poly:
         cs = list(coeffs)
         if not set(map(type, cs)) <= {int}:
             bad = next(c for c in cs if type(c) is not int)
-            raise ValueError(f"not an int: {bad!r}")
+            raise ValueError(f"not an int: {brief_repr(bad)}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
@@ -391,7 +396,7 @@ class RatFunc:
         kinds = set(map(type, n + d))
         if not kinds <= {int, Fraction}:
             bad = next(c for c in n + d if type(c) not in (int, Fraction))
-            raise ValueError(f"not an int or Fraction: {bad!r}")
+            raise ValueError(f"not an int or Fraction: {brief_repr(bad)}")
         if Fraction in kinds:
             # clear both denominators at once
             scale = math.lcm(*(c.denominator for c in n + d))

@@ -27,6 +27,7 @@ from .exact import (
     RatFunc,
     _sub,
     _wronskian,
+    brief_repr,
     check_stored,
     json_field,
     json_object,
@@ -213,8 +214,8 @@ class BelyiMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "BelyiMap":
-        """Read a map record; raises ValueError when a field is malformed or
-        disagrees with the map.
+        """Read a map record; raises ValueError, naming a bad value in brief,
+        when a field is malformed or disagrees with the map.
 
         A member of a named family is its (family, d, k): it is rebuilt from
         them, and it must store the fields the rebuilt map writes, as it
@@ -222,37 +223,33 @@ class BelyiMap:
         optional stated degree and claimed type and no params or k.  A value
         nested past Python's recursion limit is malformed too.
         """
-        try:
-            json_object(data, "map", ("family", "d", "k", "params", "f", "type"))
-            f = json_field(data, "f", "map")
-            family = data.get("family", "custom")
-            k = None if data.get("k") is None else parse_int(data["k"])
-            if family == "custom":
-                f = RatFunc.from_json(f)
-                d, ct = data.get("d"), data.get("type")
-                if d is not None and parse_int(d) != f.degree:
-                    raise ValueError(f"stated degree {d} != map degree {f.degree}")
-                ct = None if ct is None else CombinatorialType.from_json(ct)
-                for key in ("params", "k"):
-                    if data.get(key) is not None:
-                        raise ValueError(f"{key} given for a custom map")
-                return cls(f, claimed_type=ct)
-            fam = next((x for x in FAMILIES.values() if x.tag == family), None)
-            if fam is None:
-                raise ValueError(f"unknown family tag {family!r}")
-            d = parse_int(json_field(data, "d", "map"))
-            # the stated d bounds what the builder allocates, so it must match
-            # the stored f before anything of degree d is built
-            stored = max(map(len, ratfunc_lists(f))) - 1
-            if stored != d:
-                raise ValueError(f"stated degree {d} != {stored}, the stored f's")
-            m = fam.member(d, k)
-            derived = m.to_json()
-            check_stored(json_object(data, "map", derived), derived, f"({family}, {d}, {k})")
-            return m
-        except RecursionError as exc:
-            # json.load returns values nested deeper than repr and json.dumps go
-            raise ValueError(f"map nested too deeply to read: {exc}") from None
+        json_object(data, "map", ("family", "d", "k", "params", "f", "type"))
+        f = json_field(data, "f", "map")
+        family = data.get("family", "custom")
+        k = None if data.get("k") is None else parse_int(data["k"])
+        if family == "custom":
+            f = RatFunc.from_json(f)
+            d, ct = data.get("d"), data.get("type")
+            if d is not None and parse_int(d) != f.degree:
+                raise ValueError(f"stated degree {d} != map degree {f.degree}")
+            ct = None if ct is None else CombinatorialType.from_json(ct)
+            for key in ("params", "k"):
+                if data.get(key) is not None:
+                    raise ValueError(f"{key} given for a custom map")
+            return cls(f, claimed_type=ct)
+        fam = next((x for x in FAMILIES.values() if x.tag == family), None)
+        if fam is None:
+            raise ValueError(f"unknown family tag {brief_repr(family)}")
+        d = parse_int(json_field(data, "d", "map"))
+        # the stated d bounds what the builder allocates, so it must match
+        # the stored f before anything of degree d is built
+        stored = max(map(len, ratfunc_lists(f))) - 1
+        if stored != d:
+            raise ValueError(f"stated degree {d} != {stored}, the stored f's")
+        m = fam.member(d, k)
+        derived = m.to_json()
+        check_stored(json_object(data, "map", derived), derived, f"({family}, {d}, {k})")
+        return m
 
 
 def verify_single_cycle(m: BelyiMap, claimed: CombinatorialType | None) -> tuple[bool, str]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exact import parse_int
+from .exact import brief_repr, parse_int
 
 # A cycle type is the multiset of cycle lengths (fixed points included),
 # stored as a descending tuple summing to the degree.
@@ -27,7 +27,7 @@ def _cycle_tuples(cycles: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     try:
         return [tuple(c) for c in cycles]
     except TypeError:
-        raise ValueError(f"cycles must be a list of lists, not {cycles!r}") from None
+        raise ValueError(f"cycles must be a list of lists, not {brief_repr(cycles)}") from None
 
 
 class Permutation:
@@ -45,7 +45,7 @@ class Permutation:
             for x in imgs:
                 parse_int(x)
         if sorted(imgs) != list(range(1, d + 1)):
-            raise ValueError(f"not a bijection of 1..{d}: {imgs}")
+            raise ValueError(f"not a bijection of 1..{d}: {brief_repr(imgs)}")
         self.images: tuple[int, ...] = imgs
         self._cycles: tuple[tuple[int, ...], ...] | None = None
 
@@ -157,7 +157,7 @@ class Permutation:
         try:
             d = sum(map(len, cycles))
         except TypeError:
-            raise ValueError(f"cycles must be a list of lists, not {cycles!r}") from None
+            raise ValueError(f"cycles must be a list of lists, not {brief_repr(cycles)}") from None
         return cls.from_cycles(d, cycles)
 
     def __repr__(self) -> str:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import reprlib
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -407,13 +408,14 @@ def stated_canonical_triple(ct: CombinatorialType) -> GeneratingSystem:
 def stated_from_cycles(d: int, cycles) -> Permutation:
     """Oracle for ``Permutation.from_cycles``: each point checked by
     ``parse_int``, against 1..d and against a set of the points seen, and
-    each cycle's images written only once all its points pass."""
+    each cycle's images written only once all its points pass.  A value
+    that is not a list of lists is named by ``reprlib.repr``."""
     images = list(range(1, d + 1))
     seen: set[int] = set()
     try:
         cycles = [tuple(c) for c in cycles]
     except TypeError:
-        raise ValueError(f"cycles must be a list of lists, not {cycles!r}") from None
+        raise ValueError(f"cycles must be a list of lists, not {reprlib.repr(cycles)}") from None
     for cyc in cycles:
         if not cyc:
             raise ValueError("empty cycle")

@@ -661,12 +661,12 @@ def test_a_drifted_field_before_a_field_nested_too_deep_reads_as_nested_too_deep
     data = TriptychRecord.for_family("poly", 5, 2).to_json()
     data["type"]["e0"] = 3.0
     data["invariants"] = nested_list(100_000)
-    with pytest.raises(ValueError, match=r"^record nested too deeply to read: "):
+    with pytest.raises(ValueError, match=r"^stored type, dessin, invariants nested too deeply to read$"):
         TriptychRecord.from_json(data)
     m = single_cycle_polynomial(5, 2).to_json()
     m["params"]["c"] = "31"
     m["type"] = nested_list(100_000)
-    with pytest.raises(ValueError, match=r"^map nested too deeply to read: "):
+    with pytest.raises(ValueError, match=r"^stored family, d, k, params, f, type nested too deeply to read$"):
         BelyiMap.from_json(m)
 
 
@@ -677,11 +677,11 @@ def test_a_self_referential_field_reads_as_nested_too_deep():
     inv["x"] = inv
     data = TriptychRecord.for_family("poly", 5, 2).to_json()
     data["invariants"] = inv
-    with pytest.raises(ValueError, match=r"^record nested too deeply to read: "):
+    with pytest.raises(ValueError, match=r"^stored type, dessin, invariants nested too deeply to read$"):
         TriptychRecord.from_json(data)
     m = single_cycle_polynomial(5, 2).to_json()
     m["type"] = inv
-    with pytest.raises(ValueError, match=r"^map nested too deeply to read: "):
+    with pytest.raises(ValueError, match=r"^stored family, d, k, params, f, type nested too deeply to read$"):
         BelyiMap.from_json(m)
 
 

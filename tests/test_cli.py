@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import functools
 import hashlib
 import io
 import json
@@ -15,6 +16,10 @@ import pytest
 from belyi import (
     BelyiMap,
     CombinatorialType,
+    Dessin,
+    GeneratingSystem,
+    Permutation,
+    RatFunc,
     TriptychRecord,
     canonical_single_cycle,
     chebyshev_map,
@@ -181,8 +186,10 @@ def test_verify_parse_error(capsys, tmp_path):
         b"[" * 100_000 + b"]" * 100_000,
         b'{"family": "custom", "extra": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
         b"\xff\xfe{",
+        # json.load raises a plain ValueError past Python's 4,300-digit limit
+        b'{"family": "custom", "d": ' + b"1" * 5000 + b', "f": {"num": ["0", "1"], "den": ["1"]}}',
     ],
-    ids=["deep-array", "deep-field", "not-utf-8"],
+    ids=["deep-array", "deep-field", "not-utf-8", "int-past-digit-limit"],
 )
 def test_verify_input_that_json_cannot_read_is_a_usage_error(capsys, tmp_path, content):
     path = tmp_path / "bad.json"
@@ -194,47 +201,114 @@ def test_verify_input_that_json_cannot_read_is_a_usage_error(capsys, tmp_path, c
     assert captured.out == ""
 
 
+# how every reader's message names a value: a value nested 100,000 deep or
+# a self-referential list, and a 1,000,000-character string, as reprlib.repr
+# cuts them short
+DEEP_SHOWN = "[[[[[[[...]]]]]]]"
+LONG_SHOWN = "'" + "x" * 12 + "..." + "x" * 13 + "'"
+
 DEEP_READS = {
-    # reader, what it reads, the path to the value nested 100,000 deep
-    "custom-f": (BelyiMap, "custom", ("f",)),
-    "custom-num-element": (BelyiMap, "custom", ("f", "num", 1)),
-    "custom-type": (BelyiMap, "custom", ("type",)),
-    "custom-d": (BelyiMap, "custom", ("d",)),
-    "family-extra-field": (BelyiMap, "family", ("params", "extra")),
-    "record-gensys": (TriptychRecord, "record", ("gensys",)),
-    "record-sigma0": (TriptychRecord, "record", ("gensys", "sigma0")),
-    "record-sigma0-cycle": (TriptychRecord, "record", ("gensys", "sigma0", 2)),
-    "record-gensys-d": (TriptychRecord, "record", ("gensys", "d")),
-    "record-type": (TriptychRecord, "record", ("type",)),
-    "record-dessin": (TriptychRecord, "record", ("dessin",)),
+    # reader, what it reads, the path to the value nested 100,000 deep, and
+    # the message, with {} for how it names the value
+    "custom-f": (BelyiMap.from_json, "custom", ("f",), "f must be an object, not {}"),
+    "custom-num-element": (BelyiMap.from_json, "custom", ("f", "num", 1),
+                           'not a rational "p" or "p/q": {}'),
+    "custom-type": (BelyiMap.from_json, "custom", ("type",), "type must be an object, not {}"),
+    "custom-d": (BelyiMap.from_json, "custom", ("d",), "not an integer: {}"),
+    "family-extra-field": (BelyiMap.from_json, "family", ("params", "extra"),
+                           "stored family, d, k, params, f, type nested too deeply to read"),
+    "record-gensys": (TriptychRecord.from_json, "record", ("gensys",),
+                      "gensys must be an object, not {}"),
+    "record-sigma0": (TriptychRecord.from_json, "record", ("gensys", "sigma0"),
+                      "not an integer: {}"),
+    "record-sigma0-cycle": (TriptychRecord.from_json, "record", ("gensys", "sigma0", 2),
+                            "not an integer: {}"),
+    "record-sigma0-point": (TriptychRecord.from_json, "record", ("gensys", "sigma0", 2, 1),
+                            "not an integer: {}"),
+    "record-gensys-d": (TriptychRecord.from_json, "record", ("gensys", "d"),
+                        "not an integer: {}"),
+    "record-type": (TriptychRecord.from_json, "record", ("type",),
+                    "stored type, dessin, invariants nested too deeply to read"),
+    "record-dessin": (TriptychRecord.from_json, "record", ("dessin",),
+                      "stored type, dessin, invariants nested too deeply to read"),
+    "ratfunc-den-element": (RatFunc.from_json, "f", ("den", 0),
+                            'not a rational "p" or "p/q": {}'),
+    "perm-point": (Permutation.from_json, "cycles", (2, 1), "not an integer: {}"),
+    "from-cycles-point": (functools.partial(Permutation.from_cycles, 5), "cycles", (2, 1),
+                          "not an integer: {}"),
+    "gensys-d": (GeneratingSystem.from_json, "gensys", ("d",), "not an integer: {}"),
+    "type-e1": (CombinatorialType.from_json, "type", ("e1",), "not an integer: {}"),
+    "dessin-white-point": (lambda ds: Dessin.from_cycles(**ds), "dessin", ("white", 0, 0),
+                           "not an integer: {}"),
 }
 
 
-@pytest.mark.parametrize("case", DEEP_READS)
-def test_a_value_nested_too_deep_is_a_malformed_record(case, capsys, tmp_path, monkeypatch):
-    # json.load may return a value that repr, in a guard's message, or the
-    # stored-field check cannot write back; each reader turns the
-    # RecursionError into a malformed record, not a crash
-    reader, base, (*outer, key) = DEEP_READS[case]
+def _bad_read(case: str, value) -> tuple:
+    """The reader of a DEEP_READS case, what it reads with ``value`` put at
+    the case's path, and the message it must raise."""
+    reader, base, (*outer, key), message = DEEP_READS[case]
+    record = TriptychRecord.for_family("poly", 5, 2).to_json()
     data = {
         "custom": copy.deepcopy(CUSTOM_MAP),
         "family": single_cycle_polynomial(5, 2).to_json(),
-        "record": TriptychRecord.for_family("poly", 5, 2).to_json(),
+        "record": record,
+        "f": copy.deepcopy(CUSTOM_MAP["f"]),
+        "cycles": record["gensys"]["sigma0"],
+        "gensys": record["gensys"],
+        "type": record["type"],
+        "dessin": record["dessin"],
     }[base]
     parent = data
     for step in outer:
         parent = parent[step]
-    parent[key] = nested_list(100_000)
-    with pytest.raises(ValueError, match="nested too deeply"):
-        reader.from_json(data)
+    parent[key] = value
+    return reader, data, message
+
+
+@pytest.mark.parametrize("case", DEEP_READS)
+def test_a_value_nested_too_deep_is_a_malformed_record(case, capsys, tmp_path, monkeypatch):
+    # json.load may return a value nested deeper than repr or the
+    # stored-field check can recurse: a reader's message names it in brief,
+    # or check_stored turns its RecursionError into a ValueError, so it is
+    # a malformed record, not a crash
+    reader, data, message = _bad_read(case, nested_list(100_000))
+    with pytest.raises(ValueError) as exc:
+        reader(data)
+    assert str(exc.value) == message.format(DEEP_SHOWN)
+    assert len(str(exc.value)) < 1000
     path = tmp_path / "deep.json"
     path.write_text("{}")
     monkeypatch.setattr(json, "load", lambda fh: data)
     assert main(["verify", str(path)]) == USAGE
     captured = capsys.readouterr()
     assert captured.err.startswith("verify: malformed map record: ")
+    assert len(captured.err) < 1000
     assert "internal error" not in captured.err
     assert captured.out == ""
+
+
+# one DEEP_READS case for each public reader, at a value its message names
+NAMED_READS = [
+    "custom-f", "record-sigma0-point", "ratfunc-den-element", "perm-point",
+    "from-cycles-point", "gensys-d", "type-e1", "dessin-white-point",
+]
+
+
+@pytest.mark.parametrize("kind", ["self-referential", "long"])
+@pytest.mark.parametrize("case", NAMED_READS)
+def test_every_reader_names_a_bad_value_in_brief(case, kind):
+    # a list that holds itself, which a caller may pass, reads as a deep
+    # one; a 1,000,000-character string is cut short, not echoed in full
+    if kind == "long":
+        value, shown = "x" * 1_000_000, LONG_SHOWN
+    else:
+        value, shown = [], DEEP_SHOWN
+        value.append(value)
+    reader, data, message = _bad_read(case, value)
+    with pytest.raises(ValueError) as exc:
+        reader(data)
+    assert str(exc.value) == message.format(shown)
+    assert len(str(exc.value)) < 1000
 
 
 def test_verify_missing_file(capsys, tmp_path):

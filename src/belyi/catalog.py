@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterator
 
 from .dessin import Dessin, DessinShape
-from .exact import check_stored, json_field, json_object
+from .exact import brief_repr, check_stored, json_field, json_object
 from .families import FAMILIES, BelyiMap, VerificationError, family_map_for_type
 from .gensys import CombinatorialType, GeneratingSystem, canonical_single_cycle, canonical_triples
 
@@ -63,7 +63,7 @@ class TriptychRecord:
         """Record for the member (d, k) of a named family (a key of
         FAMILIES); k is given exactly when the family takes one."""
         if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
+            raise ValueError(f"unknown family {brief_repr(family)}")
         fam = FAMILIES[family]
         m = fam.member(d, k)
         return cls(fam.triple(m), m)

@@ -69,7 +69,7 @@ class Dessin:
 
     @classmethod
     def from_cycles(
-        cls, d: int, black: Iterable[Sequence[int]], white: Iterable[Sequence[int]]
+        cls, d: int, black: Sequence[Iterable[int]], white: Sequence[Iterable[int]]
     ) -> "Dessin":
         """The dessin with these vertex cyclic orders, in any rotation and
         order; raises ValueError unless each side covers 1..d exactly once
@@ -104,29 +104,18 @@ class Dessin:
     def __repr__(self) -> str:
         return f"Dessin(d={self.d}, black={self.black}, white={self.white})"
 
-    # ---- incidence helpers -------------------------------------------------
+    # ---- incidence ---------------------------------------------------------
 
-    def _label_vertex(self, cycles) -> dict[int, int]:
-        where: dict[int, int] = {}
-        for idx, cyc in enumerate(cycles):
-            for x in cyc:
-                where[x] = idx
-        return where
-
-    def _adjacency(self) -> dict[tuple[str, int], set[tuple[str, int]]]:
-        """Simple-graph adjacency; parallel edges collapse."""
-        at_black = self._label_vertex(self.black)
-        at_white = self._label_vertex(self.white)
-        adj: dict[tuple[str, int], set[tuple[str, int]]] = {
-            ("b", i): set() for i in range(len(self.black))
-        }
-        adj.update({("w", j): set() for j in range(len(self.white))})
-        for lab in range(1, self.d + 1):
-            u = ("b", at_black[lab])
-            v = ("w", at_white[lab])
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+    def _ends(self) -> tuple[list[int], list[int]]:
+        """Each edge label's black and white vertex index, as two lists
+        indexed by label - 1: the one incidence table DOT and the diameter
+        search read."""
+        at_black, at_white = [0] * self.d, [0] * self.d
+        for at, cycles in ((at_black, self.black), (at_white, self.white)):
+            for idx, cyc in enumerate(cycles):
+                for x in cyc:
+                    at[x - 1] = idx
+        return at_black, at_white
 
     # ---- invariants --------------------------------------------------------
 
@@ -149,10 +138,15 @@ class Dessin:
         return self._bfs_diameter_vertices()
 
     def _bfs_diameter_vertices(self) -> int:
-        # all-pairs breadth-first search over the simple graph
-        adj = self._adjacency()
+        # all-pairs breadth-first search over the simple graph, parallel
+        # edges collapsed: black vertex i is node i, white vertex j node nb + j
+        nb = len(self.black)
+        adj: list[set[int]] = [set() for _ in range(nb + len(self.white))]
+        for b, w in zip(*self._ends()):
+            adj[b].add(nb + w)
+            adj[nb + w].add(b)
         best = 0
-        for start in adj:
+        for start in range(len(adj)):
             dist = {start: 0}
             queue = deque([start])
             while queue:
@@ -184,8 +178,6 @@ class Dessin:
         """Deterministic Graphviz source: black vertices filled, white open,
         edges labeled 1..d.  Stable IDs b0, b1, ... / w0, w1, ... follow the
         canonical storage order."""
-        at_black = self._label_vertex(self.black)
-        at_white = self._label_vertex(self.white)
         lines = [
             "graph dessin {",
             "  node [shape=circle, fixedsize=true, width=0.25];",
@@ -194,16 +186,16 @@ class Dessin:
             lines.append(f'  b{i} [style=filled, fillcolor=black, label=""];')
         for j in range(len(self.white)):
             lines.append(f'  w{j} [label=""];')
-        for lab in range(1, self.d + 1):
-            lines.append(f'  b{at_black[lab]} -- w{at_white[lab]} [label="{lab}"];')
+        for lab, (b, w) in enumerate(zip(*self._ends()), start=1):
+            lines.append(f'  b{b} -- w{w} [label="{lab}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
         return {
             "d": self.d,
-            "black": [list(c) for c in self.black],
-            "white": [list(c) for c in self.white],
+            "black": self.gensys.sigma0.to_json(),
+            "white": self.gensys.sigma1.to_json(),
         }
 
 

@@ -89,8 +89,9 @@ def check_stored(data: dict, derived: dict, source: str) -> None:
     or false cannot pass for what the writer derives from ``source``.
 
     The fields are encoded together, as one list in ``derived``'s order, and
-    only a mismatch is traced to its first field.  A JSON text parses one
-    way only, so the lists' texts agree exactly when each field's does.
+    only a mismatch is traced to its first field, whose stored and derived
+    values the message names by ``brief_repr``.  A JSON text parses one way
+    only, so the lists' texts agree exactly when each field's does.
     """
     try:
         if _sorted_json([data.get(key) for key in derived]) == _sorted_json(list(derived.values())):
@@ -98,9 +99,12 @@ def check_stored(data: dict, derived: dict, source: str) -> None:
     except RecursionError:
         raise ValueError(f"stored {', '.join(derived)} nested too deeply to read") from None
     for key, value in derived.items():
-        stored, want = _sorted_json(data.get(key)), _sorted_json(value)
-        if stored != want:
-            raise ValueError(f"stored {key} {stored} disagrees with {want}, derived from {source}")
+        stored = data.get(key)
+        if _sorted_json(stored) != _sorted_json(value):
+            raise ValueError(
+                f"stored {key} {brief_repr(stored)} disagrees with {brief_repr(value)},"
+                f" derived from {source}"
+            )
 
 
 def poly_text(coeffs: Sequence[int | Fraction]) -> str:

@@ -262,7 +262,8 @@ def verify_single_cycle(m: BelyiMap, claimed: CombinatorialType | None) -> tuple
     """
     if not isinstance(m, BelyiMap) or not isinstance(claimed, (CombinatorialType, type(None))):
         raise TypeError(
-            f"need a BelyiMap and a CombinatorialType or None, not {m!r} and {claimed!r}"
+            f"need a BelyiMap and a CombinatorialType or None,"
+            f" not {brief_repr(m)} and {brief_repr(claimed)}"
         )
     prof = m.profile
     if not prof.is_belyi:

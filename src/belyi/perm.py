@@ -21,10 +21,13 @@ class DegreeMismatchError(ValueError):
     """Operands act on point sets of different sizes."""
 
 
-def _cycle_tuples(cycles: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Each cycle as a tuple; raises ValueError unless ``cycles`` is an
-    iterable of iterables, such as a JSON list of lists."""
+def _cycle_tuples(cycles: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
+    """Each cycle as a tuple, as every cycle reader reads them; raises
+    ValueError unless ``cycles`` is a list or tuple of iterables, and
+    refuses any other container, a string or a dict, before it builds."""
     try:
+        if not isinstance(cycles, (list, tuple)):
+            raise TypeError
         return [tuple(c) for c in cycles]
     except TypeError:
         raise ValueError(f"cycles must be a list of lists, not {brief_repr(cycles)}") from None
@@ -54,7 +57,7 @@ class Permutation:
         return cls(range(1, d + 1))
 
     @classmethod
-    def from_cycles(cls, d: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
+    def from_cycles(cls, d: int, cycles: Sequence[Iterable[int]]) -> "Permutation":
         """Build from disjoint cycles; unmentioned points stay fixed."""
         images = list(range(1, d + 1))
         # seen[x] marks point x; a degree below 1 marks none, and the
@@ -148,17 +151,13 @@ class Permutation:
         return [list(c) for c in self.cycles()]
 
     @classmethod
-    def from_json(cls, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        """The permutation of these cycles, a JSON list of lists, whose
-        degree is the number of points given: from_cycles rejects repeats
-        and points outside 1..d, so the cycles must cover 1..d, fixed points
-        included."""
-        # the points are counted in place; from_cycles copies each cycle once
-        try:
-            d = sum(map(len, cycles))
-        except TypeError:
-            raise ValueError(f"cycles must be a list of lists, not {brief_repr(cycles)}") from None
-        return cls.from_cycles(d, cycles)
+    def from_json(cls, cycles: Sequence[Iterable[int]]) -> "Permutation":
+        """The permutation of these cycles, a JSON list of lists read as
+        from_cycles reads them, whose degree is the number of points given:
+        from_cycles rejects repeats and points outside 1..d, so the cycles
+        must cover 1..d, fixed points included."""
+        cycles = _cycle_tuples(cycles)
+        return cls.from_cycles(sum(map(len, cycles)), cycles)
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()!r}, d={self.degree})"

@@ -409,10 +409,12 @@ def stated_from_cycles(d: int, cycles) -> Permutation:
     """Oracle for ``Permutation.from_cycles``: each point checked by
     ``parse_int``, against 1..d and against a set of the points seen, and
     each cycle's images written only once all its points pass.  A value
-    that is not a list of lists is named by ``reprlib.repr``."""
+    that is not a list or tuple of iterables is named by ``reprlib.repr``."""
     images = list(range(1, d + 1))
     seen: set[int] = set()
     try:
+        if not isinstance(cycles, (list, tuple)):
+            raise TypeError
         cycles = [tuple(c) for c in cycles]
     except TypeError:
         raise ValueError(f"cycles must be a list of lists, not {reprlib.repr(cycles)}") from None
@@ -433,12 +435,15 @@ def stated_from_cycles(d: int, cycles) -> Permutation:
 def stored_field_oracle(data: dict, derived: dict, source: str) -> None:
     """Oracle for ``check_stored``: each field of ``derived`` and its stored
     copy in ``data`` encoded on their own by ``json.dumps(sort_keys=True)``,
-    in ``derived``'s order, and the first that differs named."""
+    in ``derived``'s order, and the first that differs named, both values
+    by ``reprlib.repr``."""
     for key, value in derived.items():
-        stored = json.dumps(data.get(key), sort_keys=True)
-        want = json.dumps(value, sort_keys=True)
-        if stored != want:
-            raise ValueError(f"stored {key} {stored} disagrees with {want}, derived from {source}")
+        stored = data.get(key)
+        if json.dumps(stored, sort_keys=True) != json.dumps(value, sort_keys=True):
+            raise ValueError(
+                f"stored {key} {reprlib.repr(stored)} disagrees with {reprlib.repr(value)},"
+                f" derived from {source}"
+            )
 
 
 def random_single_cycle_pair(
@@ -500,6 +505,22 @@ def shape_oracle(ds) -> dict | None:
         "blackHubDegree": len(bhub),
         "whiteHubDegree": len(whub),
     }
+
+
+def diameter_oracle(gs: GeneratingSystem) -> int:
+    """Oracle for a dessin's vertex diameter: all-pairs shortest paths by
+    Floyd–Warshall over the label sets of the sigma0 and sigma1 cycles, two
+    vertices adjacent when they share a label, plus one for the vertex a
+    longest shortest path starts at."""
+    verts = [set(c) for s in (gs.sigma0, gs.sigma1) for c in s.cycles()]
+    n = len(verts)
+    far = n  # longer than any path, which has at most n - 1 edges
+    dist = [[0 if u is v else 1 if u & v else far for v in verts] for u in verts]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                dist[i][j] = min(dist[i][j], dist[i][k] + dist[k][j])
+    return max(map(max, dist)) + 1
 
 
 def compose(f: RatFunc, g: RatFunc) -> RatFunc:

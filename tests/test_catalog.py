@@ -114,8 +114,10 @@ def test_record_for_family():
         back.validate()
         assert back.to_json() == data
 
-    with pytest.raises(ValueError):
-        TriptychRecord.for_family("mystery", 5)
+    for name in ("mystery", "x" * 1_000_000):
+        with pytest.raises(ValueError, match="^unknown family ") as exc:
+            TriptychRecord.for_family(name, 5)
+        assert len(str(exc.value)) < 1000
 
 
 @pytest.mark.parametrize(
@@ -359,7 +361,7 @@ def test_record_json_rejects_non_integer_fields(path, value, message):
 
 
 @pytest.mark.parametrize("path", [("gensys", "sigma0"), ("dessin", "black")])
-@pytest.mark.parametrize("value", [5, [5], None], ids=["int", "list-of-int", "null"])
+@pytest.mark.parametrize("value", [5, [5], None, {"a": [1]}], ids=["int", "list-of-int", "null", "dict"])
 def test_record_json_rejects_cycles_that_are_not_a_list_of_lists(path, value):
     data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
     data[path[0]][path[1]] = value
@@ -653,6 +655,15 @@ def test_the_first_drifted_field_in_derived_order_is_named():
     data["type"]["e0"] = 3.0
     with pytest.raises(ValueError, match=r"^stored type \{.*\} disagrees with \{.*\}, derived from gensys$"):
         TriptychRecord.from_json(data)
+
+
+def test_a_drifted_field_is_named_in_brief():
+    # the values are named by brief_repr, not by their JSON text in full
+    data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
+    data["dessin"] = list(range(1_000_000))
+    with pytest.raises(ValueError, match=r"^stored dessin \[0, 1, 2, 3, 4, 5, \.\.\.\] disagrees with ") as exc:
+        TriptychRecord.from_json(data)
+    assert len(str(exc.value)) < 1000
 
 
 def test_a_drifted_field_before_a_field_nested_too_deep_reads_as_nested_too_deep():

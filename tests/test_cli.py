@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -309,6 +310,35 @@ def test_every_reader_names_a_bad_value_in_brief(case, kind):
         reader(data)
     assert str(exc.value) == message.format(shown)
     assert len(str(exc.value)) < 1000
+
+
+# every reader of a list of cycles, given a d = 5 one in its place
+_RECORD = TriptychRecord.for_family("poly", 5, 2).to_json()
+CYCLE_LIST_READS = {
+    "perm-from-json": Permutation.from_json,
+    "perm-from-cycles": functools.partial(Permutation.from_cycles, 5),
+    "dessin-from-cycles": lambda cycles: Dessin.from_cycles(5, cycles, [[1, 2, 3, 4, 5]]),
+    "gensys-from-json": lambda cycles: GeneratingSystem.from_json({**_RECORD["gensys"], "sigma0": cycles}),
+    "record-from-json": lambda cycles: TriptychRecord.from_json(
+        {**_RECORD, "gensys": {**_RECORD["gensys"], "sigma0": cycles}}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CYCLE_LIST_READS)
+def test_every_cycle_reader_refuses_a_string_before_it_builds(case):
+    # a 1,000,000-character string is refused as a whole, not read as a
+    # million one-character cycles
+    value = "x" * 1_000_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            CYCLE_LIST_READS[case](value)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"cycles must be a list of lists, not {LONG_SHOWN}"
+    assert peak < 10 << 20
 
 
 def test_verify_missing_file(capsys, tmp_path):

@@ -16,6 +16,7 @@ from belyi import (
     valid_types,
 )
 from helpers import (
+    diameter_oracle,
     random_gensys,
     random_single_cycle_pair,
     shape_oracle,
@@ -39,7 +40,7 @@ def test_label_coverage_validation():
         Dessin.from_cycles(3, [(1, 2), (2,)], [(1, 2, 3)])  # 2 repeated, 3 missing
     with pytest.raises(ValueError, match="not connected"):
         Dessin.from_cycles(2, [(1,), (2,)], [(1,), (2,)])  # disconnected
-    for bad in (5, [5], None):
+    for bad in (5, [5], None, {"a": [1]}):
         with pytest.raises(ValueError, match="list of lists"):
             Dessin.from_cycles(3, bad, [(1, 2, 3)])
         with pytest.raises(ValueError, match="list of lists"):
@@ -264,6 +265,22 @@ def test_dessins_without_two_hubs_use_the_search(monkeypatch):
         assert ds.shape() is None
         assert ds.diameter_vertices() == diameter
     assert calls == [star, path, two_black_hubs]
+
+
+def test_diameter_matches_the_floyd_warshall_oracle():
+    # random triples of every genus, stars, paths and both theta graphs
+    rng = random.Random(1)
+    triples = [random_gensys(rng) for _ in range(300)]
+    triples += [make(d) for make in (power_gensys, chebyshev_gensys) for d in range(3, 13)]
+    triples += [Dessin.from_cycles(3, [(1, 2, 3)], [white]).gensys for white in ((1, 3, 2), (1, 2, 3))]
+    seen = set()
+    for gs in triples:
+        ds = dessin_from_gensys(gs)
+        want = diameter_oracle(gs)
+        assert ds._bfs_diameter_vertices() == want
+        assert ds.diameter_vertices() == want
+        seen.add(want)
+    assert max(seen) >= 6
 
 
 def test_json_round_trip():

@@ -36,6 +36,7 @@ from helpers import (
     derivative,
     evaluate,
     mul,
+    nested_list,
     poly_params,
     power,
     product,
@@ -474,13 +475,15 @@ def test_verify_single_cycle_diagnostics():
 
 def test_verify_single_cycle_takes_only_a_map_and_a_type():
     # a tuple is not a claimed type, however its entries look, and a bare
-    # rational function is not a map
+    # rational function is not a map; the message names either in brief,
+    # a value nested 100,000 deep among them
     m = single_cycle_polynomial(5, 2)
-    for claimed in (("a", 3, 5), (3, 3, 5), (3, 3, 4), {"e0": 3, "e1": 3, "eInf": 5}):
-        with pytest.raises(TypeError):
-            verify_single_cycle(m, claimed)
-    with pytest.raises(TypeError):
-        verify_single_cycle(m.f, CombinatorialType(5, 3, 3, 5))
+    cases = [(m, claimed) for claimed in (("a", 3, 5), (3, 3, 5), (3, 3, 4), {"e0": 3, "e1": 3, "eInf": 5})]
+    cases += [(m.f, CombinatorialType(5, 3, 3, 5)), (nested_list(100_000), None)]
+    for bad_map, claimed in cases:
+        with pytest.raises(TypeError) as exc:
+            verify_single_cycle(bad_map, claimed)
+        assert len(str(exc.value)) < 1000
 
 
 def test_verify_single_cycle_without_a_claim_checks_only_the_belyi_property():

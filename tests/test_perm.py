@@ -204,7 +204,9 @@ def test_non_integer_points_are_rejected(build):
         build()
 
 
-@pytest.mark.parametrize("cycles", [5, [5], None, [[1], 2]], ids=["int", "list-of-int", "null", "mixed"])
+@pytest.mark.parametrize(
+    "cycles", [5, [5], None, [[1], 2], {"a": [1]}], ids=["int", "list-of-int", "null", "mixed", "dict"]
+)
 def test_cycles_that_are_not_a_list_of_lists_are_rejected(cycles):
     for build in (
         lambda: Permutation.from_json(cycles),

@@ -16,14 +16,9 @@ from dataclasses import dataclass, field
 from typing import IO, Iterator
 
 from .dessin import Dessin, DessinShape
-from .exact import brief_repr, check_stored, json_field, json_object
+from .exact import brief_repr, check_stored, compact_json, json_field, json_object
 from .families import FAMILIES, BelyiMap, VerificationError, family_map_for_type
 from .gensys import CombinatorialType, GeneratingSystem, canonical_single_cycle, canonical_triples
-
-# the text of a record: one compact JSON line, as the catalog stores each
-# record and as `belyi construct --format json` prints one.  A record's
-# JSON is built fresh by to_json, so it holds no cycle to scan for.
-compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 @dataclass(frozen=True)
@@ -107,28 +102,53 @@ class TriptychRecord:
                     f" {cycle_types} of its triple"
                 )
 
-    def _derived_json(self) -> dict:
-        # what to_json writes and from_json checks stored copies against
+    def _type_json(self) -> dict | None:
+        return None if self.ctype is None else self.ctype.to_json()
+
+    def _invariants_json(self) -> dict:
         return {
-            "type": None if self.ctype is None else self.ctype.to_json(),
-            "dessin": self.dessin.to_json(),
-            "invariants": {
-                "genus": self.genus,
-                "diameter": self.diameter,
-                "shape": None if self.shape is None else self.shape.to_json(),
-                "isBelyi": self.is_belyi,
-            },
+            "genus": self.genus,
+            "diameter": self.diameter,
+            "shape": None if self.shape is None else self.shape.to_json(),
+            "isBelyi": self.is_belyi,
         }
 
-    def to_json(self) -> dict:
-        derived = self._derived_json()
+    def _derived_json(self) -> dict:
+        # the stored copies from_json checks, as text() writes them
         return {
-            "type": derived["type"],
-            "map": None if self.bmap is None else self.bmap.to_json(),
-            "gensys": self.gensys.to_json(),
-            "dessin": derived["dessin"],
-            "invariants": derived["invariants"],
+            "type": self._type_json(),
+            "dessin": self.dessin.to_json(),
+            "invariants": self._invariants_json(),
         }
+
+    def text(self) -> str:
+        """The record as one compact JSON line: the line ``write_catalog``
+        writes and ``belyi construct --format json`` prints, and the one
+        place its layout is written.
+
+        sigma0's and sigma1's cycles appear twice, under ``gensys`` and
+        under ``dessin``, and a degree's records share those permutations;
+        each permutation encodes its cycles once and keeps the text, so the
+        line is joined from kept texts and builds no dessin cycle list.
+        Only the type, map and invariants are encoded here, by
+        ``compact_json``.
+        """
+        gs = self.gensys
+        d = gs.degree
+        s0, s1 = gs.sigma0._json_text(), gs.sigma1._json_text()
+        return (
+            f'{{"type":{compact_json(self._type_json())},'
+            f'"map":{compact_json(None if self.bmap is None else self.bmap.to_json())},'
+            f'"gensys":{{"d":{d},"sigma0":{s0},"sigma1":{s1},"sigmaInf":{gs.sigma_inf._json_text()}}},'
+            f'"dessin":{{"d":{d},"black":{s0},"white":{s1}}},'
+            f'"invariants":{compact_json(self._invariants_json())}}}'
+        )
+
+    def to_json(self) -> dict:
+        """The record as a JSON object, read back from ``text()``, so the
+        two cannot disagree; each call returns a new object, which the
+        caller may change."""
+        return json.loads(self.text())
 
     @classmethod
     def from_json(cls, data: dict) -> "TriptychRecord":
@@ -163,10 +183,12 @@ def iter_catalog(dmax: int) -> Iterator[TriptychRecord]:
 
 def write_catalog(dmax: int, out: IO[str]) -> dict[int, int]:
     """Write the records of ``iter_catalog(dmax)`` as JSON Lines, one
-    ``compact_json`` line each, streamed; returns per-degree record counts."""
+    ``TriptychRecord.text()`` line each, streamed; returns per-degree record
+    counts.  A degree's records share sigma0 and sigma1, so each of those
+    is encoded once per degree, not once or twice per record."""
     counts: dict[int, int] = {}
     for rec in iter_catalog(dmax):
         d = rec.gensys.degree
-        out.write(compact_json(rec.to_json()) + "\n")
+        out.write(rec.text() + "\n")
         counts[d] = counts.get(d, 0) + 1
     return counts

@@ -19,8 +19,9 @@ import json
 import os
 import sys
 
-from .catalog import TriptychRecord, compact_json, write_catalog
+from .catalog import TriptychRecord, write_catalog
 from .dessin import dessin_from_gensys
+from .exact import compact_json
 from .families import FAMILIES, BelyiMap, VerificationError, verify_single_cycle
 from .gensys import CombinatorialType, canonical_single_cycle
 
@@ -115,7 +116,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     rec = TriptychRecord.for_family(args.family, args.d, args.k)
     rec.validate()
     if args.format == "json":
-        print(compact_json(rec.to_json()))
+        print(rec.text())
     elif args.format == "dot":
         print(rec.dessin.to_dot(), end="")
     else:

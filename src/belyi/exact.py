@@ -76,6 +76,13 @@ def ratfunc_lists(data: object) -> tuple[list, list]:
     return data["num"], data["den"]
 
 
+# the encoder of every JSON text the package writes: compact, with no
+# space after a separator.  A record line is joined from such texts, each
+# permutation's cycles among them.  What it encodes is built fresh by a
+# to_json, so it holds no cycle to scan for.
+compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 # one encoder for every stored-field check; json.dumps(sort_keys=True)
 # builds a new one on each call.  It is the one reader step that recurses
 # into a stored value: with no circular-reference scan, a self-referential

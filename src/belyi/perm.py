@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .exact import brief_repr, parse_int
+from .exact import brief_repr, compact_json, parse_int
 
 # A cycle type is the multiset of cycle lengths (fixed points included),
 # stored as a descending tuple summing to the degree.
@@ -36,7 +36,7 @@ def _cycle_tuples(cycles: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
 class Permutation:
     """A bijection of {1, ..., d} of int points, stored as its image sequence."""
 
-    __slots__ = ("images", "_cycles")
+    __slots__ = ("images", "_cycles", "_text")
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(images)
@@ -51,6 +51,7 @@ class Permutation:
             raise ValueError(f"not a bijection of 1..{d}: {brief_repr(imgs)}")
         self.images: tuple[int, ...] = imgs
         self._cycles: tuple[tuple[int, ...], ...] | None = None
+        self._text: str | None = None
 
     @classmethod
     def identity(cls, d: int) -> "Permutation":
@@ -149,6 +150,14 @@ class Permutation:
 
     def to_json(self) -> list[list[int]]:
         return [list(c) for c in self.cycles()]
+
+    def _json_text(self) -> str:
+        """``compact_json(self.to_json())``, computed on the first call and
+        kept: a record line holds sigma0's and sigma1's cycles twice, and
+        a degree's records share them, so each is encoded once."""
+        if self._text is None:
+            self._text = compact_json(self.to_json())
+        return self._text
 
     @classmethod
     def from_json(cls, cycles: Sequence[Iterable[int]]) -> "Permutation":

@@ -4,12 +4,14 @@ import copy
 import dataclasses
 import io
 import json
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import belyi
 from belyi import (
     BelyiMap,
     CombinatorialType,
@@ -762,3 +764,75 @@ def test_write_catalog_deterministic():
     write_catalog(7, a)
     write_catalog(7, b)
     assert a.getvalue() == b.getvalue()
+
+
+def _text_cases():
+    # every catalog record with d <= 20, the untyped families with
+    # 3 <= d <= 12, seeded poly and symmetric members up to d = 100, and
+    # a canonical triple with a custom map of its type
+    yield from iter_catalog(20)
+    for family in ("power", "chebyshev"):
+        for d in range(3, 13):
+            yield TriptychRecord.for_family(family, d)
+    rng = random.Random(34)
+    for d in [100, *(rng.randint(13, 99) for _ in range(5))]:
+        yield TriptychRecord.for_family("poly", d, rng.randint(1, d - 2))
+        yield TriptychRecord.for_family("symmetric", d, rng.randint(1, (d - 1) // 2))
+    ct = CombinatorialType(10, 8, 5, 8)
+    yield TriptychRecord(canonical_single_cycle(ct), BelyiMap(_single_cycle_map(ct), claimed_type=ct))
+
+
+def test_one_writer_one_text():
+    # text() is the line each part's own writer gives, compacted, and
+    # to_json() reads it back; reading the line gives the same line
+    assert belyi.catalog.compact_json is belyi.exact.compact_json  # still importable
+    for rec in _text_cases():
+        line = rec.text()
+        parts = {
+            "type": None if rec.ctype is None else rec.ctype.to_json(),
+            "map": None if rec.bmap is None else rec.bmap.to_json(),
+            "gensys": rec.gensys.to_json(),
+            "dessin": rec.dessin.to_json(),
+            "invariants": {
+                "genus": rec.genus,
+                "diameter": rec.diameter,
+                "shape": None if rec.shape is None else rec.shape.to_json(),
+                "isBelyi": rec.is_belyi,
+            },
+        }
+        assert line == compact_json(parts)
+        assert line == compact_json(rec.to_json())
+        assert TriptychRecord.from_json(json.loads(line)).text() == line
+
+
+def test_record_to_json_is_a_new_object_each_call():
+    rec = TriptychRecord.for_family("poly", 5, 2)
+    line = rec.text()
+    data = rec.to_json()
+    data["type"] = CombinatorialType(5, 4, 4, 3).to_json()
+    data["map"]["f"]["num"][0] = "7"
+    data["gensys"]["sigma0"][0].append(9)
+    data["dessin"]["black"].clear()
+    data["invariants"]["genus"] = 3
+    assert rec.text() == line
+    assert compact_json(rec.to_json()) == line
+    assert rec.to_json() is not rec.to_json()
+
+
+def test_a_degrees_records_share_sigma0s_and_sigma1s_text(monkeypatch):
+    # records of one degree with the same e0 share sigma0, and so its text
+    recs = [r for r in iter_catalog(12) if r.gensys.degree == 12 and r.ctype.e0 == 7]
+    a, b = recs[0], recs[-1]
+    assert a.ctype.e1 != b.ctype.e1
+    assert a.gensys.sigma0._json_text() is b.gensys.sigma0._json_text()
+    assert a.text().count(a.gensys.sigma0._json_text()) == 2  # gensys and dessin
+
+    # one encoding per sigmaInf, and one per shared sigma0 and sigma1:
+    # 2 (d - 1) per degree, where each record once encoded five
+    calls = []
+    to_json = Permutation.to_json
+    monkeypatch.setattr(Permutation, "to_json", lambda p: calls.append(p) or to_json(p))
+    buf = io.StringIO()
+    counts = write_catalog(12, buf)
+    assert len(buf.getvalue().splitlines()) == sum(counts.values()) == 330
+    assert len(calls) == 330 + 2 * sum(d - 1 for d in range(3, 13))

@@ -391,6 +391,12 @@ def squarefree_decomposition(p: Poly) -> list[tuple[list[int], int]]:
     return [(f if f[-1] > 0 else [-c for c in f], i) for i, f in sorted(factors.items())]
 
 
+def _content_free(n: list[int], d: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # n and d over the content common to both, with lc(d) > 0
+    content = math.gcd(*n, *d) if d[-1] > 0 else -math.gcd(*n, *d)
+    return tuple(c // content for c in n), tuple(c // content for c in d)
+
+
 class RatFunc:
     """Rational function num/den in lowest terms.
 
@@ -398,6 +404,9 @@ class RatFunc:
     with no content common to both and lc(D) > 0, so that equal functions
     store equal pairs.  It is built from num and den, ascending coefficient
     sequences of ints and Fractions, and printed with a monic denominator.
+    The constructor reduces the pair by `_int_gcd`; the single-cycle
+    builders' route, `_of_coprime`, takes no gcd, and their certificate
+    proves the pair reduced instead.
     """
 
     __slots__ = ("pair",)
@@ -416,19 +425,26 @@ class RatFunc:
         for u in (n, d):
             while u and u[-1] == 0:
                 u.pop()
-        # cancel the gcd and the content, with lc(D) > 0
+        # cancel the gcd, then the content
         if not d:
             raise ValueError("zero denominator")
         if not n:
-            n, d = [], [1]
+            d = [1]
         else:
             g = _int_gcd(n, d)
             if len(g) > 1:
                 n, d = _exact_quo(n, g), _exact_quo(d, g)
-            content = math.gcd(*n, *d) if d[-1] > 0 else -math.gcd(*n, *d)
-            n = [c // content for c in n]
-            d = [c // content for c in d]
-        self.pair: tuple[tuple[int, ...], tuple[int, ...]] = (tuple(n), tuple(d))
+        self.pair: tuple[tuple[int, ...], tuple[int, ...]] = _content_free(n, d)
+
+    @classmethod
+    def _of_coprime(cls, num: list[int], den: list[int]) -> "RatFunc":
+        """num/den, two int lists with nonzero leading coefficients that the
+        caller proves coprime, stored with no gcd taken: only the content
+        comes off.  The single-cycle builders are its callers, and their
+        certificate proves the pair reduced before a map leaves them."""
+        f = object.__new__(cls)
+        f.pair = _content_free(num, den)
+        return f
 
     @property
     def degree(self) -> int:

@@ -315,16 +315,17 @@ def chebyshev_map(d: int) -> BelyiMap:
     return _family_map(RatFunc(t, [2]), "chebyshev")
 
 
-def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
-    """The normalized map of type (d; e0, e1, eInf), m = d - e0, n = d - eInf:
+def _single_cycle_ints(ct: CombinatorialType) -> tuple[list[int], list[int]]:
+    """The integer pair of the normalized map of type (d; e0, e1, eInf),
+    m = d - e0, n = d - eInf, where the map is
 
         f = (Q(1) / P(1)) x^e0 P(x) / Q(x),
         P = 2F1(-m, d+1-e1; e0+1; x),  Q = 2F1(-n, -d; 1-e0; x).
 
     P/Q is the [m/n] Pade approximant of x^(-e0) at x = 1 (Baker &
     Graves-Morris, Pade Approximants, 2nd ed., 1996).  It is built over the
-    integers, as u = perm(d, m) P and v = perm(e0-1, n) Q, and the pair
-    (x^e0 v(1) u, u(1) v) is reduced once, with no Fraction on the way.
+    integers, as u = perm(d, m) P and v = perm(e0-1, n) Q, and the pair is
+    (x^e0 v(1) u, u(1) v), unreduced, with no Fraction on the way.
     Their coefficients u_j = (-1)^j binom(m, j) perm(d-e1+j, j) perm(d, m-j)
     and v_j = (-1)^j binom(n, j) perm(d, j) perm(e0-1-j, n-j) come from
     their term ratios, one small product and one exact division each:
@@ -341,7 +342,13 @@ def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
     for j in range(1, n + 1):
         v.append(-v[-1] * (n - j + 1) * (d - j + 1) // (j * (e0 - j)))
     u1, v1 = sum(u), sum(v)
-    return RatFunc([0] * e0 + [v1 * x for x in u], [u1 * x for x in v])
+    return [0] * e0 + [v1 * x for x in u], [u1 * x for x in v]
+
+
+def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
+    """The normalized map of type ct: its closed-form pair, reduced by
+    RatFunc, and so the reference for the builders, which take no gcd."""
+    return RatFunc(*_single_cycle_ints(ct))
 
 
 # x, x - 1 and x^2 - x: the primitive factors of a certified Wronskian
@@ -352,18 +359,23 @@ def _certified_profile(f: RatFunc, ct: CombinatorialType) -> RamificationProfile
     """The profile (e, 1, ..., 1) over 0, 1 and inf that the type ct gives,
     when f is the normalized map of that type; None when it is not.
 
-    f = N/D is reduced, so N and D are coprime.  Let deg N = d,
-    deg N - deg D = eInf, x^e0 divide N and N(1) = D(1).  Then f fixes 0,
-    1 and inf, with index eInf at inf, and D(0) D(1) != 0.  Since
-    f' = W / D^2 with W = N'D - ND', a finite point of index e is a root of
-    W of order e - 1, poles included.  So W = c x^(e0-1) (x-1)^(e1-1) makes
-    0 and 1 the only finite ramification points, of indices exactly e0 and
-    e1, and every other point simple: W's squarefree decomposition decides.
+    f = N/D need not be reduced: this proves it.  Let deg N = d,
+    deg N - deg D = eInf, x^e0 divide N, N(1) = D(1) and D(0) D(1) != 0,
+    and let W = N'D - ND' be c x^(e0-1) (x-1)^(e1-1), which W's squarefree
+    decomposition decides.  A common factor g of N and D puts g^2 into W,
+    as N = gn and D = gd give W = g^2 (n'd - nd').  W's only roots are 0
+    and 1, and D(0) D(1) != 0 excludes both, so g is a constant: N and D
+    are coprime.  Then f fixes 0, 1 and inf, with index eInf at inf.  Since
+    f' = W / D^2, a finite point of index e is a root of W of order e - 1,
+    poles included.  So 0 and 1 are the only finite ramification points, of
+    indices exactly e0 and e1, and every other point is simple.
     """
     d, (e0, e1, e_inf) = ct.d, ct.indices
     num, den = f.pair
     if len(num) != d + 1 or len(num) - len(den) != e_inf or any(num[:e0]) or sum(num) != sum(den):
         return None
+    if not den[0] or not sum(den):
+        return None  # D(0) D(1) = 0: the Wronskian could hide a common factor
     x, x1, x2x = _CRITICAL
     roots = [(x, e0 - 1), (x1, e1 - 1)] if e0 != e1 else [(x2x, e0 - 1)]
     if squarefree_decomposition(Poly(_wronskian(num, den))) != sorted(roots, key=lambda r: r[1]):
@@ -388,7 +400,8 @@ def _family_member(
     family: str, ct: CombinatorialType, k: int, f: RatFunc, params: MapParams
 ) -> BelyiMap:
     """The family's map f with its params and its certified profile; raises
-    VerificationError unless f is the normalized map of its claimed type ct."""
+    VerificationError unless f is the normalized map of its claimed type ct,
+    which also proves f's pair, built with no gcd, reduced."""
     prof = _certified_profile(f, ct)
     if prof is None:
         raise VerificationError(
@@ -407,7 +420,7 @@ def single_cycle_polynomial(d: int, k: int) -> BelyiMap:
             f"(d, k) = ({d}, {k}) outside d >= 3, 1 <= k <= d - 2"
         )
     ct = CombinatorialType(d, d - k, k + 1, d)
-    f = _single_cycle_map(ct)
+    f = RatFunc._of_coprime(*_single_cycle_ints(ct))
     num, (den,) = f.pair  # eInf = d: the denominator is a constant
     c = Fraction((d - k) * num[d - k], den)
     a = tuple(Fraction(num[d - i], (d - k) * num[d - k]) for i in range(k + 1))
@@ -425,7 +438,7 @@ def symmetric_single_cycle(d: int, k: int) -> BelyiMap:
             f"(d, k) = ({d}, {k}) outside d >= 3, 1 <= k <= (d - 1) / 2"
         )
     ct = CombinatorialType(d, d - k, 2 * k + 1, d - k)
-    f = _single_cycle_map(ct)
+    f = RatFunc._of_coprime(*_single_cycle_ints(ct))
     scale = (-1) ** k * math.factorial(k) * math.comb(d, k)
     den = f.pair[1]
     a = tuple(Fraction((-1) ** i * scale * x, den[-1]) for i, x in enumerate(den))

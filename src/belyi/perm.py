@@ -59,12 +59,21 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, d: int, cycles: Sequence[Iterable[int]]) -> "Permutation":
-        """Build from disjoint cycles; unmentioned points stay fixed."""
+        """Build from disjoint cycles; unmentioned points stay fixed.
+
+        Cycles that are already canonical (each starts at its minimum, the
+        minima strictly increase) and cover 1..d are kept as the ones
+        ``cycles()`` returns, as a stored triple's are, so they are not
+        walked again; any other rotation or order is walked on first use.
+        """
         images = list(range(1, d + 1))
         # seen[x] marks point x; a degree below 1 marks none, and the
         # empty image list then fails in __init__
         seen = bytearray(max(d, 0) + 1)
-        for cyc in _cycle_tuples(cycles):
+        cycs = _cycle_tuples(cycles)
+        # the last cycle's first point while the cycles are canonical, else None
+        last: int | None = 0
+        for cyc in cycs:
             if not cyc:
                 raise ValueError("empty cycle")
             for x in cyc:
@@ -78,7 +87,13 @@ class Permutation:
             for x in cyc:
                 images[prev - 1] = x
                 prev = x
-        return cls(images)
+            if last is not None:
+                last = cyc[0] if last < cyc[0] == min(cyc) else None
+        p = cls(images)
+        # the points are distinct and in range, so d of them cover 1..d
+        if last is not None and sum(map(len, cycs)) == d:
+            p._cycles = tuple(cycs)
+        return p
 
     @property
     def degree(self) -> int:

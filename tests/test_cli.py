@@ -652,13 +652,13 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
 
 
 def test_a_map_that_fails_its_type_exits_internal(capsys, monkeypatch):
-    # the polynomial (7; 5, 3, 7) gets the map of (7; 4, 4, 7), which its
+    # the polynomial (7; 5, 3, 7) gets the pair of (7; 4, 4, 7), which its
     # constructor refuses: a fault in the library, not in the user's input
     from belyi import families
 
-    build_map = families._single_cycle_map
+    build_map = families._single_cycle_ints
     monkeypatch.setattr(
-        families, "_single_cycle_map",
+        families, "_single_cycle_ints",
         lambda ct: build_map(CombinatorialType(ct.d, ct.e0 - 1, ct.e1 + 1, ct.e_inf)),
     )
     assert main(["construct", "poly", "--d", "7", "--k", "2"]) == INTERNAL

@@ -24,11 +24,12 @@ from belyi import (
     power_map,
     ramification_profile,
     single_cycle_polynomial,
+    squarefree_decomposition,
     symmetric_single_cycle,
     valid_types,
     verify_single_cycle,
 )
-from belyi import families
+from belyi import exact, families
 from helpers import (
     ProjectivePoint,
     add,
@@ -212,12 +213,12 @@ def test_polynomial_family_domain():
 
 
 def test_family_constructors_refuse_a_map_that_fails_its_type(monkeypatch):
-    # each constructor gets the map of another type of its degree:
+    # each constructor gets the integer pair of another type of its degree:
     # (7; 4, 4, 7) for the polynomial (7; 5, 3, 7), (7; 4, 6, 5) for the
     # symmetric (7; 5, 5, 5)
-    build_map = families._single_cycle_map
+    build_map = families._single_cycle_ints
     monkeypatch.setattr(
-        families, "_single_cycle_map",
+        families, "_single_cycle_ints",
         lambda ct: build_map(CombinatorialType(ct.d, ct.e0 - 1, ct.e1 + 1, ct.e_inf)),
     )
     for build in (single_cycle_polynomial, symmetric_single_cycle):
@@ -418,6 +419,50 @@ def test_certificate_refuses_what_is_not_the_map_of_its_type():
     cheb, ct = chebyshev_map(3), CombinatorialType(3, 2, 2, 3)
     assert verify_single_cycle(cheb, ct)[0]
     assert families._certified_profile(cheb.f, ct) is None
+
+
+def test_certificate_refuses_a_common_factor_that_its_wronskian_hides():
+    # the map of (d - 1; e0, e1, eInf) with N and D both times x - 1, wrapped
+    # with no gcd as the builders wrap theirs, meets every other condition
+    # for (d; e0, e1 + 2, eInf): the degrees, x^e0 | N, N(1) = D(1),
+    # D(0) != 0, and Yun's decomposition of W, which x - 1 multiplies by
+    # (x - 1)^2.  Only D(1) != 0 is left to refuse it
+    x, x1, x2x = [0, 1], [-1, 1], [0, -1, 1]
+    padded = 0
+    for d in range(4, 16):
+        for ct in valid_types(d - 1):
+            if ct.e1 + 2 > d:
+                continue
+            up = CombinatorialType(d, ct.e0, ct.e1 + 2, ct.e_inf)
+            num, den = (mul(x1, list(u)) for u in families._single_cycle_map(ct).pair)
+            f = RatFunc._of_coprime(num, den)
+            assert f.pair == (tuple(num), tuple(den))
+            assert len(num) == d + 1 and len(num) - len(den) == up.e_inf
+            assert not any(num[:up.e0]) and sum(num) == sum(den) and den[0]
+            w = sub(mul(derivative(num), den), mul(num, derivative(den)))
+            roots = [(x, up.e0 - 1), (x1, up.e1 - 1)] if up.e0 != up.e1 else [(x2x, up.e0 - 1)]
+            assert squarefree_decomposition(Poly(w)) == sorted(roots, key=lambda r: r[1])
+            assert families._certified_profile(f, up) is None
+            padded += 1
+    assert padded == 442
+
+
+def test_the_builders_pair_is_the_pair_ratfunc_reduces(monkeypatch):
+    # every family member to d = 60: the builders wrap the closed form's
+    # pair with no gcd, and get the pair RatFunc reduces from the same
+    # integers.  Yun on their Wronskians, whose only roots are 0 and 1,
+    # takes no gcd either
+    members = [(single_cycle_polynomial, d, k) for d in range(3, 61) for k in range(1, d - 1)]
+    members += [(symmetric_single_cycle, d, k) for d in range(3, 61) for k in range(1, (d - 1) // 2 + 1)]
+    assert len(members) == 2581
+    gcds = []
+    int_gcd = exact._int_gcd
+    monkeypatch.setattr(exact, "_int_gcd", lambda u, v: gcds.append(1) or int_gcd(u, v))
+    maps = [build(d, k) for build, d, k in members]
+    assert gcds == []
+    for m in maps:
+        assert m.f.pair == RatFunc(*families._single_cycle_ints(m.claimed_type)).pair
+    assert gcds
 
 
 def test_symmetric_family_self_reciprocal():

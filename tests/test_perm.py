@@ -187,6 +187,26 @@ def test_cycles_are_canonical():
     assert p.num_cycles() == 3
 
 
+def test_canonical_cycles_are_kept_and_any_other_form_is_walked():
+    # every permutation with d <= 6, from its canonical cycles, rotated,
+    # reordered and with its fixed points left out: each gives the cycles
+    # its images walk to.  Only the canonical list, the one that covers
+    # 1..d, is kept as given, before any cycles() call
+    for d in range(1, 7):
+        for images in itertools.permutations(range(1, d + 1)):
+            want = Permutation(images).cycles()
+            forms = (
+                list(want),
+                [c[1:] + c[:1] for c in want],
+                list(want[::-1]),
+                [c for c in want if len(c) > 1],
+            )
+            for cycles in forms:
+                p = Permutation.from_cycles(d, cycles)
+                assert (p._cycles is not None) == (cycles == list(want))
+                assert p.cycles() == want
+
+
 @pytest.mark.parametrize(
     "build",
     [

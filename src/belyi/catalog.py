@@ -102,23 +102,17 @@ class TriptychRecord:
                     f" {cycle_types} of its triple"
                 )
 
-    def _type_json(self) -> dict | None:
-        return None if self.ctype is None else self.ctype.to_json()
-
-    def _invariants_json(self) -> dict:
-        return {
-            "genus": self.genus,
-            "diameter": self.diameter,
-            "shape": None if self.shape is None else self.shape.to_json(),
-            "isBelyi": self.is_belyi,
-        }
-
     def _derived_json(self) -> dict:
-        # the stored copies from_json checks, as text() writes them
+        # the stored copies from_json checks, the objects text() writes
         return {
-            "type": self._type_json(),
+            "type": None if self.ctype is None else self.ctype.to_json(),
             "dessin": self.dessin.to_json(),
-            "invariants": self._invariants_json(),
+            "invariants": {
+                "genus": self.genus,
+                "diameter": self.diameter,
+                "shape": None if self.shape is None else self.shape.to_json(),
+                "isBelyi": self.is_belyi,
+            },
         }
 
     def text(self) -> str:
@@ -130,18 +124,27 @@ class TriptychRecord:
         under ``dessin``, and a degree's records share those permutations;
         each permutation encodes its cycles once and keeps the text, so the
         line is joined from kept texts and builds no dessin cycle list.
-        Only the type, map and invariants are encoded here, by
-        ``compact_json``.
+        The type and invariants hold only ints, null and booleans, in a
+        fixed layout, and are written here directly; only a map object is
+        encoded, by ``compact_json``.
         """
-        gs = self.gensys
+        gs, ct, sh, is_belyi = self.gensys, self.ctype, self.shape, self.is_belyi
         d = gs.degree
         s0, s1 = gs.sigma0._json_text(), gs.sigma1._json_text()
+        ctype = "null" if ct is None else f'{{"d":{d},"e0":{ct.e0},"e1":{ct.e1},"eInf":{ct.e_inf}}}'
+        bmap = "null" if self.bmap is None else compact_json(self.bmap.to_json())
+        shape = "null" if sh is None else (
+            f'{{"whiteLeaves":{sh.white_leaves},"blackLeaves":{sh.black_leaves},'
+            f'"parallelEdges":{sh.parallel_edges},"blackHubDegree":{sh.black_hub_degree},'
+            f'"whiteHubDegree":{sh.white_hub_degree}}}'
+        )
+        belyi = "null" if is_belyi is None else "true" if is_belyi else "false"
         return (
-            f'{{"type":{compact_json(self._type_json())},'
-            f'"map":{compact_json(None if self.bmap is None else self.bmap.to_json())},'
+            f'{{"type":{ctype},"map":{bmap},'
             f'"gensys":{{"d":{d},"sigma0":{s0},"sigma1":{s1},"sigmaInf":{gs.sigma_inf._json_text()}}},'
             f'"dessin":{{"d":{d},"black":{s0},"white":{s1}}},'
-            f'"invariants":{compact_json(self._invariants_json())}}}'
+            f'"invariants":{{"genus":{self.genus},"diameter":{self.diameter},'
+            f'"shape":{shape},"isBelyi":{belyi}}}}}'
         )
 
     def to_json(self) -> dict:

@@ -166,10 +166,12 @@ class Dessin:
         joins two leaves, and every edge at neither a white nor a black
         leaf joins the two hubs.
         """
-        black, white = self.black, self.white
-        if sum(len(c) >= 2 for c in black) != 1 or sum(len(c) >= 2 for c in white) != 1:
+        # each permutation keeps its nontrivial cycles, and a degree's
+        # records share sigma0 and sigma1, so each is scanned once
+        s0, s1 = self.gensys.sigma0, self.gensys.sigma1
+        if len(s0.nontrivial_cycles()) != 1 or len(s1.nontrivial_cycles()) != 1:
             return None
-        white_leaves, black_leaves = len(white) - 1, len(black) - 1
+        white_leaves, black_leaves = len(self.white) - 1, len(self.black) - 1
         return DessinShape(white_leaves, black_leaves, self.d - white_leaves - black_leaves)
 
     # ---- serialization -----------------------------------------------------

@@ -8,6 +8,7 @@ identity under the left-to-right composition convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .exact import json_field, json_object, parse_int
@@ -103,10 +104,15 @@ class GeneratingSystem:
         d = self.sigma0.degree
         if self.sigma1.degree != d or self.sigma_inf.degree != d:
             raise DegreeMismatchError("triple degrees differ")
-        # (sigma0 * sigma1 * sigmaInf)(i) = sigmaInf(sigma1(sigma0(i))), on the images
-        a, b, c = self.sigma0.images, self.sigma1.images, self.sigma_inf.images
-        if any(c[b[x - 1] - 1] != i for i, x in enumerate(a, 1)):
-            raise ValueError("sigma0 * sigma1 * sigmaInf is not the identity")
+        # (sigma0 * sigma1 * sigmaInf)(i) = sigmaInf(sigma1(sigma0(i))), as two
+        # gathers in C over images padded so that index i holds point i; the
+        # one bijection of {1} is the identity, and itemgetter of one index
+        # returns a bare value, so d = 1 needs no check
+        if d > 1:
+            a, b, c = self.sigma0.images, self.sigma1.images, self.sigma_inf.images
+            ba = itemgetter(*a)((0, *b))
+            if itemgetter(*ba)((0, *c)) != tuple(range(1, d + 1)):
+                raise ValueError("sigma0 * sigma1 * sigmaInf is not the identity")
         if not is_transitive([self.sigma0, self.sigma1]):
             raise NotTransitiveError(
                 "sigma0 and sigma1 do not generate a transitive group"

@@ -36,7 +36,7 @@ def _cycle_tuples(cycles: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
 class Permutation:
     """A bijection of {1, ..., d} of int points, stored as its image sequence."""
 
-    __slots__ = ("images", "_cycles", "_text")
+    __slots__ = ("images", "_cycles", "_nontrivial", "_text")
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(images)
@@ -51,6 +51,7 @@ class Permutation:
             raise ValueError(f"not a bijection of 1..{d}: {brief_repr(imgs)}")
         self.images: tuple[int, ...] = imgs
         self._cycles: tuple[tuple[int, ...], ...] | None = None
+        self._nontrivial: tuple[tuple[int, ...], ...] | None = None
         self._text: str | None = None
 
     @classmethod
@@ -147,8 +148,13 @@ class Permutation:
         self._cycles = tuple(out)
         return self._cycles
 
-    def nontrivial_cycles(self) -> list[tuple[int, ...]]:
-        return [c for c in self.cycles() if len(c) >= 2]
+    def nontrivial_cycles(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical cycles of length >= 2; computed on the first call
+        and kept, so a degree's records, which share sigma0 and sigma1,
+        scan each once."""
+        if self._nontrivial is None:
+            self._nontrivial = tuple([c for c in self.cycles() if len(c) >= 2])
+        return self._nontrivial
 
     def cycle_type(self) -> CycleType:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))

@@ -769,7 +769,7 @@ def test_write_catalog_deterministic():
 def _text_cases():
     # every catalog record with d <= 20, the untyped families with
     # 3 <= d <= 12, seeded poly and symmetric members up to d = 100, and
-    # a canonical triple with a custom map of its type
+    # a canonical triple with three custom maps
     yield from iter_catalog(20)
     for family in ("power", "chebyshev"):
         for d in range(3, 13):
@@ -779,14 +779,29 @@ def _text_cases():
         yield TriptychRecord.for_family("poly", d, rng.randint(1, d - 2))
         yield TriptychRecord.for_family("symmetric", d, rng.randint(1, (d - 1) // 2))
     ct = CombinatorialType(10, 8, 5, 8)
-    yield TriptychRecord(canonical_single_cycle(ct), BelyiMap(_single_cycle_map(ct), claimed_type=ct))
+    gs, f = canonical_single_cycle(ct), _single_cycle_map(ct)
+    yield TriptychRecord(gs, BelyiMap(f, claimed_type=ct))
+    # a custom map with no claimed type, and one of the triple's degree
+    # that is not Belyi
+    yield TriptychRecord(gs, BelyiMap(f))
+    num, den = f.pair
+    yield TriptychRecord(gs, BelyiMap(RatFunc([c + (i == 1) for i, c in enumerate(num)], den)))
 
 
 def test_one_writer_one_text():
     # text() is the line each part's own writer gives, compacted, and
     # to_json() reads it back; reading the line gives the same line
     assert belyi.catalog.compact_json is belyi.exact.compact_json  # still importable
+    # each branch text() writes: type null or set, map null, family or
+    # custom, shape null or set, isBelyi null, true or false
+    branches = set()
     for rec in _text_cases():
+        branches |= {
+            ("type", rec.ctype is None),
+            ("map", None if rec.bmap is None else rec.bmap.family == "custom"),
+            ("shape", rec.shape is None),
+            ("isBelyi", rec.is_belyi),
+        }
         line = rec.text()
         parts = {
             "type": None if rec.ctype is None else rec.ctype.to_json(),
@@ -803,6 +818,12 @@ def test_one_writer_one_text():
         assert line == compact_json(parts)
         assert line == compact_json(rec.to_json())
         assert TriptychRecord.from_json(json.loads(line)).text() == line
+    assert branches == {
+        *(("type", b) for b in (True, False)),
+        *(("map", b) for b in (None, True, False)),
+        *(("shape", b) for b in (True, False)),
+        *(("isBelyi", b) for b in (None, True, False)),
+    }
 
 
 def test_record_to_json_is_a_new_object_each_call():
@@ -826,6 +847,8 @@ def test_a_degrees_records_share_sigma0s_and_sigma1s_text(monkeypatch):
     assert a.ctype.e1 != b.ctype.e1
     assert a.gensys.sigma0._json_text() is b.gensys.sigma0._json_text()
     assert a.text().count(a.gensys.sigma0._json_text()) == 2  # gensys and dessin
+    # and so its nontrivial cycles, scanned once for the type and the shape
+    assert a.gensys.sigma0.nontrivial_cycles() is b.gensys.sigma0.nontrivial_cycles()
 
     # one encoding per sigmaInf, and one per shared sigma0 and sigma1:
     # 2 (d - 1) per degree, where each record once encoded five

@@ -811,6 +811,19 @@ def test_enumerate_dmax_bounds(capsys, tmp_path):
     assert "d=31: 493 types\n" in capsys.readouterr().out
 
 
+def test_enumerate_at_the_cap_keeps_its_bytes(capsys, tmp_path):
+    # the --dmax 40 catalog: 11,362 records, each degree's triples sharing
+    # one sigma0 per e0 and one sigma1 per e1
+    out_path = tmp_path / "c40.jsonl"
+    assert main(["enumerate", "--dmax", "40", "--out", str(out_path)]) == PASS
+    assert f"total: 11362 records -> {out_path}" in capsys.readouterr().out.splitlines()
+    data = out_path.read_bytes()
+    assert data.count(b"\n") == 11362
+    assert hashlib.sha256(data).hexdigest() == (
+        "34df773349111fd8f764027de427453c075845fcae186c426fd6b6faf28a331d"
+    )
+
+
 def test_enumerate_has_no_dedup_flag(capsys, tmp_path):
     out_path = str(tmp_path / "x.jsonl")
     assert main(["enumerate", "--dmax", "3", "--out", out_path, "--dedup"]) == USAGE

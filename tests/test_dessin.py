@@ -1,6 +1,7 @@
 """Dessins: canonical storage, invariants, and the round trip with triples."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,12 +13,15 @@ from belyi import (
     chebyshev_gensys,
     dessin_from_gensys,
     gensys_from_dessin,
+    is_transitive,
+    iter_catalog,
     power_gensys,
     valid_types,
 )
 from helpers import (
     diameter_oracle,
     random_gensys,
+    random_permutation,
     random_single_cycle_pair,
     shape_oracle,
 )
@@ -171,6 +175,48 @@ def test_shape_counts_match_the_hub_oracle():
         assert list(shape.to_json().items()) == list(want.items())
     # positive genus, not just the planar double stars
     assert max(ds.genus() for ds in dessins) >= 3
+
+
+def _shape_by_counting(ds):
+    # the shape as Dessin.shape once counted it, scanning both sides' cycles
+    black, white = ds.black, ds.white
+    if sum(len(c) >= 2 for c in black) != 1 or sum(len(c) >= 2 for c in white) != 1:
+        return None
+    white_leaves, black_leaves = len(white) - 1, len(black) - 1
+    return DessinShape(white_leaves, black_leaves, ds.d - white_leaves - black_leaves)
+
+
+def _rotated_and_shuffled(rng, cycles):
+    out = []
+    for c in cycles:
+        i = rng.randrange(len(c))
+        out.append(c[i:] + c[:i])
+    rng.shuffle(out)
+    return out
+
+
+def test_shape_reads_the_kept_nontrivial_cycles_as_a_count_would():
+    dessins = [rec.dessin for rec in iter_catalog(20)]
+    dessins += [dessin_from_gensys(g(d)) for g in (power_gensys, chebyshev_gensys) for d in range(3, 13)]
+    # seeded from_cycles dessins with 0, 1 or 2 nontrivial cycles on each
+    # side, 20 of each pair that a connected dessin can have: with no hub
+    # on one side, the other side is one cycle through every edge
+    dessins.append(Dessin.from_cycles(1, [(1,)], [(1,)]))
+    need = {(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)}
+    found = Counter()
+    rng = random.Random(36)
+    while any(found[counts] < 20 for counts in need):
+        d = rng.randint(2, 7)
+        sides = [random_permutation(rng, d) for _ in range(2)]
+        counts = tuple(len(s.nontrivial_cycles()) for s in sides)
+        if counts not in need or found[counts] == 20 or not is_transitive(sides):
+            continue
+        found[counts] += 1
+        black, white = (_rotated_and_shuffled(rng, s.cycles()) for s in sides)
+        dessins.append(Dessin.from_cycles(d, black, white))
+    for ds in dessins:
+        assert ds.shape() == _shape_by_counting(ds)
+    assert {ds.shape() is None for ds in dessins} == {True, False}
 
 
 def test_star_dessin():

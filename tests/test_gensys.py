@@ -115,6 +115,25 @@ def test_gensys_rejects_sigma_inf_off_by_one_transposition():
             GeneratingSystem(gs.sigma0, gs.sigma1, bad)
 
 
+def test_the_product_check_at_its_edges():
+    # the check gathers over images padded so that index i holds point i,
+    # and skips d = 1, where the one triple is three identities
+    one = Permutation.identity(1)
+    assert GeneratingSystem(one, one, one).genus() == 0
+    s = Permutation.from_cycles(2, [(1, 2)])
+    assert GeneratingSystem(s, Permutation.identity(2), s).genus() == 0
+    with pytest.raises(ValueError, match="is not the identity"):
+        GeneratingSystem(s, Permutation.identity(2), Permutation.identity(2))
+    for d in (3, 30, 120):
+        for ct in (valid_types(d)[0], valid_types(d)[-1]):
+            gs = canonical_single_cycle(ct)
+            assert GeneratingSystem(*gs.triple) == gs
+            c = list(gs.sigma_inf.images)
+            c[-2], c[-1] = c[-1], c[-2]
+            with pytest.raises(ValueError, match="is not the identity"):
+                GeneratingSystem(gs.sigma0, gs.sigma1, Permutation(c))
+
+
 def test_make_gensys_derives_inverse_product():
     rng = random.Random(301)
     for _ in range(40):

@@ -182,7 +182,8 @@ def test_cycles_are_canonical():
     assert p.cycles() == ((1,), (2,), (3, 4, 5))
     assert p.cycles() is p.cycles()  # computed once, then kept
     assert p.cycle_string() == "(1)(2)(3 4 5)"
-    assert p.nontrivial_cycles() == [(3, 4, 5)]
+    assert p.nontrivial_cycles() == ((3, 4, 5),)
+    assert p.nontrivial_cycles() is p.nontrivial_cycles()
     assert p.cycle_type() == (3, 1, 1)
     assert p.num_cycles() == 3
 

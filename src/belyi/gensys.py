@@ -38,6 +38,18 @@ class CombinatorialType:
     e_inf: int
 
     def __post_init__(self):
+        # a valid type is accepted in one comparison; exact ints only, so
+        # bool, float and int subclasses fall through to the checks below
+        d, e0, e1, e_inf = self.d, self.e0, self.e1, self.e_inf
+        if (
+            type(d) is type(e0) is type(e1) is type(e_inf) is int
+            and d >= 3
+            and 2 <= e0 <= d
+            and 2 <= e1 <= d
+            and 2 <= e_inf <= d
+            and e0 + e1 + e_inf == 2 * d + 1
+        ):
+            return
         for e in (self.d, *self.indices):
             parse_int(e)
         if self.d < 3:

@@ -755,6 +755,53 @@ def test_construct_json_is_the_catalog_line_of_its_type(capsys, family):
     assert printed == {e for e, (_, m) in lines.items() if m is not None and m["family"] == tag}
 
 
+# The construct checks of the console-script step, run in process: the
+# lines each text case must print verbatim, and the catalog, `enumerate
+# --dmax`, whose one line of its type each json case must print, with a map
+# that verifies.  Poly (5, 2)'s text lines are in POLY_5_2_TEXT, which
+# test_construct_poly_text compares whole.
+CONSTRUCT_CASES = {
+    "chebyshev-6": (["chebyshev", "--d", "6"], ["f = 16x^6 - 24x^4 + 9x^2"], None),
+    "power-7": (["power", "--d", "7"], ["f = x^7"], None),
+    "symmetric-10-2": (
+        ["symmetric", "--d", "10", "--k", "2"],
+        [
+            "a = (42, 120, 90)",
+            "  = x^8 * (42x^2 - 120x + 90) / (90x^2 - 120x + 42)",
+            "f = ((7/15)x^10 - (4/3)x^9 + x^8) / (x^2 - (4/3)x + 7/15)",
+        ],
+        None,
+    ),
+    "poly-5-2-json": (["poly", "--d", "5", "--k", "2", "--format", "json"], [], 5),
+    "symmetric-10-2-json": (["symmetric", "--d", "10", "--k", "2", "--format", "json"], [], 10),
+    # built with no gcd and proven reduced by its certificate, at the cap
+    "symmetric-40-15-json": (["symmetric", "--d", "40", "--k", "15", "--format", "json"], [], 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCT_CASES))
+def test_the_console_scripts_construct_checks(case, capsys, tmp_path):
+    args, lines, dmax = CONSTRUCT_CASES[case]
+    assert main(["construct", *args]) == PASS
+    out = capsys.readouterr().out
+    assert set(lines) <= set(out.splitlines())
+    if dmax is None:
+        return
+    line = out.removesuffix("\n")
+    assert "\n" not in line and line + "\n" == out
+    catalog = tmp_path / "catalog.jsonl"
+    assert main(["enumerate", "--dmax", str(dmax), "--out", str(catalog)]) == PASS
+    record = json.loads(line)
+    prefix = _compact({"type": record["type"]})[:-1] + ","
+    assert [x for x in catalog.read_text().splitlines() if x.startswith(prefix)] == [line]
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(record["map"]))
+    capsys.readouterr()
+    assert main(["verify", str(map_path)]) == PASS
+    ct = CombinatorialType.from_json(record["type"])
+    assert f"claimed type {ct}: PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("family", ["power", "chebyshev"])
 @pytest.mark.parametrize("d", [3, 4, 12])
 def test_construct_json_is_one_line_that_reads_back(capsys, family, d):

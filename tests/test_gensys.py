@@ -55,6 +55,56 @@ def test_type_validation():
             CombinatorialType(*bad)
 
 
+def _type_refusal(d, indices):
+    """The message a type is refused with, None for a valid type: the
+    degree first, then each index in turn, then the Riemann-Hurwitz sum."""
+    if d < 3:
+        return f"degree must be at least 3, got {d}"
+    for name, e in zip(("e0", "e1", "eInf"), indices):
+        if not 2 <= e <= d:
+            return f"{name} = {e} outside the valid range [2, {d}]"
+    if sum(indices) != 2 * d + 1:
+        return f"indices {indices} sum to {sum(indices)}, need 2d + 1 = {2 * d + 1}"
+    return None
+
+
+def test_a_type_is_accepted_exactly_when_the_rule_holds():
+    accepted = 0
+    for d in range(9):
+        for indices in itertools.product(range(-1, d + 2), repeat=3):
+            message = _type_refusal(d, indices)
+            if message is None:
+                assert CombinatorialType(d, *indices).indices == indices
+                accepted += 1
+            else:
+                with pytest.raises(InvalidTypeError) as exc:
+                    CombinatorialType(d, *indices)
+                assert str(exc.value) == message
+    assert accepted == sum(len(valid_types(d)) for d in range(3, 9))
+    # one message of each kind, as written out
+    for args, message in (
+        ((2, 2, 2, 1), "degree must be at least 3, got 2"),
+        ((5, 3, 6, 2), "e1 = 6 outside the valid range [2, 5]"),
+        ((5, 3, 4, 1), "eInf = 1 outside the valid range [2, 5]"),
+        ((5, 3, 3, 4), "indices (3, 3, 4) sum to 10, need 2d + 1 = 11"),
+    ):
+        with pytest.raises(InvalidTypeError) as exc:
+            CombinatorialType(*args)
+        assert str(exc.value) == message
+
+    class Int(int):
+        pass
+
+    # True, and a float or an int subclass equal to the valid (3; 2, 2, 3)'s
+    # value in its slot: each is refused by type, not by its value
+    for slot, value in enumerate((3, 2, 2, 3)):
+        for bad in (True, float(value), Int(value)):
+            args = [3, 2, 2, 3]
+            args[slot] = bad
+            with pytest.raises(ValueError, match="not an integer"):
+                CombinatorialType(*args)
+
+
 def test_type_from_indices():
     assert CombinatorialType.from_indices(3, 3, 5) == CombinatorialType(5, 3, 3, 5)
     assert CombinatorialType.from_indices(8, 5, 8) == CombinatorialType(10, 8, 5, 8)
@@ -101,6 +151,17 @@ def test_gensys_validation():
         GeneratingSystem(d4, d4.inverse(), Permutation.identity(4))
     with pytest.raises(DegreeMismatchError):
         GeneratingSystem(s0, Permutation.identity(4), Permutation.identity(4))
+
+
+def test_a_one_cycle_triple_with_a_point_left_over_is_not_transitive():
+    # (1 2 3) three times has product one, and its indices 3 + 3 + 3 = 2*4 + 1
+    # give the genus-0 count at d = 4; but all three fix 4, so the surface
+    # is a torus plus a point, and the orbit read off the cycles says so
+    s = Permutation.from_cycles(4, [(1, 2, 3)])
+    assert (s * s * s).is_identity
+    assert CombinatorialType(4, 3, 3, 3).indices == (3, 3, 3)
+    with pytest.raises(NotTransitiveError):
+        GeneratingSystem(s, s, s)
 
 
 def test_gensys_rejects_sigma_inf_off_by_one_transposition():

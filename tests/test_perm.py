@@ -291,6 +291,62 @@ def test_transitivity_matches_the_inverse_closure_oracle():
     assert 40 <= sum(outcomes) <= 160
 
 
+def _window_cycles(rng, d, k):
+    """k generators, each one cycle on a window of a shuffled 1..d; the
+    windows run left to right and meet in 0 to 2 points, so a window of
+    one point is the identity and a gap or a missed end splits the orbit."""
+    order = rng.sample(range(1, d + 1), d)
+    gens, start = [], rng.choice([0, 0, 0, 1])
+    for i in range(k):
+        end = d if i == k - 1 and rng.random() < 0.8 else rng.randint(start, d)
+        window = order[start:end]
+        rng.shuffle(window)
+        gens.append(Permutation.from_cycles(d, [window] if window else []))
+        start = max(0, end - rng.randint(0, 2))
+    rng.shuffle(gens)
+    return gens
+
+
+def _chunks_and_a_joining_cycle(rng, d):
+    """A generator moving 2 or more cycles, on consecutive chunks of a
+    shuffled 1..d, and one cycle through a point of each chunk, or of all
+    chunks but one."""
+    order = rng.sample(range(1, d + 1), d)
+    cuts = sorted(rng.sample(range(2, d - 1), rng.randint(1, min(6, d - 3))))
+    chunks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, d])]
+    a = Permutation.from_cycles(d, chunks)
+    joined = chunks if rng.random() < 0.5 else rng.sample(chunks, len(chunks) - 1)
+    b = Permutation.from_cycles(d, [[rng.choice(c) for c in joined]])
+    return [a, b] if rng.random() < 0.5 else [b, a]
+
+
+def test_the_one_cycle_orbit_matches_the_closure_oracle_to_degree_300():
+    # generators that each move 0 or 1 cycles have their orbit read off
+    # those cycles; any other input takes the forward closure
+    rng = random.Random(3701)
+    one_cycle, closure = [], []
+    for _ in range(300):
+        d = rng.randint(2, 300)
+        gens = _window_cycles(rng, d, rng.choice([2, 3]))
+        assert all(len(g.nontrivial_cycles()) <= 1 for g in gens)
+        assert is_transitive(gens) == closure_is_transitive(gens)
+        one_cycle.append(is_transitive(gens))
+    for _ in range(150):
+        d = rng.randint(5, 300)
+        gens = _chunks_and_a_joining_cycle(rng, d)
+        assert max(len(g.nontrivial_cycles()) for g in gens) >= 2
+        assert is_transitive(gens) == closure_is_transitive(gens)
+        closure.append(is_transitive(gens))
+    # both branches see both outcomes
+    assert 0.2 <= sum(one_cycle) / len(one_cycle) <= 0.8
+    assert 0.2 <= sum(closure) / len(closure) <= 0.8
+    # no generator moves anything: transitive exactly at d = 1
+    for d in (1, 2, 5, 300):
+        for k in (1, 2, 3):
+            gens = [Permutation.identity(d)] * k
+            assert is_transitive(gens) is closure_is_transitive(gens) is (d == 1)
+
+
 def test_json_round_trip():
     p = Permutation.from_cycles(5, [(3, 4, 5)])
     assert p.to_json() == [[1], [2], [3, 4, 5]]

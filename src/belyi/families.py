@@ -345,12 +345,6 @@ def _single_cycle_ints(ct: CombinatorialType) -> tuple[list[int], list[int]]:
     return [0] * e0 + [v1 * x for x in u], [u1 * x for x in v]
 
 
-def _single_cycle_map(ct: CombinatorialType) -> RatFunc:
-    """The normalized map of type ct: its closed-form pair, reduced by
-    RatFunc, and so the reference for the builders, which take no gcd."""
-    return RatFunc(*_single_cycle_ints(ct))
-
-
 # x, x - 1 and x^2 - x: the primitive factors of a certified Wronskian
 _CRITICAL = ([0, 1], [-1, 1], [0, -1, 1])
 

@@ -214,20 +214,37 @@ def chebyshev_gensys(d: int) -> GeneratingSystem:
     return GeneratingSystem(s0, s1, s_inf)
 
 
-def _sigma0_images(d: int, e0: int) -> tuple[int, ...]:
+# The canonical triple's three permutations, each built from its image
+# tuple (sigma(1), ..., sigma(d)) and keeping its canonical cycles, both
+# written here from the same lo = d - e0 + 1, e1 and d; fixed points are
+# contiguous runs, so zip(range(a, b)) gives their 1-tuples.
+
+
+def _sigma0(d: int, e0: int) -> Permutation:
     lo = d - e0 + 1
-    return (*range(1, lo), d, *range(lo, d))
+    return Permutation._with_cycles(
+        (*range(1, lo), d, *range(lo, d)),
+        (*zip(range(1, lo)), (lo, *range(d, lo, -1))),
+    )
 
 
-def _sigma1_images(d: int, e1: int) -> tuple[int, ...]:
-    return (*range(2, e1 + 1), 1, *range(e1 + 1, d + 1))
+def _sigma1(d: int, e1: int) -> Permutation:
+    return Permutation._with_cycles(
+        (*range(2, e1 + 1), 1, *range(e1 + 1, d + 1)),
+        (tuple(range(1, e1 + 1)), *zip(range(e1 + 1, d + 1))),
+    )
 
 
-def _sigma_inf_images(d: int, e0: int, e1: int) -> tuple[int, ...]:
+def _sigma_inf(d: int, e0: int, e1: int) -> Permutation:
     lo = d - e0 + 1
     if e1 < d:
-        return (e1 + 1, *range(1, lo), *range(lo + 1, e1 + 1), *range(e1 + 2, d + 1), lo)
-    return (lo, *range(1, lo), *range(lo + 1, d + 1))
+        images = (e1 + 1, *range(1, lo), *range(lo + 1, e1 + 1), *range(e1 + 2, d + 1), lo)
+    else:
+        images = (lo, *range(1, lo), *range(lo + 1, d + 1))
+    return Permutation._with_cycles(
+        images,
+        ((1, *range(e1 + 1, d + 1), *range(lo, 1, -1)), *zip(range(lo + 1, e1 + 1))),
+    )
 
 
 def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
@@ -242,24 +259,21 @@ def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
                     when e1 < d, and (lo, 1, ..., lo-1, lo+1, ..., d)
                     when e1 = d,
 
-    which are the cycles sigma0 = (d, d-1, ..., lo) on the top e0 points,
-    sigma1 = (1, 2, ..., e1) on the bottom e1 points and
-    sigmaInf = (1, e1+1, ..., d, lo, lo-1, ..., 2).  The supports of
-    sigma0 and sigma1 overlap in e0 + e1 - d >= 1 points, so the pair is
-    transitive, and sigmaInf's two runs are disjoint because lo <= e1, so
-    it is one cycle of length 1 + (d-e1) + (d-e0) = eInf: the triple has
-    type ct and genus zero.  ``Permutation`` checks that each tuple is a
-    bijection, and ``GeneratingSystem`` that sigma0 sigma1 sigmaInf = id
-    and that the pair is transitive.  The relative orientation matters:
-    with both cycles ascending the product is a full d-cycle instead,
-    which has the wrong genus whenever eInf < d.
+    and keeps their cycles, written in closed form, so none is walked:
+    sigma0 = (d, d-1, ..., lo) on the top e0 points, fixing 1, ..., lo-1;
+    sigma1 = (1, 2, ..., e1) on the bottom e1 points, fixing e1+1, ..., d;
+    and sigmaInf = (1, e1+1, ..., d, lo, lo-1, ..., 2), fixing lo+1, ..., e1.
+    The supports of sigma0 and sigma1 overlap in e0 + e1 - d >= 1 points,
+    so the pair is transitive, and sigmaInf's two runs are disjoint because
+    lo <= e1, so it is one cycle of length 1 + (d-e1) + (d-e0) = eInf: the
+    triple has type ct and genus zero.  ``Permutation`` checks that each
+    tuple is a bijection, and ``GeneratingSystem`` that
+    sigma0 sigma1 sigmaInf = id and that the pair is transitive.  The
+    relative orientation matters: with both cycles ascending the product
+    is a full d-cycle instead, which has the wrong genus whenever eInf < d.
     """
     d, e0, e1 = ct.d, ct.e0, ct.e1
-    return GeneratingSystem(
-        Permutation(_sigma0_images(d, e0)),
-        Permutation(_sigma1_images(d, e1)),
-        Permutation(_sigma_inf_images(d, e0, e1)),
-    )
+    return GeneratingSystem(_sigma0(d, e0), _sigma1(d, e1), _sigma_inf(d, e0, e1))
 
 
 def canonical_triples(d: int) -> Iterator[tuple[CombinatorialType, GeneratingSystem]]:
@@ -268,15 +282,15 @@ def canonical_triples(d: int) -> Iterator[tuple[CombinatorialType, GeneratingSys
 
     sigma0 depends only on (d, e0) and sigma1 only on (d, e1), so each is
     built once per call, and every triple of this call with that e0 or e1
-    holds the same ``Permutation``, whose cycles are then walked once.
+    holds the same ``Permutation``.  Each permutation keeps the closed-form
+    cycles that ``canonical_single_cycle`` states, so none is walked.
     Nothing outlives the call.
     """
     es = range(2, d + 1)
-    sigma0 = {e: Permutation(_sigma0_images(d, e)) for e in es}
-    sigma1 = {e: Permutation(_sigma1_images(d, e)) for e in es}
+    sigma0 = {e: _sigma0(d, e) for e in es}
+    sigma1 = {e: _sigma1(d, e) for e in es}
     for ct in valid_types(d):
-        s_inf = Permutation(_sigma_inf_images(d, ct.e0, ct.e1))
-        yield ct, GeneratingSystem(sigma0[ct.e0], sigma1[ct.e1], s_inf)
+        yield ct, GeneratingSystem(sigma0[ct.e0], sigma1[ct.e1], _sigma_inf(d, ct.e0, ct.e1))
 
 
 def equivalent(a: GeneratingSystem, b: GeneratingSystem) -> bool:

@@ -59,13 +59,27 @@ class Permutation:
         return cls(range(1, d + 1))
 
     @classmethod
+    def _with_cycles(
+        cls, images: Sequence[int], cycles: tuple[tuple[int, ...], ...]
+    ) -> "Permutation":
+        """The permutation of these images, checked as ``__init__`` checks
+        any, keeping ``cycles`` as the ones ``cycles()`` returns, so they
+        are never walked; the caller vouches that they are its canonical
+        cycles, fixed points included.  The one place cycles are kept
+        without a walk."""
+        p = cls(images)
+        p._cycles = cycles
+        return p
+
+    @classmethod
     def from_cycles(cls, d: int, cycles: Sequence[Iterable[int]]) -> "Permutation":
         """Build from disjoint cycles; unmentioned points stay fixed.
 
         Cycles that are already canonical (each starts at its minimum, the
         minima strictly increase) and cover 1..d are kept as the ones
-        ``cycles()`` returns, as a stored triple's are, so they are not
-        walked again; any other rotation or order is walked on first use.
+        ``cycles()`` returns, as a stored triple's are, through
+        ``_with_cycles``, so they are not walked; any other rotation or
+        order is walked on first use.
         """
         images = list(range(1, d + 1))
         # seen[x] marks point x; a degree below 1 marks none, and the
@@ -90,11 +104,10 @@ class Permutation:
                 prev = x
             if last is not None:
                 last = cyc[0] if last < cyc[0] == min(cyc) else None
-        p = cls(images)
         # the points are distinct and in range, so d of them cover 1..d
         if last is not None and sum(map(len, cycs)) == d:
-            p._cycles = tuple(cycs)
-        return p
+            return cls._with_cycles(images, tuple(cycs))
+        return cls(images)
 
     @property
     def degree(self) -> int:

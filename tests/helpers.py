@@ -23,6 +23,7 @@ from belyi import (
     make_gensys,
 )
 from belyi.exact import _P, parse_int
+from belyi.families import _single_cycle_ints
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,13 @@ def single_cycle_closed_form(ct: CombinatorialType) -> tuple[list[int], list[int
     v = [(-1) ** j * math.comb(n, j) * math.perm(d, j) * math.perm(e0 - 1 - j, n - j)
          for j in range(n + 1)]
     return u, v
+
+
+def single_cycle_map(ct: CombinatorialType) -> RatFunc:
+    """The normalized map of type ct: its closed-form pair, reduced by
+    RatFunc, and so the reference for the single-cycle builders, which take
+    no gcd."""
+    return RatFunc(*_single_cycle_ints(ct))
 
 
 def split_x_minus_1_by_tail_sums(u: list[int]) -> tuple[list[int], int]:

@@ -34,8 +34,15 @@ from belyi import (
     write_catalog,
 )
 from belyi.catalog import compact_json
-from belyi.families import FAMILIES, MapParams, _single_cycle_map
-from helpers import MAP_LABELS, conjugate, json_paths, nested_list, stored_field_oracle
+from belyi.families import FAMILIES, MapParams
+from helpers import (
+    MAP_LABELS,
+    conjugate,
+    json_paths,
+    nested_list,
+    single_cycle_map,
+    stored_field_oracle,
+)
 
 
 def test_family_map_for_type_polynomial_side():
@@ -245,7 +252,7 @@ def test_everything_the_constructors_build_reads_back():
     records = 0
     for ct in (ct for d in range(3, 9) for ct in valid_types(d)):
         gs = canonical_single_cycle(ct)
-        f = _single_cycle_map(ct)
+        f = single_cycle_map(ct)
         num, den = f.pair
         bumped = RatFunc([c + (i == ct.e1 % len(num)) for i, c in enumerate(num)], den)
         for g in (f, bumped):
@@ -779,7 +786,7 @@ def _text_cases():
         yield TriptychRecord.for_family("poly", d, rng.randint(1, d - 2))
         yield TriptychRecord.for_family("symmetric", d, rng.randint(1, (d - 1) // 2))
     ct = CombinatorialType(10, 8, 5, 8)
-    gs, f = canonical_single_cycle(ct), _single_cycle_map(ct)
+    gs, f = canonical_single_cycle(ct), single_cycle_map(ct)
     yield TriptychRecord(gs, BelyiMap(f, claimed_type=ct))
     # a custom map with no claimed type, and one of the triple's degree
     # that is not Belyi

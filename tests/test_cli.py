@@ -814,6 +814,23 @@ def test_construct_json_is_one_line_that_reads_back(capsys, family, d):
     assert _compact(record.to_json()) == line
 
 
+# The dessin checks of the console-script step, run in process: the
+# canonical (5; 3, 3, 5) triple and the closed form's boundaries e0 = d and
+# e1 = d, each printed as the literal cycles of sigma0 (black) and sigma1
+# (white) that the canonical triple keeps.
+DESSIN_CASES = {
+    "3,3,5": {"d": 5, "black": [[1], [2], [3, 5, 4]], "white": [[1, 2, 3], [4], [5]]},
+    "5,2,4": {"d": 5, "black": [[1, 5, 4, 3, 2]], "white": [[1, 2], [3], [4], [5]]},
+    "2,5,4": {"d": 5, "black": [[1], [2], [3], [4, 5]], "white": [[1, 2, 3, 4, 5]]},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DESSIN_CASES))
+def test_the_console_scripts_dessin_checks(spec, capsys):
+    assert main(["dessin", spec, "--format", "json"]) == PASS
+    assert capsys.readouterr().out == _compact(DESSIN_CASES[spec]) + "\n"
+
+
 @pytest.mark.parametrize("spec", ["3,3,5", "8,5,8", "2,2,3", "4,4,5"])
 def test_dessin_json_is_the_compact_dessin(capsys, spec):
     assert main(["dessin", spec, "--format", "json"]) == PASS

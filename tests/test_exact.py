@@ -18,7 +18,6 @@ from belyi import (
     squarefree_decomposition,
 )
 from belyi.exact import _P, _coprime_mod_p, _divide_out_x_minus_1, _exact_quo, _wronskian
-from belyi.families import _single_cycle_map
 from helpers import (
     INFINITY,
     ProjectivePoint,
@@ -31,6 +30,7 @@ from helpers import (
     power,
     product,
     random_poly,
+    single_cycle_map,
     split_x_minus_1_by_tail_sums,
     sub,
     substitute_reciprocal,
@@ -625,7 +625,7 @@ def test_one_pass_x_minus_1_split_on_every_family_wronskian():
         types = [(d - k, k + 1, d) for k in range(1, d - 1)]
         types += [(d - k, 2 * k + 1, d - k) for k in range(1, (d - 1) // 2 + 1)]
         for e0, e1, e_inf in types:
-            num, den = _single_cycle_map(CombinatorialType(d, e0, e1, e_inf)).pair
+            num, den = single_cycle_map(CombinatorialType(d, e0, e1, e_inf)).pair
             w = _wronskian(num, den)[e0 - 1:]
             got = _split_one_pass(w)
             assert got == split_x_minus_1_by_tail_sums(w)

@@ -30,6 +30,7 @@ from belyi import (
     verify_single_cycle,
 )
 from belyi import exact, families
+import helpers
 from helpers import (
     ProjectivePoint,
     add,
@@ -43,6 +44,7 @@ from helpers import (
     product,
     random_poly,
     single_cycle_closed_form,
+    single_cycle_map,
     sub,
     substitute_reciprocal,
     symmetric_coeffs,
@@ -314,7 +316,7 @@ def test_both_families_are_the_one_map_of_their_type():
     for d in range(3, 13):
         types = valid_types(d)
         for i, ct in enumerate(types):
-            m = BelyiMap(families._single_cycle_map(ct))
+            m = BelyiMap(single_cycle_map(ct))
             assert verify_single_cycle(m, ct) == (True, f"single-cycle of type {ct.indices}")
             assert not verify_single_cycle(m, types[i - 1])[0]
 
@@ -323,10 +325,10 @@ def test_single_cycle_map_reduces_its_integer_pair_as_ratfunc_does(monkeypatch):
     # the pair handed to RatFunc holds only ints, built without a Fraction,
     # and reduces as its Fraction form, both lists over lc(D), does
     built = []
-    monkeypatch.setattr(families, "RatFunc", lambda n, d: built.append((n, d)) or RatFunc(n, d))
+    monkeypatch.setattr(helpers, "RatFunc", lambda n, d: built.append((n, d)) or RatFunc(n, d))
     types = [ct for d in range(3, 31) for ct in valid_types(d)]
     for ct in types:
-        f = families._single_cycle_map(ct)
+        f = single_cycle_map(ct)
         num, den = built.pop()
         assert {type(c) for c in num + den} == {int}
         assert f.pair == RatFunc([Fraction(c, den[-1]) for c in num],
@@ -346,9 +348,9 @@ def test_term_ratio_coefficients_are_the_closed_form(monkeypatch):
         u, v = single_cycle_closed_form(ct)
         u1, v1 = sum(u), sum(v)
         pairs.append(([0] * ct.e0 + [v1 * x for x in u], [u1 * x for x in v]))
-        assert families._single_cycle_map(ct).pair == RatFunc(*pairs[-1]).pair
-    monkeypatch.setattr(families, "RatFunc", lambda n, d: (n, d))
-    assert [families._single_cycle_map(ct) for ct in types] == pairs
+        assert single_cycle_map(ct).pair == RatFunc(*pairs[-1]).pair
+    monkeypatch.setattr(helpers, "RatFunc", lambda n, d: (n, d))
+    assert [single_cycle_map(ct) for ct in types] == pairs
     assert len(types) == 4872 + 45
 
 
@@ -366,7 +368,7 @@ def test_certified_profile_is_the_factored_profile(monkeypatch):
         (f, families._certified_profile(f, ct))
         for d in range(3, 13)
         for ct in valid_types(d)
-        for f in [families._single_cycle_map(ct)]
+        for f in [single_cycle_map(ct)]
     ]
     for f, prof in maps:
         assert prof == ramification_profile(f)
@@ -392,7 +394,7 @@ def test_certificate_refuses_what_is_not_the_map_of_its_type():
     for d in range(3, 11):
         types = valid_types(d)
         for ct in types:
-            f = families._single_cycle_map(ct)
+            f = single_cycle_map(ct)
             assert [o for o in types if families._certified_profile(f, o)] == [ct]
             # each has the Wronskian of f up to a constant: 2f misses
             # N(1) = D(1), 2f - 1 misses x^e0 | N, and 2f / (f + 1) moves
@@ -405,7 +407,7 @@ def test_certificate_refuses_what_is_not_the_map_of_its_type():
                 # the map of (d + 1; e0, e1, eInf + 2) has a Wronskian of
                 # the same shape, and the wrong degree
                 up = CombinatorialType(d + 1, ct.e0, ct.e1, ct.e_inf + 2)
-                assert families._certified_profile(families._single_cycle_map(up), ct) is None
+                assert families._certified_profile(single_cycle_map(up), ct) is None
             # one coefficient of N bumped, then also one of D so that
             # N(1) = D(1) holds again and only the Wronskian can refuse it,
             # which Yun's profile confirms
@@ -434,7 +436,7 @@ def test_certificate_refuses_a_common_factor_that_its_wronskian_hides():
             if ct.e1 + 2 > d:
                 continue
             up = CombinatorialType(d, ct.e0, ct.e1 + 2, ct.e_inf)
-            num, den = (mul(x1, list(u)) for u in families._single_cycle_map(ct).pair)
+            num, den = (mul(x1, list(u)) for u in single_cycle_map(ct).pair)
             f = RatFunc._of_coprime(num, den)
             assert f.pair == (tuple(num), tuple(den))
             assert len(num) == d + 1 and len(num) - len(den) == up.e_inf
@@ -685,7 +687,7 @@ def test_composite_single_cycle_maps_have_the_predicted_profile():
     swapped_checked = 0
     for _ in range(60):
         cf, cg = rng.choice(types), rng.choice(types)
-        fg = compose(families._single_cycle_map(cf), families._single_cycle_map(cg))
+        fg = compose(single_cycle_map(cf), single_cycle_map(cg))
         assert fg.degree == cf.d * cg.d
         prof = ramification_profile(fg)
         assert prof.is_belyi
@@ -721,7 +723,7 @@ def test_the_map_of_a_type_is_s3_equivariant():
     # 0, 1 and inf carry it to the map of the permuted type
     types = [ct for d in range(3, 17) for ct in valid_types(d)]
     assert len(types) == 770
-    maps = {ct: families._single_cycle_map(ct) for ct in types}
+    maps = {ct: single_cycle_map(ct) for ct in types}
     for ct in types:
         assert _conjugates_are_the_permuted_maps(maps[ct], ct, maps), ct
     # negative controls on a seeded sample: the map of the type before it

@@ -359,11 +359,34 @@ def test_canonical_triple_large_overlap_example():
 
 
 def test_canonical_triple_matches_its_stated_cycles():
-    # the builder writes image tuples; the oracle builds the same triple
-    # from the three cycles the docstring states (4,872 types)
+    # equality compares image tuples: the oracle builds the same triple
+    # from the three cycles the docstring states (4,872 types); the cycles
+    # the builder keeps are checked by the test below
     for d in range(3, 31):
         for ct in valid_types(d):
             assert canonical_single_cycle(ct) == stated_canonical_triple(ct), ct
+
+
+def test_canonical_triples_keep_the_cycles_a_walk_finds():
+    # each canonical permutation keeps closed-form cycles and walks none:
+    # they must be those a fresh walk of its images finds, and each moves
+    # exactly one cycle; every type to d = 40 through both builders, and
+    # 200 seeded types with 41 <= d <= 300
+    def check(gs):
+        for s in gs.triple:
+            assert s.cycles() == Permutation(s.images).cycles(), gs
+            assert len(s.nontrivial_cycles()) == 1, gs
+
+    for d in range(3, 41):
+        for ct, gs in canonical_triples(d):
+            check(gs)
+            check(canonical_single_cycle(ct))
+    rng = random.Random(38)
+    for _ in range(200):
+        d = rng.randint(41, 300)
+        e0 = rng.randint(2, d)
+        e1 = rng.randint(max(2, d + 1 - e0), min(d, 2 * d - 1 - e0))
+        check(canonical_single_cycle(CombinatorialType(d, e0, e1, 2 * d + 1 - e0 - e1)))
 
 
 def test_canonical_triples_share_sigma0_and_sigma1_within_one_call():

@@ -11,7 +11,9 @@ its type.  The power and Chebyshev maps sit at the boundary of that class
 integer squarefree factors of the three fiber polynomials.  Yun sees the
 Wronskian and the fibers as integer `Poly`s, with no Fraction on the way;
 a member's closed form is printed by `poly_text`.  `FAMILIES` gives each
-family's builder and triple, and `family_map_for_type` a type's map.
+family's builder and triple.  `family_map_for_type` is the one builder of
+a single-cycle family's map, from its type; a member's (d, k) only names
+that type.
 """
 
 from __future__ import annotations
@@ -170,8 +172,9 @@ class BelyiMap:
     ``BelyiMap(f, claimed_type=ct)`` is a custom map: only the builders
     below set a family, k and params.  The profile is factored from the
     three fibers on first read and cached, except for the two single-cycle
-    families' maps, whose builders certify their type eagerly, refuse a map
-    that fails, and fill in the profile the type determines.
+    families' maps, whose one builder, `family_map_for_type`, certifies
+    their type eagerly, refuses a map that fails, and fills in the profile
+    the type determines.
     """
 
     f: RatFunc
@@ -390,64 +393,61 @@ def _family_map(
     return m
 
 
-def _family_member(
-    family: str, ct: CombinatorialType, k: int, f: RatFunc, params: MapParams
-) -> BelyiMap:
-    """The family's map f with its params and its certified profile; raises
-    VerificationError unless f is the normalized map of its claimed type ct,
-    which also proves f's pair, built with no gcd, reduced."""
-    prof = _certified_profile(f, ct)
-    if prof is None:
-        raise VerificationError(
-            f"{family} map (d, k) = ({ct.d}, {k}) is not the normalized map of type {ct.indices}"
-        )
-    return _family_map(f, family, k, ct, params, prof)
-
-
 def single_cycle_polynomial(d: int, k: int) -> BelyiMap:
-    """The map of type (d-k, k+1, d), a polynomial since eInf = d, which the
-    family writes as c x^(d-k) (a0 x^k + ... + a_k) with a_k = 1/(d-k).  Its
-    derivative is a constant times x^(d-k-1) (x-1)^k.
-    """
+    """The map of type (d-k, k+1, d), a polynomial since eInf = d, whose
+    derivative is a constant times x^(d-k-1) (x-1)^k; (d, k) only names the
+    type, whose map `family_map_for_type` builds."""
     if d < 3 or not 1 <= k < d - 1:
         raise ParameterOutOfRangeError(
             f"(d, k) = ({d}, {k}) outside d >= 3, 1 <= k <= d - 2"
         )
-    ct = CombinatorialType(d, d - k, k + 1, d)
-    f = RatFunc._of_coprime(*_single_cycle_ints(ct))
-    num, (den,) = f.pair  # eInf = d: the denominator is a constant
-    c = Fraction((d - k) * num[d - k], den)
-    a = tuple(Fraction(num[d - i], (d - k) * num[d - k]) for i in range(k + 1))
-    return _family_member("single-cycle-poly", ct, k, f, MapParams(c, a))
+    return family_map_for_type(CombinatorialType(d, d - k, k + 1, d))
 
 
 def symmetric_single_cycle(d: int, k: int) -> BelyiMap:
-    """The map of type (d-k, 2k+1, d-k), with f(1/x) f(x) = 1 since e0 = eInf,
-    which the family writes as x^(d-k) N(x) / D(x): D has ascending
-    coefficients (-1)^i a_i with a_k = k! binom(d, k), and N is D reversed.
-    The type constraint e1 = 2k + 1 <= d bounds k at (d - 1) / 2.
+    """The map of type (d-k, 2k+1, d-k), with f(1/x) f(x) = 1 since e0 = eInf;
+    (d, k) only names the type, whose map `family_map_for_type` builds.  The
+    type constraint e1 = 2k + 1 <= d bounds k at (d - 1) / 2.
     """
     if d < 3 or not 1 <= k or 2 * k + 1 > d:
         raise ParameterOutOfRangeError(
             f"(d, k) = ({d}, {k}) outside d >= 3, 1 <= k <= (d - 1) / 2"
         )
-    ct = CombinatorialType(d, d - k, 2 * k + 1, d - k)
-    f = RatFunc._of_coprime(*_single_cycle_ints(ct))
-    scale = (-1) ** k * math.factorial(k) * math.comb(d, k)
-    den = f.pair[1]
-    a = tuple(Fraction((-1) ** i * scale * x, den[-1]) for i, x in enumerate(den))
-    return _family_member("symmetric-single-cycle", ct, k, f, MapParams(None, a))
+    return family_map_for_type(CombinatorialType(d, d - k, 2 * k + 1, d - k))
 
 
 def family_map_for_type(ct: CombinatorialType) -> BelyiMap | None:
-    """A closed-form map realizing the type, when a family covers it.
+    """The one builder of a single-cycle family's map: the certified
+    normalized map of the type, when a family covers it, else None.
 
-    The polynomial family covers eInf = d (then k = d - e0) and the
-    symmetric family covers e0 = eInf (then e1 = 2k + 1 is automatically
-    odd).  Other types get no map here.
+    The polynomial family covers eInf = d and the symmetric family e0 = eInf
+    (then e1 = 2k + 1 is odd), each member named by k = d - e0.  The map is
+    `_single_cycle_ints`'s pair, built with no gcd; its certificate proves it
+    reduced and of type ct, or VerificationError is raised.  Its params are
+    how its family writes it: the polynomial family as c x^(d-k) (a0 x^k +
+    ... + a_k) with a_k = 1/(d-k), the symmetric family as x^(d-k) N(x) /
+    D(x), where D has ascending coefficients (-1)^i a_i with a_k = k!
+    binom(d, k) and N is D reversed.
     """
-    if ct.e_inf == ct.d:
-        return single_cycle_polynomial(ct.d, ct.d - ct.e0)
-    if ct.e0 == ct.e_inf:
-        return symmetric_single_cycle(ct.d, ct.d - ct.e0)
-    return None
+    d, e0 = ct.d, ct.e0
+    if ct.e_inf == d:
+        family = "single-cycle-poly"
+    elif e0 == ct.e_inf:
+        family = "symmetric-single-cycle"
+    else:
+        return None
+    k = d - e0
+    f = RatFunc._of_coprime(*_single_cycle_ints(ct))
+    prof = _certified_profile(f, ct)
+    if prof is None:
+        raise VerificationError(
+            f"{family} map (d, k) = ({d}, {k}) is not the normalized map of type {ct.indices}"
+        )
+    num, den = f.pair
+    if family == "single-cycle-poly":  # eInf = d: the denominator is a constant
+        lead = e0 * num[e0]
+        c, a = Fraction(lead, den[0]), [Fraction(num[d - i], lead) for i in range(k + 1)]
+    else:
+        scale = (-1) ** k * math.factorial(k) * math.comb(d, k)
+        c, a = None, [Fraction((-1) ** i * scale * x, den[-1]) for i, x in enumerate(den)]
+    return _family_map(f, family, k, ct, MapParams(c, tuple(a)), prof)

@@ -38,31 +38,22 @@ class CombinatorialType:
     e_inf: int
 
     def __post_init__(self):
-        # a valid type is accepted in one comparison; exact ints only, so
-        # bool, float and int subclasses fall through to the checks below
+        # each rule once, in the order its messages name them; only after a
+        # rule fails is the value that breaks it looked up.  Exact ints
+        # only, so bool, float and int subclasses are refused by type
         d, e0, e1, e_inf = self.d, self.e0, self.e1, self.e_inf
-        if (
-            type(d) is type(e0) is type(e1) is type(e_inf) is int
-            and d >= 3
-            and 2 <= e0 <= d
-            and 2 <= e1 <= d
-            and 2 <= e_inf <= d
-            and e0 + e1 + e_inf == 2 * d + 1
-        ):
-            return
-        for e in (self.d, *self.indices):
-            parse_int(e)
-        if self.d < 3:
-            raise InvalidTypeError(f"degree must be at least 3, got {self.d}")
-        for name, e in zip(("e0", "e1", "eInf"), self.indices):
-            if not 2 <= e <= self.d:
-                raise InvalidTypeError(
-                    f"{name} = {e} outside the valid range [2, {self.d}]"
-                )
-        if sum(self.indices) != 2 * self.d + 1:
+        if not type(d) is type(e0) is type(e1) is type(e_inf) is int:
+            for e in (d, e0, e1, e_inf):
+                parse_int(e)
+        if d < 3:
+            raise InvalidTypeError(f"degree must be at least 3, got {d}")
+        if not (2 <= e0 <= d and 2 <= e1 <= d and 2 <= e_inf <= d):
+            for name, e in zip(("e0", "e1", "eInf"), self.indices):
+                if not 2 <= e <= d:
+                    raise InvalidTypeError(f"{name} = {e} outside the valid range [2, {d}]")
+        if e0 + e1 + e_inf != 2 * d + 1:
             raise InvalidTypeError(
-                f"indices {self.indices} sum to {sum(self.indices)},"
-                f" need 2d + 1 = {2 * self.d + 1}"
+                f"indices {self.indices} sum to {e0 + e1 + e_inf}, need 2d + 1 = {2 * d + 1}"
             )
 
     @property

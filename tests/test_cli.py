@@ -389,10 +389,11 @@ def test_verify_rejects_malformed_coefficients(capsys, tmp_path, f):
     [
         ("d", 5.7),
         ("k", 2.9),
+        ("k", 1),  # the (5, 2) map's f, params and type, stated as k = 1
         ("type.e0", 3.0),
         ("params.c", "31"),  # the (5, 2) map has c = 30
     ],
-    ids=["float-d", "float-k", "float-e0", "wrong-c"],
+    ids=["float-d", "float-k", "other-k", "float-e0", "wrong-c"],
 )
 def test_verify_rejects_a_misstated_record(capsys, tmp_path, field, value):
     data = single_cycle_polynomial(5, 2).to_json()
@@ -759,7 +760,21 @@ def test_construct_json_is_the_catalog_line_of_its_type(capsys, family):
 # lines each text case must print verbatim, and the catalog, `enumerate
 # --dmax`, whose one line of its type each json case must print, with a map
 # that verifies.  Poly (5, 2)'s text lines are in POLY_5_2_TEXT, which
-# test_construct_poly_text compares whole.
+# test_construct_poly_text compares whole; its JSON line is written out
+# too, with the (5; 3, 3, 5) double star's shape: three stored counts and
+# both hub degrees derived.
+POLY_5_2_JSON = (
+    '{"type":{"d":5,"e0":3,"e1":3,"eInf":5},'
+    '"map":{"family":"single-cycle-poly","d":5,"k":2,'
+    '"params":{"a":["1/5","-1/2","1/3"],"c":"30"},'
+    '"f":{"num":["0","0","0","10","-15","6"],"den":["1"]},'
+    '"type":{"d":5,"e0":3,"e1":3,"eInf":5}},'
+    '"gensys":{"d":5,"sigma0":[[1],[2],[3,5,4]],"sigma1":[[1,2,3],[4],[5]],"sigmaInf":[[1,4,5,3,2]]},'
+    '"dessin":{"d":5,"black":[[1],[2],[3,5,4]],"white":[[1,2,3],[4],[5]]},'
+    '"invariants":{"genus":0,"diameter":4,'
+    '"shape":{"whiteLeaves":2,"blackLeaves":2,"parallelEdges":1,"blackHubDegree":3,"whiteHubDegree":3},'
+    '"isBelyi":true}}'
+)
 CONSTRUCT_CASES = {
     "chebyshev-6": (["chebyshev", "--d", "6"], ["f = 16x^6 - 24x^4 + 9x^2"], None),
     "power-7": (["power", "--d", "7"], ["f = x^7"], None),
@@ -772,7 +787,7 @@ CONSTRUCT_CASES = {
         ],
         None,
     ),
-    "poly-5-2-json": (["poly", "--d", "5", "--k", "2", "--format", "json"], [], 5),
+    "poly-5-2-json": (["poly", "--d", "5", "--k", "2", "--format", "json"], [POLY_5_2_JSON], 5),
     "symmetric-10-2-json": (["symmetric", "--d", "10", "--k", "2", "--format", "json"], [], 10),
     # built with no gcd and proven reduced by its certificate, at the cap
     "symmetric-40-15-json": (["symmetric", "--d", "40", "--k", "15", "--format", "json"], [], 40),
@@ -982,18 +997,32 @@ def test_construct_and_verify_stdout_is_pinned(family, output, capsys, tmp_path)
 
 
 # sha256 of `construct --format json` stdout for members near d = 100,
-# where the coefficients run to hundreds of digits
+# where the coefficients run to hundreds of digits, and another type of the
+# member's degree: its map record verifies as its own type, not as that one
 PINNED_HIGH_DEGREE_JSON = {
-    ("poly", 100, 49): "f7b520dfabed4b3e2d21b0d089b4a01fce00bfc7f5499aa04dfaa8bf0791591b",
-    ("symmetric", 99, 49): "e461ef732c16326650f9e7da95603cc7c16c491217c49fb995f387d16833f3bc",
+    ("poly", 100, 49): ("f7b520dfabed4b3e2d21b0d089b4a01fce00bfc7f5499aa04dfaa8bf0791591b",
+                        (50, 51, 100)),
+    ("symmetric", 99, 49): ("e461ef732c16326650f9e7da95603cc7c16c491217c49fb995f387d16833f3bc",
+                            (49, 99, 51)),
+    ("symmetric", 100, 30): ("11981e78f95095ff47f75bb11ae0ba1f8084deca37b0525e233c842b1af939cb",
+                             (69, 62, 70)),
 }
 
 
 @pytest.mark.parametrize("family, d, k", sorted(PINNED_HIGH_DEGREE_JSON))
-def test_construct_json_near_degree_100_is_pinned(family, d, k, capsys):
+def test_construct_json_near_degree_100_is_pinned(family, d, k, capsys, tmp_path):
+    digest, other = PINNED_HIGH_DEGREE_JSON[family, d, k]
     assert main(["construct", family, "--d", str(d), "--k", str(k), "--format", "json"]) == PASS
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HIGH_DEGREE_JSON[family, d, k]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    record = json.loads(out)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(record["map"]))
+    assert main(["verify", str(path)]) == PASS
+    ct = CombinatorialType.from_json(record["type"])
+    assert f"claimed type {ct}: PASS" in capsys.readouterr().out
+    assert main(["verify", str(path), "--type", ",".join(map(str, other))]) == FAIL
+    assert f"claimed type {other}: FAIL" in capsys.readouterr().out
 
 
 # `verify` on custom maps, which are read through RatFunc.from_json where
@@ -1024,6 +1053,9 @@ PINNED_CUSTOM_VERIFY = {
                  "0e9152cfb83c04515c1662518c05c8d0cc3569ba5b5b7b4752bb9c6448bcc3e9"),
     "custom-k": ({**CUSTOM_MAP, "k": 7}, [], USAGE,
                  "8d68ad3bf5951dabc1c768def8d03461412bb11ff330de8d869cedb4951f4b31"),
+    # one short stderr line names the coefficient in brief, not in full
+    "long-coefficient": ({"num": ["x" * 1_000_000], "den": ["1"]}, [], USAGE,
+                         "8913f09d30789866acaa0860ecd2ec98f441d843568f849da43e0ff7fb422e92"),
 }
 
 

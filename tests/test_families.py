@@ -20,6 +20,7 @@ from belyi import (
     RatFunc,
     VerificationError,
     chebyshev_map,
+    family_map_for_type,
     poly_text,
     power_map,
     ramification_profile,
@@ -217,15 +218,21 @@ def test_polynomial_family_domain():
 def test_family_constructors_refuse_a_map_that_fails_its_type(monkeypatch):
     # each constructor gets the integer pair of another type of its degree:
     # (7; 4, 4, 7) for the polynomial (7; 5, 3, 7), (7; 4, 6, 5) for the
-    # symmetric (7; 5, 5, 5)
+    # symmetric (7; 5, 5, 5); the catalog's route, the type itself, too
     build_map = families._single_cycle_ints
     monkeypatch.setattr(
         families, "_single_cycle_ints",
         lambda ct: build_map(CombinatorialType(ct.d, ct.e0 - 1, ct.e1 + 1, ct.e_inf)),
     )
-    for build in (single_cycle_polynomial, symmetric_single_cycle):
-        with pytest.raises(VerificationError, match=r"map \(d, k\) = \(7, 2\) is not"):
+    for build, ct in (
+        (single_cycle_polynomial, CombinatorialType(7, 5, 3, 7)),
+        (symmetric_single_cycle, CombinatorialType(7, 5, 5, 5)),
+    ):
+        with pytest.raises(VerificationError, match=r"map \(d, k\) = \(7, 2\) is not") as by_dk:
             build(7, 2)
+        with pytest.raises(VerificationError) as by_type:
+            family_map_for_type(ct)
+        assert str(by_type.value) == str(by_dk.value)
 
 
 def test_polynomial_family_sweep():

@@ -20,12 +20,17 @@ import os
 import sys
 
 from .catalog import TriptychRecord, write_catalog
-from .dessin import dessin_from_gensys
+from .dessin import Dessin
 from .exact import compact_json
 from .families import FAMILIES, BelyiMap, VerificationError, verify_single_cycle
 from .gensys import CombinatorialType, canonical_single_cycle
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
+
+# the largest degree that construct and dessin build, refused before any
+# builder asks for d-sized lists: at d = 1000 the slowest family, Chebyshev,
+# takes about 5 s, the other three at most 0.2 s, and a dessin 1 ms
+MAX_DEGREE = 1000
 
 
 @functools.cache
@@ -113,6 +118,9 @@ def _print_record_text(rec: TriptychRecord, family: str) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    if args.d > MAX_DEGREE:
+        print(f"construct: --d must be at most {MAX_DEGREE}, got {args.d}", file=sys.stderr)
+        return USAGE
     rec = TriptychRecord.for_family(args.family, args.d, args.k)
     rec.validate()
     if args.format == "json":
@@ -172,7 +180,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_dessin(args: argparse.Namespace) -> int:
-    ds = dessin_from_gensys(canonical_single_cycle(args.typespec))
+    if args.typespec.d > MAX_DEGREE:
+        print(f"dessin: degree must be at most {MAX_DEGREE}, got {args.typespec.d}", file=sys.stderr)
+        return USAGE
+    ds = Dessin(canonical_single_cycle(args.typespec))
     if args.format == "json":
         print(compact_json(ds.to_json()))
     else:

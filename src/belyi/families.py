@@ -356,23 +356,22 @@ def _certified_profile(f: RatFunc, ct: CombinatorialType) -> RamificationProfile
     """The profile (e, 1, ..., 1) over 0, 1 and inf that the type ct gives,
     when f is the normalized map of that type; None when it is not.
 
-    f = N/D need not be reduced: this proves it.  Let deg N = d,
-    deg N - deg D = eInf, x^e0 divide N, N(1) = D(1) and D(0) D(1) != 0,
-    and let W = N'D - ND' be c x^(e0-1) (x-1)^(e1-1), which W's squarefree
-    decomposition decides.  A common factor g of N and D puts g^2 into W,
-    as N = gn and D = gd give W = g^2 (n'd - nd').  W's only roots are 0
-    and 1, and D(0) D(1) != 0 excludes both, so g is a constant: N and D
-    are coprime.  Then f fixes 0, 1 and inf, with index eInf at inf.  Since
-    f' = W / D^2, a finite point of index e is a root of W of order e - 1,
-    poles included.  So 0 and 1 are the only finite ramification points, of
-    indices exactly e0 and e1, and every other point is simple.
+    f = N/D need not be reduced: this proves it.  Let deg N = d, deg N - deg D
+    = eInf, x^e0 | N, N(1) = D(1) != 0, and W = N'D - ND' = c x^(e0-1)
+    (x-1)^(e1-1), which W's squarefree decomposition decides (W != 0: its top
+    coefficient is eInf lc(N) lc(D)).  A common factor g of N and D puts g^2
+    into W, as N = gn and D = gd give W = g^2 (n'd - nd'), so g's roots lie
+    in {0, 1}: D(1) != 0 excludes 1, and W's order e0 - 1 at 0 excludes 0, as
+    x | D would raise it to e0.  So N and D are coprime, and f fixes 0, 1 and
+    inf, with index eInf at inf.  Since f' = W / D^2, a finite point of index
+    e is a root of W of order e - 1, poles included: 0 and 1 are the only
+    finite ramification points, of indices e0 and e1, and the rest are simple.
     """
     d, (e0, e1, e_inf) = ct.d, ct.indices
     num, den = f.pair
-    if len(num) != d + 1 or len(num) - len(den) != e_inf or any(num[:e0]) or sum(num) != sum(den):
+    if (len(num) != d + 1 or len(num) - len(den) != e_inf or any(num[:e0])
+            or not sum(num) == sum(den) != 0):
         return None
-    if not den[0] or not sum(den):
-        return None  # D(0) D(1) = 0: the Wronskian could hide a common factor
     x, x1, x2x = _CRITICAL
     roots = [(x, e0 - 1), (x1, e1 - 1)] if e0 != e1 else [(x2x, e0 - 1)]
     if squarefree_decomposition(Poly(_wronskian(num, den))) != sorted(roots, key=lambda r: r[1]):
@@ -446,7 +445,7 @@ def family_map_for_type(ct: CombinatorialType) -> BelyiMap | None:
     num, den = f.pair
     if family == "single-cycle-poly":  # eInf = d: the denominator is a constant
         lead = e0 * num[e0]
-        c, a = Fraction(lead, den[0]), [Fraction(num[d - i], lead) for i in range(k + 1)]
+        c, a = Fraction(lead, den[-1]), [Fraction(num[d - i], lead) for i in range(k + 1)]
     else:
         scale = (-1) ** k * math.factorial(k) * math.comb(d, k)
         c, a = None, [Fraction((-1) ** i * scale * x, den[-1]) for i, x in enumerate(den)]

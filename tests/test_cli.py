@@ -646,7 +646,7 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
         raise RuntimeError("boom")
 
     # the cached parser holds the handlers, so the crash goes one call below
-    monkeypatch.setattr(belyi.cli, "dessin_from_gensys", crash)
+    monkeypatch.setattr(belyi.cli, "Dessin", crash)
     assert main(["dessin", "3,3,5"]) == INTERNAL
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError('boom')\n"
@@ -865,6 +865,40 @@ def test_dessin_impossible_type(capsys):
 def test_dessin_out_of_range_type(capsys):
     assert main(["dessin", "2,2,7"]) == USAGE
     assert "outside the valid range" in capsys.readouterr().err
+
+
+def _build_nothing(*args):
+    raise AssertionError("built past the degree cap")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["construct", "poly", "--d", "1001", "--k", "1"], "construct: --d must be at most 1000, got 1001"),
+     (["construct", "symmetric", "--d", "1001", "--k", "1"], "construct: --d must be at most 1000, got 1001"),
+     (["construct", "power", "--d", "1001"], "construct: --d must be at most 1000, got 1001"),
+     (["construct", "chebyshev", "--d", "1001", "--format", "json"],
+      "construct: --d must be at most 1000, got 1001"),
+     (["construct", "power", "--d", "1000000000"], "construct: --d must be at most 1000, got 1000000000"),
+     (["dessin", "1001,1000,2"], "dessin: degree must be at most 1000, got 1001"),
+     (["dessin", "1000000000,1000000000,1000000001", "--format", "json"],
+      "dessin: degree must be at most 1000, got 1500000000")],
+    ids=["poly", "symmetric", "power", "chebyshev", "power-1e9", "dessin", "dessin-1e9"],
+)
+def test_a_degree_past_the_cap_is_refused_before_anything_is_built(argv, message, capsys, monkeypatch):
+    import belyi.cli
+
+    monkeypatch.setattr(belyi.cli.TriptychRecord, "for_family", _build_nothing)
+    monkeypatch.setattr(belyi.cli, "canonical_single_cycle", _build_nothing)
+    assert belyi.cli.MAX_DEGREE == 1000
+    assert main(argv) == USAGE
+    assert capsys.readouterr() == ("", message + "\n")
+
+
+def test_construct_and_dessin_build_at_the_degree_cap(capsys):
+    assert main(["construct", "poly", "--d", "1000", "--k", "1", "--format", "json"]) == PASS
+    assert json.loads(capsys.readouterr().out)["type"] == {"d": 1000, "e0": 999, "e1": 2, "eInf": 1000}
+    assert main(["dessin", "1000,501,500", "--format", "json"]) == PASS
+    assert json.loads(capsys.readouterr().out)["d"] == 1000
 
 
 def test_enumerate(capsys, tmp_path):

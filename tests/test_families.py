@@ -456,6 +456,26 @@ def test_certificate_refuses_a_common_factor_that_its_wronskian_hides():
     assert padded == 442
 
 
+def test_certificate_refuses_a_common_factor_x_that_its_wronskian_shows():
+    # the map of (d; e0, e1, eInf) with N and D both times x^j, wrapped with
+    # no gcd, meets the degree and value conditions for (d + j; e0 + j,
+    # e1 + j, eInf) with D(0) = 0, so only Yun's decomposition of W is left
+    # to refuse it: x^j in D puts W's order at 0 at e0 + 2j - 1, past the
+    # type's e0 + j - 1
+    padded = 0
+    for j in (1, 2, 3):
+        for d in range(3, 16):
+            for ct in valid_types(d):
+                up = CombinatorialType(d + j, ct.e0 + j, ct.e1 + j, ct.e_inf)
+                num, den = ([0] * j + list(u) for u in single_cycle_map(ct).pair)
+                f = RatFunc._of_coprime(num, den)
+                assert len(num) == up.d + 1 and len(num) - len(den) == up.e_inf
+                assert not any(num[:up.e0]) and sum(num) == sum(den) != 0 and den[0] == 0
+                assert families._certified_profile(f, up) is None
+                padded += 1
+    assert padded == 1911
+
+
 def test_the_builders_pair_is_the_pair_ratfunc_reduces(monkeypatch):
     # every family member to d = 60: the builders wrap the closed form's
     # pair with no gcd, and get the pair RatFunc reduces from the same

@@ -22,15 +22,10 @@ import sys
 from .catalog import TriptychRecord, write_catalog
 from .dessin import Dessin
 from .exact import compact_json
-from .families import FAMILIES, BelyiMap, VerificationError, verify_single_cycle
+from .families import FAMILIES, MAX_DEGREE, BelyiMap, VerificationError, verify_single_cycle
 from .gensys import CombinatorialType, canonical_single_cycle
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
-
-# the largest degree that construct and dessin build, refused before any
-# builder asks for d-sized lists: at d = 1000 the slowest family, Chebyshev,
-# takes about 5 s, the other three at most 0.2 s, and a dessin 1 ms
-MAX_DEGREE = 1000
 
 
 @functools.cache

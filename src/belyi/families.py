@@ -79,6 +79,14 @@ FAMILIES = {
 }
 
 
+# the largest degree of a map that is built or read: the CLI's construct
+# and dessin refuse a larger one before any builder asks for d-sized lists,
+# and BelyiMap.from_json a larger stored f.  At d = 1000 the slowest
+# family, Chebyshev, takes about 5 s to build, the other three at most
+# 0.2 s, and a dessin 1 ms
+MAX_DEGREE = 1000
+
+
 class ParameterOutOfRangeError(ValueError):
     """Family parameters (d, k) outside the constructible domain."""
 
@@ -224,12 +232,19 @@ class BelyiMap:
         them, and it must store the fields the rebuilt map writes, as it
         writes them, and no other.  A custom map is read from f, with an
         optional stated degree and claimed type and no params or k.  A value
-        nested past Python's recursion limit is malformed too.
+        nested past Python's recursion limit is malformed too, and so is a
+        stored f with a list longer than MAX_DEGREE + 1.
         """
         json_object(data, "map", ("family", "d", "k", "params", "f", "type"))
         f = json_field(data, "f", "map")
         family = data.get("family", "custom")
         k = None if data.get("k") is None else parse_int(data["k"])
+        # the stored f's degree bounds all later work, quadratic in it: the
+        # parse, the reduction, Yun and the family builder, so it is capped
+        # before any of them runs
+        stored = max(map(len, ratfunc_lists(f))) - 1
+        if stored > MAX_DEGREE:
+            raise ValueError(f"map degree must be at most {MAX_DEGREE}, got {stored}")
         if family == "custom":
             f = RatFunc.from_json(f)
             d, ct = data.get("d"), data.get("type")
@@ -246,7 +261,6 @@ class BelyiMap:
         d = parse_int(json_field(data, "d", "map"))
         # the stated d bounds what the builder allocates, so it must match
         # the stored f before anything of degree d is built
-        stored = max(map(len, ratfunc_lists(f))) - 1
         if stored != d:
             raise ValueError(f"stated degree {d} != {stored}, the stored f's")
         m = fam.member(d, k)

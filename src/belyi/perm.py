@@ -209,12 +209,12 @@ class Permutation:
 def is_transitive(perms: Sequence[Permutation]) -> bool:
     """Whether the generated group has a single orbit on 1..d.
 
-    When every generator moves at most one cycle, as each sigma0 and sigma1
-    of a single-cycle triple does, the orbit is read off those cycles: one
-    cycle's points absorb each cycle that meets them until a round absorbs
-    none, and the group is transitive iff d points are reached (with no
-    cycle moved, iff d = 1).  Joining many cycles that way is quadratic, so
-    any other input takes the forward closure of the point 1 under the
+    The orbits are the generators' nontrivial cycles, joined where they
+    meet, and the fixed points.  So when at most two cycles are moved in
+    all, as sigma0 and sigma1 of a single-cycle triple or of the power
+    triple move, the group is transitive iff one cycle covers 1..d, or two
+    cycles meet and their union does (with no cycle moved, iff d = 1).  Any
+    other input takes the forward closure of the point 1 under the
     generators' images; g^-1 is a power of g on a finite set, so no
     inverses are needed.
     """
@@ -223,24 +223,11 @@ def is_transitive(perms: Sequence[Permutation]) -> bool:
     d = perms[0].degree
     if any(p.degree != d for p in perms):
         raise DegreeMismatchError("generators act on different point sets")
-    moved = [p.nontrivial_cycles() for p in perms]
-    if all(len(c) <= 1 for c in moved):
-        left = [c[0] for c in moved if c]
-        if not left:
-            return d == 1
-        orbit = set(left.pop())
-        grew = True
-        while grew:
-            grew = False
-            rest = []
-            for c in left:
-                if orbit.isdisjoint(c):
-                    rest.append(c)
-                else:
-                    orbit.update(c)
-                    grew = True
-            left = rest
-        # a cycle left over lies outside the orbit, so the count decides
+    moved = [c for p in perms for c in p.nontrivial_cycles()]
+    if len(moved) <= 2:
+        orbit = set(moved[0]) if moved else {1}
+        if len(moved) == 2 and not orbit.isdisjoint(moved[1]):
+            orbit.update(moved[1])
         return len(orbit) == d
     gens = [p.images for p in perms]
     seen = [False] * (d + 1)

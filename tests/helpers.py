@@ -179,6 +179,24 @@ def single_cycle_map(ct: CombinatorialType) -> RatFunc:
     return RatFunc(*_single_cycle_ints(ct))
 
 
+def divisibility_certificate(num, den, ct: CombinatorialType) -> bool:
+    """The certificate in divisibility form (ROADMAP item 14), an oracle of
+    the Yun form in `families._certified_profile`: N/D, ascending integer
+    lists, is the normalized map of type ct when len(N) = d + 1,
+    len(N) - len(D) = eInf, x^e0 | N and (x - 1)^e1 | N - D.  Each of the
+    e1 divisions by x - 1 is one `accumulate` pass over the descending
+    coefficients, the quotient followed by the remainder, which must be 0."""
+    d, (e0, e1, e_inf) = ct.d, ct.indices
+    if len(num) != d + 1 or len(num) - len(den) != e_inf or any(num[:e0]):
+        return False
+    r = sub(num, den)[::-1]
+    for _ in range(e1):
+        *r, remainder = accumulate(r)
+        if remainder:
+            return False
+    return True
+
+
 def split_x_minus_1_by_tail_sums(u: list[int]) -> tuple[list[int], int]:
     """(w, m) with u = (x - 1)^m w, ascending lists, dividing while the
     coefficients sum to zero, each quotient read off as the tail sums of u:

@@ -894,6 +894,45 @@ def test_a_degree_past_the_cap_is_refused_before_anything_is_built(argv, message
     assert capsys.readouterr() == ("", message + "\n")
 
 
+# maps whose stored f is one past the degree cap, in num or in den; the
+# family member states the degree its f is stored at
+MAPS_PAST_THE_CAP = {
+    "custom-num": {"family": "custom", "f": {"num": ["0"] * 1001 + ["1"], "den": ["1"]}},
+    "custom-den": {"family": "custom", "f": {"num": ["1"], "den": ["0"] * 1001 + ["1"]}},
+    "poly-family": {"family": "single-cycle-poly", "d": 1001, "k": 1,
+                    "f": {"num": ["0"] * 1001 + ["1"], "den": ["1"]}},
+}
+
+
+@pytest.mark.parametrize("case", MAPS_PAST_THE_CAP)
+def test_verify_refuses_a_map_past_the_cap_before_it_reads_a_coefficient(case, capsys, tmp_path,
+                                                                          monkeypatch):
+    import belyi.exact
+    import belyi.families
+
+    for module, name in [(belyi.exact, "parse_rational"), (belyi.exact, "_int_gcd"),
+                         (belyi.exact, "squarefree_decomposition"),
+                         (belyi.families, "squarefree_decomposition"),
+                         (belyi.families, "family_map_for_type")]:
+        monkeypatch.setattr(module, name, _build_nothing)
+    monkeypatch.setattr(belyi.families.Family, "member", _build_nothing)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(MAPS_PAST_THE_CAP[case]))
+    assert main(["verify", str(path)]) == USAGE
+    assert capsys.readouterr() == (
+        "", "verify: malformed map record: map degree must be at most 1000, got 1001\n")
+
+
+def test_verify_reads_maps_at_the_degree_cap(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    for data in ({"family": "custom", "f": {"num": ["0"] * 1000 + ["1"], "den": ["1"]}},
+                 single_cycle_polynomial(1000, 1).to_json()):
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == PASS
+        out = capsys.readouterr().out
+        assert "degree: 1000\n" in out and "belyi: yes\n" in out
+
+
 def test_construct_and_dessin_build_at_the_degree_cap(capsys):
     assert main(["construct", "poly", "--d", "1000", "--k", "1", "--format", "json"]) == PASS
     assert json.loads(capsys.readouterr().out)["type"] == {"d": 1000, "e0": 999, "e1": 2, "eInf": 1000}

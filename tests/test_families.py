@@ -37,6 +37,7 @@ from helpers import (
     add,
     compose,
     derivative,
+    divisibility_certificate,
     evaluate,
     mul,
     nested_list,
@@ -474,6 +475,58 @@ def test_certificate_refuses_a_common_factor_x_that_its_wronskian_shows():
                 assert families._certified_profile(f, up) is None
                 padded += 1
     assert padded == 1911
+
+
+def _padded_by_x_minus_1():
+    """The 442 pairs of the common-factor (x - 1) test, with their types."""
+    for d in range(4, 16):
+        for ct in valid_types(d - 1):
+            if ct.e1 + 2 <= d:
+                up = CombinatorialType(d, ct.e0, ct.e1 + 2, ct.e_inf)
+                yield [mul([-1, 1], list(u)) for u in single_cycle_map(ct).pair], up
+
+
+def _padded_by_x_power():
+    """The 1,911 pairs of the common-factor x^j test, with their types."""
+    for j in (1, 2, 3):
+        for d in range(3, 16):
+            for ct in valid_types(d):
+                up = CombinatorialType(d + j, ct.e0 + j, ct.e1 + j, ct.e_inf)
+                yield [[0] * j + list(u) for u in single_cycle_map(ct).pair], up
+
+
+def test_the_divisibility_form_agrees_with_the_certificate():
+    # ROADMAP item 14's form, x^e0 | N and (x - 1)^e1 | N - D with the two
+    # degrees, against today's Yun form on the unreduced pair the builders
+    # certify: every type to d = 30, then seeded single-coefficient
+    # perturbations, wrong-type claims and the two sets of padded pairs,
+    # all of which both refuse
+    def verdicts(pair, ct):
+        f = RatFunc._of_coprime(*pair)
+        got = divisibility_certificate(*f.pair, ct)
+        assert got == (families._certified_profile(f, ct) is not None)
+        return got
+
+    rng = random.Random(1414)
+    pairs = {ct: families._single_cycle_ints(ct) for d in range(3, 31) for ct in valid_types(d)}
+    assert len(pairs) == 4872
+    assert all(verdicts(pair, ct) for ct, pair in pairs.items())
+    refused = []
+    for ct in rng.sample([ct for ct in pairs if ct.d >= 6], 600):
+        pair = [list(u) for u in pairs[ct]]
+        side = pair[rng.randrange(2)]
+        i, delta = rng.randrange(len(side)), rng.choice([-1, 1]) * rng.randint(1, 5)
+        side[i] += delta
+        if not side[-1]:  # keep the leading coefficient nonzero
+            side[-1] += delta
+        refused.append(not verdicts(pair, ct))
+    for _ in range(2000):
+        ct, other = rng.sample(valid_types(rng.randint(3, 30)), 2)
+        refused.append(not verdicts(pairs[ct], other))
+    padded = [*_padded_by_x_minus_1(), *_padded_by_x_power()]
+    assert len(padded) == 442 + 1911
+    refused += [not verdicts(pair, ct) for pair, ct in padded]
+    assert all(refused) and len(refused) == 600 + 2000 + 442 + 1911
 
 
 def test_the_builders_pair_is_the_pair_ratfunc_reduces(monkeypatch):

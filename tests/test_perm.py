@@ -264,6 +264,24 @@ def test_transitivity():
     c = Permutation.from_cycles(4, [(3, 4)])
     assert not is_transitive([b, c])
     assert is_transitive([b, c, Permutation.from_cycles(4, [(2, 3)])])
+    # at most two moved cycles: one, or two that meet, must cover 1..d
+    cases = [
+        # one generator, two disjoint cycles
+        [Permutation.from_cycles(5, [(1, 2), (3, 4, 5)])],
+        # two generators whose cycles meet and cover 1..5
+        [Permutation.from_cycles(5, [(1, 2, 3)]), Permutation.from_cycles(5, [(3, 4, 5)])],
+        # two generators whose cycles meet but leave the point 5 out
+        [Permutation.from_cycles(5, [(1, 2, 3)]), Permutation.from_cycles(5, [(2, 4)])],
+        # identities at d = 1 and d = 2
+        [Permutation.identity(1)],
+        [Permutation.identity(2), Permutation.identity(2)],
+        # three single cycles that join only through the third
+        [Permutation.from_cycles(6, [(1, 2, 3)]), Permutation.from_cycles(6, [(4, 5, 6)]),
+         Permutation.from_cycles(6, [(3, 4)])],
+    ]
+    got = [is_transitive(gens) for gens in cases]
+    assert got == [closure_is_transitive(gens) for gens in cases]
+    assert got == [False, True, False, True, False, True]
     with pytest.raises(ValueError):
         is_transitive([])
     with pytest.raises(DegreeMismatchError):
@@ -321,25 +339,29 @@ def _chunks_and_a_joining_cycle(rng, d):
 
 
 def test_the_one_cycle_orbit_matches_the_closure_oracle_to_degree_300():
-    # generators that each move 0 or 1 cycles have their orbit read off
-    # those cycles; any other input takes the forward closure
+    # generators that move at most two cycles in all have their orbit read
+    # off those cycles; any other input takes the forward closure
     rng = random.Random(3701)
-    one_cycle, closure = [], []
+    outcomes = {True: [], False: []}  # keyed by: at most two cycles moved
+
+    def check(gens):
+        assert is_transitive(gens) == closure_is_transitive(gens)
+        moved = sum(len(g.nontrivial_cycles()) for g in gens)
+        outcomes[moved <= 2].append(is_transitive(gens))
+
     for _ in range(300):
         d = rng.randint(2, 300)
         gens = _window_cycles(rng, d, rng.choice([2, 3]))
         assert all(len(g.nontrivial_cycles()) <= 1 for g in gens)
-        assert is_transitive(gens) == closure_is_transitive(gens)
-        one_cycle.append(is_transitive(gens))
+        check(gens)
     for _ in range(150):
         d = rng.randint(5, 300)
         gens = _chunks_and_a_joining_cycle(rng, d)
         assert max(len(g.nontrivial_cycles()) for g in gens) >= 2
-        assert is_transitive(gens) == closure_is_transitive(gens)
-        closure.append(is_transitive(gens))
+        check(gens)
     # both branches see both outcomes
-    assert 0.2 <= sum(one_cycle) / len(one_cycle) <= 0.8
-    assert 0.2 <= sum(closure) / len(closure) <= 0.8
+    for got in outcomes.values():
+        assert 0.2 <= sum(got) / len(got) <= 0.8
     # no generator moves anything: transitive exactly at d = 1
     for d in (1, 2, 5, 300):
         for k in (1, 2, 3):

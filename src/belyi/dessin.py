@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .gensys import GeneratingSystem, NotTransitiveError, make_gensys
@@ -129,8 +130,9 @@ class Dessin:
 
         A shortest path through k edges visits k + 1 vertices, so a single
         isolated vertex would have diameter 1 and two adjacent vertices
-        have diameter 2.  A two-hub dessin reads it off its shape; any
-        other dessin runs a breadth-first search from every vertex.
+        have diameter 2.  A two-hub dessin reads it off its shape, a tree
+        takes two breadth-first sweeps, and any other dessin runs a
+        breadth-first search from every vertex.
         """
         shape = self.shape()
         if shape is not None:
@@ -138,25 +140,18 @@ class Dessin:
         return self._bfs_diameter_vertices()
 
     def _bfs_diameter_vertices(self) -> int:
-        # all-pairs breadth-first search over the simple graph, parallel
-        # edges collapsed: black vertex i is node i, white vertex j node nb + j
+        # breadth-first search over the simple graph, parallel edges
+        # collapsed: black vertex i is node i, white vertex j node nb + j
         nb = len(self.black)
         adj: list[set[int]] = [set() for _ in range(nb + len(self.white))]
         for b, w in zip(*self._ends()):
             adj[b].add(nb + w)
             adj[nb + w].add(b)
-        best = 0
-        for start in range(len(adj)):
-            dist = {start: 0}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for v in adj[u]:
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        queue.append(v)
-            best = max(best, max(dist.values()))
-        return best + 1
+        if len(adj) == self.d + 1:
+            # a connected graph with one vertex more than edges is a tree,
+            # and the farthest vertex from any start ends a longest path
+            return _farthest(adj, _farthest(adj, 0)[0])[1] + 1
+        return max(_farthest(adj, start)[1] for start in range(len(adj))) + 1
 
     def shape(self) -> DessinShape | None:
         """Leaf/edge counts for a two-hub dessin, None otherwise.
@@ -179,19 +174,16 @@ class Dessin:
     def to_dot(self) -> str:
         """Deterministic Graphviz source: black vertices filled, white open,
         edges labeled 1..d.  Stable IDs b0, b1, ... / w0, w1, ... follow the
-        canonical storage order."""
-        lines = [
-            "graph dessin {",
-            "  node [shape=circle, fixedsize=true, width=0.25];",
-        ]
-        for i in range(len(self.black)):
-            lines.append(f'  b{i} [style=filled, fillcolor=black, label=""];')
-        for j in range(len(self.white)):
-            lines.append(f'  w{j} [label=""];')
-        for lab, (b, w) in enumerate(zip(*self._ends()), start=1):
-            lines.append(f'  b{b} -- w{w} [label="{lab}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        canonical storage order.  The text is joined from kept line
+        pieces, so no line is formatted per call."""
+        nb, nw, d = len(self.black), len(self.white), self.d
+        # each side has at most d vertices, so d + 1 pieces cover every index
+        black, white, edge_b, edge_w, label = _dot_pieces_for(d + 1)
+        at_black, at_white = self._ends()
+        edges = zip(map(edge_b.__getitem__, at_black), map(edge_w.__getitem__, at_white), label[1:d + 1])
+        return "".join(chain(
+            (_DOT_HEAD,), black[:nb], white[:nw], chain.from_iterable(edges), ("}\n",)
+        ))
 
     def to_json(self) -> dict:
         return {
@@ -199,6 +191,53 @@ class Dessin:
             "black": self.gensys.sigma0.to_json(),
             "white": self.gensys.sigma1.to_json(),
         }
+
+
+def _farthest(adj: list[set[int]], start: int) -> tuple[int, int]:
+    """A node a breadth-first search from ``start`` reaches last, and its
+    distance in edges."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return u, dist[u]
+
+
+_DOT_HEAD = "graph dessin {\n  node [shape=circle, fixedsize=true, width=0.25];\n"
+
+# DOT line pieces by number: a black and a white vertex line, an edge's
+# "  b{i} -- w" and "{j} [label=\"" and its label's closing "{lab}\"];\n".
+# The kept tables are replaced whole, never extended in place, so a caller
+# that reads them once sees five tables of one length; they grow by powers
+# of two up to _KEPT_DOT_PIECES entries, which covers MAX_DEGREE, and a
+# larger dessin builds its pieces for that call and keeps none.
+_KEPT_DOT_PIECES = 1024
+_dot_pieces: tuple[tuple[str, ...], ...] = ((),) * 5
+
+
+def _dot_pieces_for(n: int) -> tuple[tuple[str, ...], ...]:
+    """The five piece tables, each at least ``n`` entries long."""
+    global _dot_pieces
+    pieces = _dot_pieces
+    if len(pieces[0]) >= n:
+        return pieces
+    size = 1 << (n - 1).bit_length()
+    keep = size <= _KEPT_DOT_PIECES
+    r = range(size if keep else n)
+    pieces = (
+        tuple([f'  b{i} [style=filled, fillcolor=black, label=""];\n' for i in r]),
+        tuple([f'  w{j} [label=""];\n' for j in r]),
+        tuple([f"  b{i} -- w" for i in r]),
+        tuple([f'{j} [label="' for j in r]),
+        tuple([f'{lab}"];\n' for lab in r]),
+    )
+    if keep:
+        _dot_pieces = pieces
+    return pieces
 
 
 def dessin_from_gensys(gs: GeneratingSystem) -> Dessin:

@@ -78,8 +78,9 @@ def ratfunc_lists(data: object) -> tuple[list, list]:
 
 # the encoder of every JSON text the package writes: compact, with no
 # space after a separator.  A record line is joined from such texts, each
-# permutation's cycles among them.  What it encodes is built fresh by a
-# to_json, so it holds no cycle to scan for.
+# permutation's cycles among them, encoded from its kept tuples.  What it
+# encodes is built by a to_json or is a permutation's cycles, nested
+# tuples of ints, so it holds no cycle to scan for.
 compact_json = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 

@@ -183,14 +183,16 @@ class Permutation:
         )
 
     def to_json(self) -> list[list[int]]:
-        return [list(c) for c in self.cycles()]
+        return list(map(list, self.cycles()))
 
     def _json_text(self) -> str:
-        """``compact_json(self.to_json())``, computed on the first call and
-        kept: a record line holds sigma0's and sigma1's cycles twice, and
-        a degree's records share them, so each is encoded once."""
+        """The compact JSON text of ``to_json()``, computed on the first
+        call and kept: a record line holds sigma0's and sigma1's cycles
+        twice, and a degree's records share them, so each is encoded once.
+        The encoder writes the kept cycle tuples as arrays, so no list is
+        built for it."""
         if self._text is None:
-            self._text = compact_json(self.to_json())
+            self._text = compact_json(self.cycles())
         return self._text
 
     @classmethod

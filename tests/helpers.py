@@ -533,6 +533,25 @@ def shape_oracle(ds) -> dict | None:
     }
 
 
+def dot_oracle(ds) -> str:
+    """Oracle for ``Dessin.to_dot``: the Graphviz text written one
+    formatted line at a time, each edge's ends looked up in the cycles."""
+    at_black = {x: i for i, c in enumerate(ds.black) for x in c}
+    at_white = {x: j for j, c in enumerate(ds.white) for x in c}
+    lines = [
+        "graph dessin {",
+        "  node [shape=circle, fixedsize=true, width=0.25];",
+    ]
+    for i in range(len(ds.black)):
+        lines.append(f'  b{i} [style=filled, fillcolor=black, label=""];')
+    for j in range(len(ds.white)):
+        lines.append(f'  w{j} [label=""];')
+    for lab in range(1, ds.d + 1):
+        lines.append(f'  b{at_black[lab]} -- w{at_white[lab]} [label="{lab}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def diameter_oracle(gs: GeneratingSystem) -> int:
     """Oracle for a dessin's vertex diameter: all-pairs shortest paths by
     Floyd–Warshall over the label sets of the sigma0 and sigma1 cycles, two

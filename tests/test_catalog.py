@@ -867,10 +867,12 @@ def test_a_degrees_records_share_sigma0s_and_sigma1s_text(monkeypatch):
     assert a.gensys.sigma0.nontrivial_cycles() is b.gensys.sigma0.nontrivial_cycles()
 
     # one encoding per sigmaInf, and one per shared sigma0 and sigma1:
-    # 2 (d - 1) per degree, where each record once encoded five
+    # 2 (d - 1) per degree, where each record once encoded five.  A
+    # permutation's text is encoded straight from its cycles, so the spy
+    # counts the encoder calls that perm makes
     calls = []
-    to_json = Permutation.to_json
-    monkeypatch.setattr(Permutation, "to_json", lambda p: calls.append(p) or to_json(p))
+    encode = belyi.perm.compact_json
+    monkeypatch.setattr(belyi.perm, "compact_json", lambda v: calls.append(v) or encode(v))
     buf = io.StringIO()
     counts = write_catalog(12, buf)
     assert len(buf.getvalue().splitlines()) == sum(counts.values()) == 330

@@ -1069,6 +1069,25 @@ def test_construct_and_verify_stdout_is_pinned(family, output, capsys, tmp_path)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[family, output]
 
 
+# sha256 of DOT stdout at the degree cap, past the d <= 14 pins above:
+# `dessin` at a type with eInf = d and at one with e0, e1, eInf near equal,
+# and `construct power --d 1000 --format dot`
+PINNED_DEGREE_1000_DOT = {
+    ("dessin", "500,501,1000"): "6ccb99a303ee9d8488e01c00a6042d9110985d42946a553b9a73f5e6d0ba25c9",
+    ("dessin", "667,667,667"): "9b3376c62b5261fe008e2b3ff41d511604544146268de4562c174e9f60c35bad",
+    ("construct", "power"): "38b8ac0b785496caedef1f2e31c41687c35388ef2ab353e934f30f802a6e5238",
+}
+
+
+@pytest.mark.parametrize("command, arg", sorted(PINNED_DEGREE_1000_DOT))
+def test_dot_at_degree_1000_is_pinned(command, arg, capsys):
+    argv = [command, arg] if command == "dessin" else [command, arg, "--d", "1000", "--format", "dot"]
+    assert main(argv) == PASS
+    out = capsys.readouterr().out
+    assert out.count(" -- ") == 1000
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEGREE_1000_DOT[command, arg]
+
+
 # sha256 of `construct --format json` stdout for members near d = 100,
 # where the coefficients run to hundreds of digits, and another type of the
 # member's degree: its map record verifies as its own type, not as that one

@@ -1,6 +1,7 @@
 """Dessins: canonical storage, invariants, and the round trip with triples."""
 
 import random
+import threading
 from collections import Counter
 
 import pytest
@@ -18,8 +19,10 @@ from belyi import (
     power_gensys,
     valid_types,
 )
+from belyi import dessin as dessin_module
 from helpers import (
     diameter_oracle,
+    dot_oracle,
     random_gensys,
     random_permutation,
     random_single_cycle_pair,
@@ -329,6 +332,12 @@ def test_diameter_matches_the_floyd_warshall_oracle():
     assert max(seen) >= 6
 
 
+def test_tree_diameters_at_degree_1000():
+    # a star and a path on 1000 edges: trees, measured by two sweeps
+    assert dessin_from_gensys(power_gensys(1000)).diameter_vertices() == 3
+    assert dessin_from_gensys(chebyshev_gensys(1000)).diameter_vertices() == 1001
+
+
 def test_json_round_trip():
     ds = dessin_from_gensys(canonical_single_cycle(CombinatorialType(5, 3, 3, 5)))
     data = ds.to_json()
@@ -356,3 +365,69 @@ def test_dot_output_is_stable():
     )
     assert ds.to_dot() == expected
     assert ds.to_dot() == ds.to_dot()
+
+
+def _kept_piece_lengths() -> set[int]:
+    return {len(table) for table in dessin_module._dot_pieces}
+
+
+def test_dot_matches_the_line_oracle():
+    # every type to degree 30, stars and paths, random triples of every genus
+    dessins = [dessin_from_gensys(canonical_single_cycle(ct)) for d in range(3, 31) for ct in valid_types(d)]
+    dessins += [dessin_from_gensys(g(d)) for g in (power_gensys, chebyshev_gensys) for d in range(3, 41)]
+    rng = random.Random(42)
+    triples = [random_gensys(rng) for _ in range(300)]
+    dessins += map(dessin_from_gensys, triples)
+    assert len({gs.genus() for gs in triples}) >= 3
+    for ds in dessins:
+        assert ds.to_dot() == dot_oracle(ds)
+
+
+def _path_pairs(d: int) -> Dessin:
+    # the path dessin on d edges from its cycles: black (1 2)(3 4)...,
+    # white (1)(2 3)(4 5)...; about d/2 vertices of each colour
+    black = [tuple(range(i, min(i + 2, d + 1))) for i in range(1, d + 1, 2)]
+    white = [(1,)] + [tuple(range(i, min(i + 2, d + 1))) for i in range(2, d + 1, 2)]
+    return Dessin.from_cycles(d, black, white)
+
+
+def test_dot_pieces_grow_by_whole_tables_and_keep_at_most_1024(monkeypatch):
+    monkeypatch.setattr(dessin_module, "_dot_pieces", ((),) * 5)
+    kept = []
+    for d in (60, 130, 60, 1000, 3):
+        ds = dessin_from_gensys(chebyshev_gensys(d) if d % 2 else power_gensys(d))
+        assert ds.to_dot() == dot_oracle(ds)
+        path = _path_pairs(d)
+        assert path.to_dot() == dot_oracle(path)
+        kept.append(_kept_piece_lengths())
+    assert kept == [{64}, {256}, {256}, {1024}, {1024}]
+    # past the kept bound: the pieces are built for the call, none kept
+    big = _path_pairs(5000)
+    assert len(big.black) == 2500 and big.d == 5000
+    assert big.to_dot() == dot_oracle(big)
+    assert _kept_piece_lengths() == {1024}
+
+
+def test_two_threads_draw_dot_at_once(monkeypatch):
+    monkeypatch.setattr(dessin_module, "_dot_pieces", ((),) * 5)
+    sizes = [(3, 40, 200, 700, 1000), (1000, 500, 130, 9, 3000)]
+    start = threading.Barrier(2)
+    wrong: list[int] = []
+
+    def draw(ds_list):
+        start.wait()
+        for _ in range(5):
+            for ds, want in ds_list:
+                if ds.to_dot() != want:
+                    wrong.append(ds.d)
+
+    jobs = [[(ds, dot_oracle(ds)) for ds in map(_path_pairs, ds_sizes)] for ds_sizes in sizes]
+    threads = [threading.Thread(target=draw, args=(job,)) for job in jobs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert wrong == []
+    # one whole set of tables is kept, never a mix of lengths
+    (kept,) = _kept_piece_lengths()
+    assert kept <= 1024

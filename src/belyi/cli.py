@@ -22,8 +22,11 @@ import sys
 from .catalog import TriptychRecord, write_catalog
 from .dessin import Dessin
 from .exact import compact_json
-from .families import FAMILIES, MAX_DEGREE, BelyiMap, VerificationError, verify_single_cycle
-from .gensys import CombinatorialType, canonical_single_cycle
+from .families import FAMILIES, BelyiMap, VerificationError, verify_single_cycle
+from .gensys import MAX_DEGREE, CombinatorialType, canonical_single_cycle
+
+# the largest --dmax that enumerate writes a catalog for
+MAX_DMAX = 40
 
 PASS, FAIL, USAGE, INTERNAL = 0, 1, 2, 3
 
@@ -57,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_dessin)
 
     p = sub.add_parser("enumerate", help="write the catalog up to --dmax")
-    p.add_argument("--dmax", type=int, required=True, help="degree bound (3..40)")
+    p.add_argument("--dmax", type=int, required=True, help=f"degree bound (3..{MAX_DMAX})")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(run=_cmd_enumerate)
     return parser
@@ -187,8 +190,8 @@ def _cmd_dessin(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    if not 3 <= args.dmax <= 40:
-        print(f"enumerate: --dmax must be in 3..40, got {args.dmax}", file=sys.stderr)
+    if not 3 <= args.dmax <= MAX_DMAX:
+        print(f"enumerate: --dmax must be in 3..{MAX_DMAX}, got {args.dmax}", file=sys.stderr)
         return USAGE
     try:
         with open(args.out, "w") as fh:

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .gensys import GeneratingSystem, NotTransitiveError, make_gensys
+from .gensys import MAX_DEGREE, GeneratingSystem, NotTransitiveError, make_gensys
 from .perm import Permutation, _cycle_tuples
 
 
@@ -177,8 +178,10 @@ class Dessin:
         canonical storage order.  The text is joined from kept line
         pieces, so no line is formatted per call."""
         nb, nw, d = len(self.black), len(self.white), self.d
-        # each side has at most d vertices, so d + 1 pieces cover every index
-        black, white, edge_b, edge_w, label = _dot_pieces_for(d + 1)
+        # each side has at most d vertices, so d + 1 pieces cover every
+        # index; a larger library dessin builds its pieces and keeps none
+        pieces = _kept_dot_pieces() if d <= MAX_DEGREE else _dot_pieces(d + 1)
+        black, white, edge_b, edge_w, label = pieces
         at_black, at_white = self._ends()
         edges = zip(map(edge_b.__getitem__, at_black), map(edge_w.__getitem__, at_white), label[1:d + 1])
         return "".join(chain(
@@ -209,35 +212,26 @@ def _farthest(adj: list[set[int]], start: int) -> tuple[int, int]:
 
 _DOT_HEAD = "graph dessin {\n  node [shape=circle, fixedsize=true, width=0.25];\n"
 
+
 # DOT line pieces by number: a black and a white vertex line, an edge's
-# "  b{i} -- w" and "{j} [label=\"" and its label's closing "{lab}\"];\n".
-# The kept tables are replaced whole, never extended in place, so a caller
-# that reads them once sees five tables of one length; they grow by powers
-# of two up to _KEPT_DOT_PIECES entries, which covers MAX_DEGREE, and a
-# larger dessin builds its pieces for that call and keeps none.
-_KEPT_DOT_PIECES = 1024
-_dot_pieces: tuple[tuple[str, ...], ...] = ((),) * 5
-
-
-def _dot_pieces_for(n: int) -> tuple[tuple[str, ...], ...]:
-    """The five piece tables, each at least ``n`` entries long."""
-    global _dot_pieces
-    pieces = _dot_pieces
-    if len(pieces[0]) >= n:
-        return pieces
-    size = 1 << (n - 1).bit_length()
-    keep = size <= _KEPT_DOT_PIECES
-    r = range(size if keep else n)
-    pieces = (
+# "  b{i} -- w" and "{j} [label=\"" and its label's closing "{lab}\"];\n"
+def _dot_pieces(n: int) -> tuple[tuple[str, ...], ...]:
+    """The five piece tables, each ``n`` entries long."""
+    r = range(n)
+    return (
         tuple([f'  b{i} [style=filled, fillcolor=black, label=""];\n' for i in r]),
         tuple([f'  w{j} [label=""];\n' for j in r]),
         tuple([f"  b{i} -- w" for i in r]),
         tuple([f'{j} [label="' for j in r]),
         tuple([f'{lab}"];\n' for lab in r]),
     )
-    if keep:
-        _dot_pieces = pieces
-    return pieces
+
+
+@cache
+def _kept_dot_pieces() -> tuple[tuple[str, ...], ...]:
+    """The piece tables for every degree up to MAX_DEGREE, built on the
+    first draw and kept."""
+    return _dot_pieces(MAX_DEGREE + 1)
 
 
 def dessin_from_gensys(gs: GeneratingSystem) -> Dessin:

@@ -39,6 +39,7 @@ from .exact import (
     squarefree_decomposition,
 )
 from .gensys import (
+    MAX_DEGREE,
     CombinatorialType,
     GeneratingSystem,
     canonical_single_cycle,
@@ -77,14 +78,6 @@ FAMILIES = {
     "chebyshev": Family("chebyshev", "chebyshev", False, lambda d, k: chebyshev_map(d),
                         lambda m: chebyshev_gensys(m.degree)),
 }
-
-
-# the largest degree of a map that is built or read: the CLI's construct
-# and dessin refuse a larger one before any builder asks for d-sized lists,
-# and BelyiMap.from_json a larger stored f.  At d = 1000 the slowest
-# family, Chebyshev, takes about 5 s to build, the other three at most
-# 0.2 s, and a dessin 1 ms
-MAX_DEGREE = 1000
 
 
 class ParameterOutOfRangeError(ValueError):

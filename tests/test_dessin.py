@@ -20,6 +20,7 @@ from belyi import (
     valid_types,
 )
 from belyi import dessin as dessin_module
+from belyi.gensys import MAX_DEGREE
 from helpers import (
     diameter_oracle,
     dot_oracle,
@@ -367,8 +368,13 @@ def test_dot_output_is_stable():
     assert ds.to_dot() == ds.to_dot()
 
 
-def _kept_piece_lengths() -> set[int]:
-    return {len(table) for table in dessin_module._dot_pieces}
+@pytest.fixture
+def fresh_dot_pieces():
+    # the kept piece tables are cleared before and after, so the test sees
+    # them built on its own first draw
+    dessin_module._kept_dot_pieces.cache_clear()
+    yield
+    dessin_module._kept_dot_pieces.cache_clear()
 
 
 def test_dot_matches_the_line_oracle():
@@ -391,35 +397,43 @@ def _path_pairs(d: int) -> Dessin:
     return Dessin.from_cycles(d, black, white)
 
 
-def test_dot_pieces_grow_by_whole_tables_and_keep_at_most_1024(monkeypatch):
-    monkeypatch.setattr(dessin_module, "_dot_pieces", ((),) * 5)
-    kept = []
-    for d in (60, 130, 60, 1000, 3):
+def test_one_dot_piece_set_is_kept_for_every_degree_to_the_cap(fresh_dot_pieces):
+    assert dessin_module._kept_dot_pieces.cache_info().currsize == 0
+    seen = []
+    for d in (60, 130, 1000, 3):
         ds = dessin_from_gensys(chebyshev_gensys(d) if d % 2 else power_gensys(d))
         assert ds.to_dot() == dot_oracle(ds)
         path = _path_pairs(d)
         assert path.to_dot() == dot_oracle(path)
-        kept.append(_kept_piece_lengths())
-    assert kept == [{64}, {256}, {256}, {1024}, {1024}]
-    # past the kept bound: the pieces are built for the call, none kept
+        seen.append(dessin_module._kept_dot_pieces())
+    kept = seen[0]
+    assert all(pieces is kept for pieces in seen)
+    assert {len(table) for table in kept} == {MAX_DEGREE + 1}
+    # past the cap: the pieces are built for the call, and the kept set
+    # stays as it was
     big = _path_pairs(5000)
     assert len(big.black) == 2500 and big.d == 5000
     assert big.to_dot() == dot_oracle(big)
-    assert _kept_piece_lengths() == {1024}
+    assert dessin_module._kept_dot_pieces() is kept
+    assert {len(table) for table in kept} == {MAX_DEGREE + 1}
 
 
-def test_two_threads_draw_dot_at_once(monkeypatch):
-    monkeypatch.setattr(dessin_module, "_dot_pieces", ((),) * 5)
+def test_two_threads_draw_dot_at_once(fresh_dot_pieces):
     sizes = [(3, 40, 200, 700, 1000), (1000, 500, 130, 9, 3000)]
     start = threading.Barrier(2)
     wrong: list[int] = []
+    raised: list[BaseException] = []
 
     def draw(ds_list):
-        start.wait()
-        for _ in range(5):
-            for ds, want in ds_list:
-                if ds.to_dot() != want:
-                    wrong.append(ds.d)
+        # an exception would end the thread quietly, so each is kept
+        try:
+            start.wait()
+            for _ in range(5):
+                for ds, want in ds_list:
+                    if ds.to_dot() != want:
+                        wrong.append(ds.d)
+        except BaseException as exc:
+            raised.append(exc)
 
     jobs = [[(ds, dot_oracle(ds)) for ds in map(_path_pairs, ds_sizes)] for ds_sizes in sizes]
     threads = [threading.Thread(target=draw, args=(job,)) for job in jobs]
@@ -427,7 +441,6 @@ def test_two_threads_draw_dot_at_once(monkeypatch):
         t.start()
     for t in threads:
         t.join()
+    assert raised == []
     assert wrong == []
-    # one whole set of tables is kept, never a mix of lengths
-    (kept,) = _kept_piece_lengths()
-    assert kept <= 1024
+    assert {len(table) for table in dessin_module._kept_dot_pieces()} == {MAX_DEGREE + 1}

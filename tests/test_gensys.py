@@ -137,6 +137,15 @@ def test_valid_types_are_sorted_and_valid():
         keys = [(ct.e0, ct.e1) for ct in types]
         assert keys == sorted(keys)
         assert len(set(types)) == len(types)
+    # the same list, in the same order, as the double loop over every pair
+    for d in range(3, 41):
+        brute = [
+            (e0, e1, 2 * d + 1 - e0 - e1)
+            for e0 in range(2, d + 1)
+            for e1 in range(2, d + 1)
+            if 2 <= 2 * d + 1 - e0 - e1 <= d
+        ]
+        assert [ct.indices for ct in valid_types(d)] == brute
 
 
 def test_gensys_validation():
@@ -177,8 +186,8 @@ def test_gensys_rejects_sigma_inf_off_by_one_transposition():
 
 
 def test_the_product_check_at_its_edges():
-    # the check gathers over images padded so that index i holds point i,
-    # and skips d = 1, where the one triple is three identities
+    # the check walks every point once, d = 1 included, where the one
+    # triple is three identities
     one = Permutation.identity(1)
     assert GeneratingSystem(one, one, one).genus() == 0
     s = Permutation.from_cycles(2, [(1, 2)])

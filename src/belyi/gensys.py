@@ -8,7 +8,9 @@ identity under the left-to-right composition convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cache
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 from .exact import json_field, json_object, parse_int
 from .perm import DegreeMismatchError, Permutation, is_transitive
@@ -210,35 +212,99 @@ def chebyshev_gensys(d: int) -> GeneratingSystem:
 
 
 # The canonical triple's three permutations, each built from its image
-# tuple (sigma(1), ..., sigma(d)) and keeping its canonical cycles, both
-# written here from the same lo = d - e0 + 1, e1 and d; fixed points are
-# contiguous runs, so zip(range(a, b)) gives their 1-tuples.
+# tuple (sigma(1), ..., sigma(d)), its canonical cycles and their JSON
+# text, all three written here from the same lo = d - e0 + 1, e1 and d as
+# slices of one set of run tables, so none is formatted or walked.
 
 
-def _sigma0(d: int, e0: int) -> Permutation:
-    lo = d - e0 + 1
-    return Permutation._with_cycles(
-        (*range(1, lo), d, *range(lo, d)),
-        (*zip(range(1, lo)), (lo, *range(d, lo, -1))),
+class _Runs(NamedTuple):
+    """Slices of these give every run of the canonical triple to degree n.
+
+    ``nat`` is 0, 1, ..., n + 1, so ``nat[a:b]`` is a..b-1 and
+    ``nat[hi:lo:-1]`` is hi..lo+1, and ``ones`` holds their 1-tuples.  Each
+    text holds its n + 2 items comma-separated between a leading and a
+    trailing comma: ``up_text`` ",0,1,...,n+1,", ``down_text``
+    ",n+1,n,...,0," and ``fixed_text`` ",[0],[1],...,[n+1],"; ``*_at[v]`` is
+    where the comma before the item for v stands.  So, with ``at = up_at``,
+    ``up_text[at[a]:at[b]]`` is ",a,...,b-1", ``up_text[at[a] + 1:at[b] + 1]``
+    is "a,...,b-1," and ``up_text[at[a] + 1:at[b]]`` is "a,...,b-1"; the
+    same holds of ``fixed_text``, and ``down_text[down_at[hi]:down_at[lo - 1]]``
+    is ",hi,...,lo".
+    """
+
+    nat: tuple[int, ...]
+    ones: tuple[tuple[int], ...]
+    up_text: str
+    up_at: list[int]
+    down_text: str
+    down_at: list[int]
+    fixed_text: str
+    fixed_at: list[int]
+
+
+def _texts(items: list[str]) -> tuple[str, list[int]]:
+    """",x0,x1,...," and where each item's leading comma stands."""
+    return "," + ",".join(items) + ",", [0, *accumulate(len(x) + 1 for x in items)]
+
+
+def _runs(n: int) -> _Runs:
+    """The run tables for every degree up to n."""
+    nat = tuple(range(n + 2))
+    up_text, up_at = _texts(list(map(str, nat)))
+    down_text, down_at = _texts(list(map(str, reversed(nat))))
+    fixed_text, fixed_at = _texts([f"[{i}]" for i in nat])
+    # down_at by value: the item for v is the (n + 1 - v)th
+    return _Runs(
+        nat, tuple(zip(nat)), up_text, up_at,
+        down_text, down_at[n + 1::-1], fixed_text, fixed_at,
     )
 
 
-def _sigma1(d: int, e1: int) -> Permutation:
+@cache
+def _kept_runs() -> _Runs:
+    """The run tables for every degree up to MAX_DEGREE, built on the first
+    triple and kept."""
+    return _runs(MAX_DEGREE)
+
+
+def _runs_for(d: int) -> _Runs:
+    """The kept run tables, or for a degree past the cap its own, kept by
+    no one."""
+    return _kept_runs() if d <= MAX_DEGREE else _runs(d)
+
+
+def _sigma0(d: int, e0: int, r: _Runs) -> Permutation:
+    lo = d - e0 + 1
+    nat, ones, up_text, up_at, down_text, down_at, fixed_text, fixed_at = r
     return Permutation._with_cycles(
-        (*range(2, e1 + 1), 1, *range(e1 + 1, d + 1)),
-        (tuple(range(1, e1 + 1)), *zip(range(e1 + 1, d + 1))),
+        (*nat[1:lo], d, *nat[lo:d]),
+        (*ones[1:lo], (lo, *nat[d:lo:-1])),
+        f"[{fixed_text[fixed_at[1] + 1:fixed_at[lo] + 1]}"
+        f"[{up_text[up_at[lo] + 1:up_at[lo + 1]]}{down_text[down_at[d]:down_at[lo]]}]]",
     )
 
 
-def _sigma_inf(d: int, e0: int, e1: int) -> Permutation:
+def _sigma1(d: int, e1: int, r: _Runs) -> Permutation:
+    nat, ones, up_text, up_at, _, _, fixed_text, fixed_at = r
+    return Permutation._with_cycles(
+        (*nat[2:e1 + 1], 1, *nat[e1 + 1:d + 1]),
+        (nat[1:e1 + 1], *ones[e1 + 1:d + 1]),
+        f"[[{up_text[up_at[1] + 1:up_at[e1 + 1]]}]{fixed_text[fixed_at[e1 + 1]:fixed_at[d + 1]]}]",
+    )
+
+
+def _sigma_inf(d: int, e0: int, e1: int, r: _Runs) -> Permutation:
     lo = d - e0 + 1
+    nat, ones, up_text, up_at, down_text, down_at, fixed_text, fixed_at = r
     if e1 < d:
-        images = (e1 + 1, *range(1, lo), *range(lo + 1, e1 + 1), *range(e1 + 2, d + 1), lo)
+        images = (e1 + 1, *nat[1:lo], *nat[lo + 1:e1 + 1], *nat[e1 + 2:d + 1], lo)
     else:
-        images = (lo, *range(1, lo), *range(lo + 1, d + 1))
+        images = (lo, *nat[1:lo], *nat[lo + 1:d + 1])
     return Permutation._with_cycles(
         images,
-        ((1, *range(e1 + 1, d + 1), *range(lo, 1, -1)), *zip(range(lo + 1, e1 + 1))),
+        ((1, *nat[e1 + 1:d + 1], *nat[lo:1:-1]), *ones[lo + 1:e1 + 1]),
+        f"[[1{up_text[up_at[e1 + 1]:up_at[d + 1]]}{down_text[down_at[lo]:down_at[1]]}]"
+        f"{fixed_text[fixed_at[lo + 1]:fixed_at[e1 + 1]]}]",
     )
 
 
@@ -254,7 +320,10 @@ def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
                     when e1 < d, and (lo, 1, ..., lo-1, lo+1, ..., d)
                     when e1 = d,
 
-    and keeps their cycles, written in closed form, so none is walked:
+    and keeps their cycles and those cycles' JSON text, written in closed
+    form and sliced from run tables kept for every degree up to MAX_DEGREE
+    (a larger type builds its own for the call), so none is walked or
+    encoded:
     sigma0 = (d, d-1, ..., lo) on the top e0 points, fixing 1, ..., lo-1;
     sigma1 = (1, 2, ..., e1) on the bottom e1 points, fixing e1+1, ..., d;
     and sigmaInf = (1, e1+1, ..., d, lo, lo-1, ..., 2), fixing lo+1, ..., e1.
@@ -268,7 +337,8 @@ def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
     is a full d-cycle instead, which has the wrong genus whenever eInf < d.
     """
     d, e0, e1 = ct.d, ct.e0, ct.e1
-    return GeneratingSystem(_sigma0(d, e0), _sigma1(d, e1), _sigma_inf(d, e0, e1))
+    r = _runs_for(d)
+    return GeneratingSystem(_sigma0(d, e0, r), _sigma1(d, e1, r), _sigma_inf(d, e0, e1, r))
 
 
 def canonical_triples(d: int) -> Iterator[tuple[CombinatorialType, GeneratingSystem]]:
@@ -278,14 +348,16 @@ def canonical_triples(d: int) -> Iterator[tuple[CombinatorialType, GeneratingSys
     sigma0 depends only on (d, e0) and sigma1 only on (d, e1), so each is
     built once per call, and every triple of this call with that e0 or e1
     holds the same ``Permutation``.  Each permutation keeps the closed-form
-    cycles that ``canonical_single_cycle`` states, so none is walked.
-    Nothing outlives the call.
+    cycles and text that ``canonical_single_cycle`` states, so none is
+    walked or encoded.  Only the run tables outlive the call; no
+    permutation does.
     """
+    r = _runs_for(d)
     es = range(2, d + 1)
-    sigma0 = {e: _sigma0(d, e) for e in es}
-    sigma1 = {e: _sigma1(d, e) for e in es}
+    sigma0 = {e: _sigma0(d, e, r) for e in es}
+    sigma1 = {e: _sigma1(d, e, r) for e in es}
     for ct in valid_types(d):
-        yield ct, GeneratingSystem(sigma0[ct.e0], sigma1[ct.e1], _sigma_inf(d, ct.e0, ct.e1))
+        yield ct, GeneratingSystem(sigma0[ct.e0], sigma1[ct.e1], _sigma_inf(d, ct.e0, ct.e1, r))
 
 
 def equivalent(a: GeneratingSystem, b: GeneratingSystem) -> bool:

@@ -36,7 +36,7 @@ def _cycle_tuples(cycles: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
 class Permutation:
     """A bijection of {1, ..., d} of int points, stored as its image sequence."""
 
-    __slots__ = ("images", "_cycles", "_nontrivial", "_text")
+    __slots__ = ("images", "degree", "_cycles", "_nontrivial", "_text")
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(images)
@@ -50,6 +50,8 @@ class Permutation:
         if sorted(imgs) != list(range(1, d + 1)):
             raise ValueError(f"not a bijection of 1..{d}: {brief_repr(imgs)}")
         self.images: tuple[int, ...] = imgs
+        # set once, as a plain slot: a record's checks read it a dozen times
+        self.degree: int = d
         self._cycles: tuple[tuple[int, ...], ...] | None = None
         self._nontrivial: tuple[tuple[int, ...], ...] | None = None
         self._text: str | None = None
@@ -60,15 +62,18 @@ class Permutation:
 
     @classmethod
     def _with_cycles(
-        cls, images: Sequence[int], cycles: tuple[tuple[int, ...], ...]
+        cls, images: Sequence[int], cycles: tuple[tuple[int, ...], ...], text: str | None = None
     ) -> "Permutation":
         """The permutation of these images, checked as ``__init__`` checks
         any, keeping ``cycles`` as the ones ``cycles()`` returns, so they
-        are never walked; the caller vouches that they are its canonical
-        cycles, fixed points included.  The one place cycles are kept
-        without a walk."""
+        are never walked, and ``text``, when given, as the one
+        ``_json_text()`` returns, so they are never encoded; the caller
+        vouches that they are its canonical cycles, fixed points included,
+        and their compact JSON text.  The one place cycles or text are kept
+        without a walk or an encoding."""
         p = cls(images)
         p._cycles = cycles
+        p._text = text
         return p
 
     @classmethod
@@ -108,10 +113,6 @@ class Permutation:
         if last is not None and sum(map(len, cycs)) == d:
             return cls._with_cycles(images, tuple(cycs))
         return cls(images)
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -186,11 +187,11 @@ class Permutation:
         return list(map(list, self.cycles()))
 
     def _json_text(self) -> str:
-        """The compact JSON text of ``to_json()``, computed on the first
-        call and kept: a record line holds sigma0's and sigma1's cycles
-        twice, and a degree's records share them, so each is encoded once.
-        The encoder writes the kept cycle tuples as arrays, so no list is
-        built for it."""
+        """The compact JSON text of ``to_json()``, as ``_with_cycles`` was
+        given it or else computed on the first call, and kept: a record line
+        holds sigma0's and sigma1's cycles twice, and a degree's records
+        share them, so each is encoded at most once.  The encoder writes the
+        kept cycle tuples as arrays, so no list is built for it."""
         if self._text is None:
             self._text = compact_json(self.cycles())
         return self._text

@@ -866,14 +866,15 @@ def test_a_degrees_records_share_sigma0s_and_sigma1s_text(monkeypatch):
     # and so its nontrivial cycles, scanned once for the type and the shape
     assert a.gensys.sigma0.nontrivial_cycles() is b.gensys.sigma0.nontrivial_cycles()
 
-    # one encoding per sigmaInf, and one per shared sigma0 and sigma1:
-    # 2 (d - 1) per degree, where each record once encoded five.  A
-    # permutation's text is encoded straight from its cycles, so the spy
-    # counts the encoder calls that perm makes
+    # no encoding at all: each canonical permutation keeps the text its
+    # builder slices in closed form, where a record once encoded five and
+    # then one per sigmaInf plus one per shared sigma0 and sigma1.  A
+    # permutation's text is encoded straight from its cycles when it is
+    # not given, so the spy counts the encoder calls that perm makes
     calls = []
     encode = belyi.perm.compact_json
     monkeypatch.setattr(belyi.perm, "compact_json", lambda v: calls.append(v) or encode(v))
     buf = io.StringIO()
     counts = write_catalog(12, buf)
     assert len(buf.getvalue().splitlines()) == sum(counts.values()) == 330
-    assert len(calls) == 330 + 2 * sum(d - 1 for d in range(3, 13))
+    assert calls == []

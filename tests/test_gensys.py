@@ -25,6 +25,9 @@ from belyi import (
     power_gensys,
     valid_types,
 )
+from belyi import gensys as gensys_module
+from belyi.exact import compact_json
+from belyi.gensys import MAX_DEGREE
 from helpers import (
     class_counts,
     closure_order,
@@ -376,26 +379,57 @@ def test_canonical_triple_matches_its_stated_cycles():
             assert canonical_single_cycle(ct) == stated_canonical_triple(ct), ct
 
 
-def test_canonical_triples_keep_the_cycles_a_walk_finds():
-    # each canonical permutation keeps closed-form cycles and walks none:
-    # they must be those a fresh walk of its images finds, and each moves
-    # exactly one cycle; every type to d = 40 through both builders, and
-    # 200 seeded types with 41 <= d <= 300
+@pytest.fixture
+def fresh_runs():
+    # the kept run tables are cleared before and after, so the test sees
+    # them built on its own first triple
+    gensys_module._kept_runs.cache_clear()
+    yield
+    gensys_module._kept_runs.cache_clear()
+
+
+def _boundary_types(d):
+    # e0 = d, e1 = d, eInf = d and eInf = 2: each run of the closed forms empty
+    return [CombinatorialType(d, e0, e1, 2 * d + 1 - e0 - e1)
+            for e0, e1 in ((d, 2), (2, d), (d // 2 + 1, d - d // 2), (d, d - 1), (d - 1, d))]
+
+
+def test_canonical_triples_keep_the_cycles_a_walk_finds(fresh_runs):
+    # each canonical permutation keeps closed-form cycles and their text,
+    # and walks and encodes none: they must be those a fresh walk of its
+    # images finds and the text the encoder writes of them, and each moves
+    # exactly one cycle; every type to d = 40 through both builders, 200
+    # seeded types with 41 <= d <= 300, and types at and just past the cap,
+    # where the two builders take their tables from the same _runs_for
     def check(gs):
         for s in gs.triple:
-            assert s.cycles() == Permutation(s.images).cycles(), gs
+            walked = Permutation(s.images).cycles()
+            assert s.cycles() == walked, gs
+            assert s._json_text() == compact_json(walked), gs
             assert len(s.nontrivial_cycles()) == 1, gs
 
+    assert gensys_module._kept_runs.cache_info().currsize == 0
     for d in range(3, 41):
         for ct, gs in canonical_triples(d):
             check(gs)
             check(canonical_single_cycle(ct))
+    # built on the first triple, and the same tables on every later one
+    kept = gensys_module._kept_runs()
+    assert len(kept.nat) == MAX_DEGREE + 2
     rng = random.Random(38)
     for _ in range(200):
         d = rng.randint(41, 300)
         e0 = rng.randint(2, d)
         e1 = rng.randint(max(2, d + 1 - e0), min(d, 2 * d - 1 - e0))
         check(canonical_single_cycle(CombinatorialType(d, e0, e1, 2 * d + 1 - e0 - e1)))
+    for d in (MAX_DEGREE, MAX_DEGREE + 1):
+        for ct in _boundary_types(d):
+            check(canonical_single_cycle(ct))
+    # a build past the cap makes its own tables and leaves the kept ones
+    info = gensys_module._kept_runs.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert gensys_module._kept_runs() is kept
+    assert len(kept.nat) == MAX_DEGREE + 2
 
 
 def test_canonical_triples_share_sigma0_and_sigma1_within_one_call():
@@ -413,7 +447,7 @@ def test_canonical_triples_share_sigma0_and_sigma1_within_one_call():
 
 
 def test_canonical_triples_share_no_object_across_calls():
-    # nothing outlives a call: a second call builds every permutation anew
+    # no permutation outlives a call: a second call builds every one anew
     first, second = list(canonical_triples(12)), list(canonical_triples(12))
     assert first == second
     ids = {id(s) for _, gs in first for s in gs.triple}

@@ -162,7 +162,8 @@ class TriptychRecord:
         deep to read, or when the record has a field to_json does not write."""
         json_object(data, "record", ("type", "map", "gensys", "dessin", "invariants"))
         gs = GeneratingSystem.from_json(json_field(data, "gensys", "record"))
-        m = None if data.get("map") is None else BelyiMap.from_json(data["map"])
+        bmap = json_field(data, "map", "record")
+        m = None if bmap is None else BelyiMap.from_json(bmap)
         rec = cls(gs, m)
         check_stored(data, rec._derived_json(), "gensys")
         return rec

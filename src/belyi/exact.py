@@ -94,7 +94,8 @@ _sorted_json = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 def check_stored(data: dict, derived: dict, source: str) -> None:
     """Raise ValueError unless ``data`` stores each field of ``derived`` as
     it is, compared as sorted-key JSON text, so that a rotated cycle, 0.0
-    or false cannot pass for what the writer derives from ``source``.
+    or false cannot pass for what the writer derives from ``source``, and
+    an absent field cannot pass for a derived null.
 
     The fields are encoded together, as one list in ``derived``'s order, and
     only a mismatch is traced to its first field, whose stored and derived
@@ -102,12 +103,17 @@ def check_stored(data: dict, derived: dict, source: str) -> None:
     only, so the lists' texts agree exactly when each field's does.
     """
     try:
-        if _sorted_json([data.get(key) for key in derived]) == _sorted_json(list(derived.values())):
-            return
+        same = _sorted_json([data.get(key) for key in derived]) == _sorted_json(list(derived.values()))
     except RecursionError:
         raise ValueError(f"stored {', '.join(derived)} nested too deeply to read") from None
+    # an absent field reads as null in the joint text, so the keys are
+    # checked too; every field encoded on its own below is nested less deep
+    if same and derived.keys() <= data.keys():
+        return
     for key, value in derived.items():
-        stored = data.get(key)
+        if key not in data:
+            raise ValueError(f"stored {key} absent, where {brief_repr(value)} is derived from {source}")
+        stored = data[key]
         if _sorted_json(stored) != _sorted_json(value):
             raise ValueError(
                 f"stored {key} {brief_repr(stored)} disagrees with {brief_repr(value)},"

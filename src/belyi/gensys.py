@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .exact import json_field, json_object, parse_int
@@ -28,8 +27,8 @@ class InvalidTypeError(ValueError):
 # and dessin refuse a larger one before any builder asks for d-sized lists,
 # and BelyiMap.from_json a larger stored f.  At d = 1000 the slowest
 # family, Chebyshev, takes about 5 s to build, the other three at most
-# 0.2 s, and a dessin 1 ms; Dessin.to_dot keeps its DOT pieces for every
-# degree up to it
+# 0.2 s, and a dessin 1 ms; the canonical triples keep their run tables,
+# and Dessin.to_dot its DOT pieces, for every degree up to it
 MAX_DEGREE = 1000
 
 
@@ -221,43 +220,21 @@ class _Runs(NamedTuple):
     """Slices of these give every run of the canonical triple to degree n.
 
     ``nat`` is 0, 1, ..., n + 1, so ``nat[a:b]`` is a..b-1 and
-    ``nat[hi:lo:-1]`` is hi..lo+1, and ``ones`` holds their 1-tuples.  Each
-    text holds its n + 2 items comma-separated between a leading and a
-    trailing comma: ``up_text`` ",0,1,...,n+1,", ``down_text``
-    ",n+1,n,...,0," and ``fixed_text`` ",[0],[1],...,[n+1],"; ``*_at[v]`` is
-    where the comma before the item for v stands.  So, with ``at = up_at``,
-    ``up_text[at[a]:at[b]]`` is ",a,...,b-1", ``up_text[at[a] + 1:at[b] + 1]``
-    is "a,...,b-1," and ``up_text[at[a] + 1:at[b]]`` is "a,...,b-1"; the
-    same holds of ``fixed_text``, and ``down_text[down_at[hi]:down_at[lo - 1]]``
-    is ",hi,...,lo".
+    ``nat[hi:lo:-1]`` is hi..lo+1, and ``ones`` holds their 1-tuples.
+    ``num[i]`` is ",i" and ``fixed[i]`` ",[i]", so the same slices of
+    these, joined, are those runs' JSON text, each item after a comma.
     """
 
     nat: tuple[int, ...]
     ones: tuple[tuple[int], ...]
-    up_text: str
-    up_at: list[int]
-    down_text: str
-    down_at: list[int]
-    fixed_text: str
-    fixed_at: list[int]
-
-
-def _texts(items: list[str]) -> tuple[str, list[int]]:
-    """",x0,x1,...," and where each item's leading comma stands."""
-    return "," + ",".join(items) + ",", [0, *accumulate(len(x) + 1 for x in items)]
+    num: tuple[str, ...]
+    fixed: tuple[str, ...]
 
 
 def _runs(n: int) -> _Runs:
     """The run tables for every degree up to n."""
     nat = tuple(range(n + 2))
-    up_text, up_at = _texts(list(map(str, nat)))
-    down_text, down_at = _texts(list(map(str, reversed(nat))))
-    fixed_text, fixed_at = _texts([f"[{i}]" for i in nat])
-    # down_at by value: the item for v is the (n + 1 - v)th
-    return _Runs(
-        nat, tuple(zip(nat)), up_text, up_at,
-        down_text, down_at[n + 1::-1], fixed_text, fixed_at,
-    )
+    return _Runs(nat, tuple(zip(nat)), tuple([f",{i}" for i in nat]), tuple([f",[{i}]" for i in nat]))
 
 
 @cache
@@ -275,27 +252,28 @@ def _runs_for(d: int) -> _Runs:
 
 def _sigma0(d: int, e0: int, r: _Runs) -> Permutation:
     lo = d - e0 + 1
-    nat, ones, up_text, up_at, down_text, down_at, fixed_text, fixed_at = r
+    nat, ones, num, fixed = r
+    # the fixed points come first, and the first item's comma is dropped
+    text = f"{''.join(fixed[1:lo])},[{lo}{''.join(num[d:lo:-1])}]"
     return Permutation._with_cycles(
         (*nat[1:lo], d, *nat[lo:d]),
         (*ones[1:lo], (lo, *nat[d:lo:-1])),
-        f"[{fixed_text[fixed_at[1] + 1:fixed_at[lo] + 1]}"
-        f"[{up_text[up_at[lo] + 1:up_at[lo + 1]]}{down_text[down_at[d]:down_at[lo]]}]]",
+        f"[{text[1:]}]",
     )
 
 
 def _sigma1(d: int, e1: int, r: _Runs) -> Permutation:
-    nat, ones, up_text, up_at, _, _, fixed_text, fixed_at = r
+    nat, ones, num, fixed = r
     return Permutation._with_cycles(
         (*nat[2:e1 + 1], 1, *nat[e1 + 1:d + 1]),
         (nat[1:e1 + 1], *ones[e1 + 1:d + 1]),
-        f"[[{up_text[up_at[1] + 1:up_at[e1 + 1]]}]{fixed_text[fixed_at[e1 + 1]:fixed_at[d + 1]]}]",
+        f"[[1{''.join(num[2:e1 + 1])}]{''.join(fixed[e1 + 1:d + 1])}]",
     )
 
 
 def _sigma_inf(d: int, e0: int, e1: int, r: _Runs) -> Permutation:
     lo = d - e0 + 1
-    nat, ones, up_text, up_at, down_text, down_at, fixed_text, fixed_at = r
+    nat, ones, num, fixed = r
     if e1 < d:
         images = (e1 + 1, *nat[1:lo], *nat[lo + 1:e1 + 1], *nat[e1 + 2:d + 1], lo)
     else:
@@ -303,8 +281,7 @@ def _sigma_inf(d: int, e0: int, e1: int, r: _Runs) -> Permutation:
     return Permutation._with_cycles(
         images,
         ((1, *nat[e1 + 1:d + 1], *nat[lo:1:-1]), *ones[lo + 1:e1 + 1]),
-        f"[[1{up_text[up_at[e1 + 1]:up_at[d + 1]]}{down_text[down_at[lo]:down_at[1]]}]"
-        f"{fixed_text[fixed_at[lo + 1]:fixed_at[e1 + 1]]}]",
+        f"[[1{''.join(num[e1 + 1:d + 1])}{''.join(num[lo:1:-1])}]{''.join(fixed[lo + 1:e1 + 1])}]",
     )
 
 
@@ -321,9 +298,10 @@ def canonical_single_cycle(ct: CombinatorialType) -> GeneratingSystem:
                     when e1 = d,
 
     and keeps their cycles and those cycles' JSON text, written in closed
-    form and sliced from run tables kept for every degree up to MAX_DEGREE
-    (a larger type builds its own for the call), so none is walked or
-    encoded:
+    form: the tuples and cycles are slices of the naturals and their
+    1-tuples, and the text is joined from the same slices of the pieces
+    ",i" and ",[i]", all kept for every degree up to MAX_DEGREE (a larger
+    type builds its own for the call), so none is walked or encoded:
     sigma0 = (d, d-1, ..., lo) on the top e0 points, fixing 1, ..., lo-1;
     sigma1 = (1, 2, ..., e1) on the bottom e1 points, fixing e1+1, ..., d;
     and sigmaInf = (1, e1+1, ..., d, lo, lo-1, ..., 2), fixing lo+1, ..., e1.

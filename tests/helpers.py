@@ -462,9 +462,11 @@ def stored_field_oracle(data: dict, derived: dict, source: str) -> None:
     """Oracle for ``check_stored``: each field of ``derived`` and its stored
     copy in ``data`` encoded on their own by ``json.dumps(sort_keys=True)``,
     in ``derived``'s order, and the first that differs named, both values
-    by ``reprlib.repr``."""
+    by ``reprlib.repr``; an absent field is named before it is compared."""
     for key, value in derived.items():
-        stored = data.get(key)
+        if key not in data:
+            raise ValueError(f"stored {key} absent, where {reprlib.repr(value)} is derived from {source}")
+        stored = data[key]
         if json.dumps(stored, sort_keys=True) != json.dumps(value, sort_keys=True):
             raise ValueError(
                 f"stored {key} {reprlib.repr(stored)} disagrees with {reprlib.repr(value)},"

@@ -383,19 +383,26 @@ def test_record_json_rejects_cycles_that_are_not_a_list_of_lists(path, value):
 _DROP = object()
 
 
+_TYPED = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5))
+
+
 @pytest.mark.parametrize(
-    "path, value, message",
+    "record, path, value, message",
     [
-        (("gensys",), _DROP, "record has no 'gensys' field"),
-        (("dessin",), _DROP, "stored dessin"),
-        (("gensys", "sigma1"), _DROP, "gensys has no 'sigma1' field"),
-        (("dessin", "white"), _DROP, "stored dessin"),
-        (("type", "e1"), _DROP, "stored type"),
-        (("map", "f"), _DROP, "map has no 'f' field"),
-        (("gensys",), 5, "gensys must be an object"),
-        (("dessin",), None, "stored dessin"),
-        (("type",), [1], "stored type"),
-        (("map",), 5, "map must be an object"),
+        (_TYPED, ("gensys",), _DROP, "record has no 'gensys' field"),
+        (_TYPED, ("dessin",), _DROP, "stored dessin"),
+        (_TYPED, ("gensys", "sigma1"), _DROP, "gensys has no 'sigma1' field"),
+        (_TYPED, ("dessin", "white"), _DROP, "stored dessin"),
+        (_TYPED, ("type", "e1"), _DROP, "stored type"),
+        (_TYPED, ("map", "f"), _DROP, "map has no 'f' field"),
+        (_TYPED, ("gensys",), 5, "gensys must be an object"),
+        (_TYPED, ("dessin",), None, "stored dessin"),
+        (_TYPED, ("type",), [1], "stored type"),
+        (_TYPED, ("map",), 5, "map must be an object"),
+        # a stored null and an absent field differ: the writer writes both
+        (TriptychRecord.for_family("power", 5), ("type",), _DROP, "^stored type absent, where None is derived from gensys$"),
+        (TriptychRecord.for_family("chebyshev", 6), ("type",), _DROP, "^stored type absent"),
+        (TriptychRecord.for_type(CombinatorialType(5, 3, 4, 4)), ("map",), _DROP, "^record has no 'map' field$"),
     ],
     ids=[
         "no-gensys",
@@ -408,11 +415,14 @@ _DROP = object()
         "null-dessin",
         "list-type",
         "int-map",
+        "power-no-type",
+        "chebyshev-no-type",
+        "mapless-no-map",
     ],
 )
-def test_record_json_rejects_missing_fields_and_non_objects(path, value, message):
+def test_record_json_rejects_missing_fields_and_non_objects(record, path, value, message):
     # KeyError or TypeError here would escape callers that catch ValueError
-    data = TriptychRecord.for_type(CombinatorialType(5, 3, 3, 5)).to_json()
+    data = record.to_json()
     parent = data
     for key in path[:-1]:
         parent = parent[key]

@@ -484,6 +484,11 @@ def test_a_family_map_with_non_list_coefficients_is_refused(capsys, tmp_path, va
 CUSTOM_MAP = {"family": "custom", "f": {"num": ["0", "0", "1"], "den": ["1"]}}
 
 
+def _without(data, key):
+    del data[key]
+    return data
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -505,6 +510,10 @@ CUSTOM_MAP = {"family": "custom", "f": {"num": ["0", "0", "1"], "den": ["1"]}}
          "zero denominator in '1/0'"),
         (lambda m: {**m, "type": {**m["type"], "e1": 4}}, "stored type .* disagrees with"),
         (lambda m: {**m, "extra": [1]}, "^map has unknown field 'extra'$"),
+        # a power map writes k and type as null: an absent one is not null
+        (lambda m: _without(power_map(5).to_json(), "k"),
+         r"^stored k absent, where None is derived from \(power, 5, None\)$"),
+        (lambda m: _without(power_map(5).to_json(), "type"), "^stored type absent"),
     ],
     ids=[
         "family-list",
@@ -521,6 +530,8 @@ CUSTOM_MAP = {"family": "custom", "f": {"num": ["0", "0", "1"], "den": ["1"]}}
         "coefficient-over-zero",
         "misstated-type",
         "extra-field",
+        "power-without-k",
+        "power-without-type",
     ],
 )
 def test_each_map_reader_guard_has_a_fixed_case(capsys, tmp_path, edit, message):
@@ -1127,6 +1138,9 @@ POLY_5_2_AS_CUSTOM = {
 PINNED_CUSTOM_VERIFY = {
     "x^2": (CUSTOM_MAP["f"], [], PASS,
             "6f201cd56af3ca5001effdc6d5fad9e9fc43016d87bcf1d13f4a17fd908c91bb"),
+    # a file holding only f is a custom map
+    "x^2-f-only": ({"f": CUSTOM_MAP["f"]}, [], PASS,
+                   "6f201cd56af3ca5001effdc6d5fad9e9fc43016d87bcf1d13f4a17fd908c91bb"),
     "x^2-typed": (CUSTOM_MAP["f"], ["--type", "2,2,3"], FAIL,
                   "8530d150d1932939cd2e8d3492dcef30ae3946d4f3ec8854c286adfc22fb2e00"),
     "unreduced-3x^2": ({"num": ["0", "0", "2"], "den": ["2/3"]}, [], PASS,
